@@ -5,6 +5,7 @@
 //! sequence through the compiler's public functions on a second fresh
 //! compiler, timing each pass and each block synthesis by outcome.
 
+use crate::cpu;
 use crate::inputs::{demo_suite, salt, shuffled_order, Rng};
 use crate::oracle::{state_infidelity, QualityTotals, MAX_STATE_INFIDELITY};
 use crate::report::Report;
@@ -16,39 +17,48 @@ use reqisc_microarch::Coupling;
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_synthesis::TemplateLibrary;
 use std::collections::HashMap;
+use std::io;
 use std::time::{Duration, Instant};
 
 /// Set-up repetitions; `setup_s` is their median.
 const SETUP_REPS: usize = 5;
+/// Host-speed probes taken before each set-up repetition.
+const SETUP_PROBES: usize = 11;
 
 /// What set-up produces: the suite and the template library, with the
-/// time each repetition took.
+/// CPU time each repetition took and the probes taken around them.
 struct Setup {
     suite: Vec<Circuit>,
     library: TemplateLibrary,
     setup_s: Vec<f64>,
     library_s: Vec<f64>,
+    probes: cpu::Probes,
 }
 
-fn setup() -> Setup {
+/// Builds the suite and the library on this thread, timing its CPU.
+fn setup() -> io::Result<Setup> {
     let (mut setup_s, mut library_s) = (Vec::new(), Vec::new());
+    let mut probes = cpu::Probes::default();
     let mut built = None;
     for _ in 0..SETUP_REPS {
-        let t0 = Instant::now();
+        probes.take(SETUP_PROBES)?;
+        let c0 = cpu::thread_s()?;
         let suite = demo_suite();
-        let t1 = Instant::now();
+        let c1 = cpu::thread_s()?;
         let library = Compiler::builtin_library();
-        library_s.push(t1.elapsed().as_secs_f64());
-        setup_s.push(t0.elapsed().as_secs_f64());
+        let c2 = cpu::thread_s()?;
+        library_s.push(c2 - c1);
+        setup_s.push(c2 - c0);
         built = Some((suite, library));
     }
     let (suite, library) = built.expect("at least one set-up repetition");
-    Setup {
+    Ok(Setup {
         suite,
         library,
         setup_s,
         library_s,
-    }
+        probes,
+    })
 }
 
 /// A fresh compiler around `library`, compiling on one thread.
@@ -58,20 +68,26 @@ fn fresh_compiler(library: &TemplateLibrary) -> Compiler {
     c
 }
 
-/// Compiles `suite` in `order` through `Compiler::compile`; returns the
-/// outputs in that order and the wall time of the whole loop.
+/// Compiles `suite` in `order` through `Compiler::compile`, with one
+/// host-speed probe before each program; returns the outputs in that
+/// order and the CPU time of the compiles. The process's CPU time counts
+/// the compile's scoped synthesis worker too; nothing else runs in the
+/// harness meanwhile.
 fn compile_suite(
     library: &TemplateLibrary,
     suite: &[Circuit],
     order: &[usize],
-) -> (Vec<Circuit>, f64) {
+    probes: &mut cpu::Probes,
+) -> io::Result<(Vec<Circuit>, f64)> {
     let compiler = fresh_compiler(library);
     let mut outs = Vec::with_capacity(order.len());
-    let t0 = Instant::now();
+    let (c0, p0) = (cpu::process("self")?, probes.total_s());
     for &i in order {
+        probes.take(1)?;
         outs.push(compiler.compile(&suite[i], Pipeline::ReqiscFull));
     }
-    (outs, t0.elapsed().as_secs_f64())
+    let probe_s = probes.total_s() - p0;
+    Ok((outs, cpu::process("self")?.own_s - c0.own_s - probe_s))
 }
 
 /// Runs every input and output through the state-vector oracle and
@@ -93,20 +109,23 @@ fn check(suite: &[Circuit], order: &[usize], outs: &[Circuit], seed: u64) -> (Qu
 }
 
 /// The end-to-end run.
-pub fn run(seed: u64) -> Report {
-    let s = setup();
+pub fn run(seed: u64) -> io::Result<Report> {
+    let mut s = setup()?;
     let order = shuffled_order(s.suite.len(), &mut Rng::stream(seed, salt::ORDER));
-    let (outs, compile_s) = compile_suite(&s.library, &s.suite, &order);
+    let (outs, compile_cpu_s) = compile_suite(&s.library, &s.suite, &order, &mut s.probes)?;
     let peak = crate::daemon::peak_rss_mb("/proc/self/status").unwrap_or(f64::NAN);
     let (totals, failed) = check(&s.suite, &order, &outs, seed);
+    let scale = s.probes.scale();
+    let setup_cpu_s = median(&s.setup_s);
+    eprintln!("# compile_cold: CPU s: set-up {setup_cpu_s:.4}, compile {compile_cpu_s:.2}");
     let mut r = Report::new(order.len() as u64, failed);
-    r.metric("setup_s", median(&s.setup_s), "s");
+    r.metric("setup_s", setup_cpu_s * scale, "s");
     r.metric("peak_rss_mb", peak, "MB");
-    r.metric("compile_s", compile_s, "s");
+    r.metric("compile_s", compile_cpu_s * scale, "s");
     r.metric("su4_count", totals.count_2q as f64, "count");
     r.metric("su4_depth", totals.depth_2q as f64, "count");
     r.metric("duration_g", totals.duration, "1/g");
-    r
+    Ok(r)
 }
 
 /// Time spent per pass and per synthesis outcome during a replay.
@@ -157,19 +176,19 @@ fn timed<T>(span: &mut Duration, f: impl FnOnce() -> T) -> T {
 /// Replays `Compiler::compile(_, ReqiscFull)` — the program-pool lookup,
 /// the template pass, and `hierarchical_synthesis_batched` with one block
 /// thread — pass by pass on a fresh compiler. Returns the outputs, the
-/// spans and the wall time of the whole replay.
+/// spans, and the wall and CPU time of the whole replay.
 fn replay(
     library: &TemplateLibrary,
     suite: &[Circuit],
     order: &[usize],
-) -> (Vec<Circuit>, Spans, f64) {
+) -> io::Result<(Vec<Circuit>, Spans, f64, f64)> {
     let compiler = fresh_compiler(library);
     let hs = compiler.hs.clone();
     let cache = compiler.cache();
     let mut sp = Spans::default();
     let mut programs: HashMap<u128, Circuit> = HashMap::new();
     let mut outs = Vec::with_capacity(order.len());
-    let t_all = Instant::now();
+    let (t_all, c_all) = (Instant::now(), cpu::process("self")?);
     for &i in order {
         let c = &suite[i];
         let key = timed(&mut sp.lookup, || c.content_hash());
@@ -231,15 +250,16 @@ fn replay(
         programs.insert(key, out.clone());
         outs.push(out);
     }
-    (outs, sp, t_all.elapsed().as_secs_f64())
+    let cpu_s = cpu::process("self")?.own_s - c_all.own_s;
+    Ok((outs, sp, t_all.elapsed().as_secs_f64(), cpu_s))
 }
 
 /// The traced run: the end-to-end compile for reference, then the replay.
-pub fn run_traced(seed: u64) -> Report {
-    let s = setup();
+pub fn run_traced(seed: u64) -> io::Result<Report> {
+    let mut s = setup()?;
     let order = shuffled_order(s.suite.len(), &mut Rng::stream(seed, salt::ORDER));
-    let (outs, compile_s) = compile_suite(&s.library, &s.suite, &order);
-    let (replayed, sp, traced_s) = replay(&s.library, &s.suite, &order);
+    let (outs, compile_cpu_s) = compile_suite(&s.library, &s.suite, &order, &mut s.probes)?;
+    let (replayed, sp, traced_s, traced_cpu_s) = replay(&s.library, &s.suite, &order)?;
     let (_, failed) = check(&s.suite, &order, &outs, seed);
     let matched = outs
         .iter()
@@ -257,7 +277,7 @@ pub fn run_traced(seed: u64) -> Report {
             "# compile_cold: replay matched {matched}/{} outputs; pass metrics unavailable",
             outs.len()
         );
-        return r;
+        return Ok(r);
     }
     let secs = |d: Duration| d.as_secs_f64();
     r.metric("pass.template_s", secs(sp.template), "s");
@@ -282,8 +302,8 @@ pub fn run_traced(seed: u64) -> Report {
     );
     r.metric("synth.gates_saved", sp.gates_saved as f64, "count");
     r.metric("program.hits", sp.program_hits as f64, "count");
-    r.metric("trace.overhead_s", traced_s - compile_s, "s");
+    r.metric("trace.overhead_s", traced_cpu_s - compile_cpu_s, "s");
     // Share of the replay's wall time the pass and synthesis spans cover.
     r.metric("trace.coverage", secs(sp.total()) / traced_s, "ratio");
-    r
+    Ok(r)
 }

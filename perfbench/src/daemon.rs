@@ -1,5 +1,6 @@
 //! The `reqiscd` child process and line-protocol connections to it.
 
+use crate::cpu;
 use reqisc_service::{Json, StatsSnapshot};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -97,6 +98,11 @@ impl Daemon {
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         }
+    }
+
+    /// CPU seconds the daemon has run so far, over all its threads.
+    pub fn cpu_s(&self) -> io::Result<f64> {
+        Ok(cpu::process(&self.child.id().to_string())?.own_s)
     }
 
     /// Peak resident set (`VmHWM`) of the daemon so far, in MB.

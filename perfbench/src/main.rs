@@ -10,6 +10,7 @@
 //! and runs it; see `perfbench/README.md` for the workloads and metrics.
 
 mod compile_cold;
+mod cpu;
 mod daemon;
 mod inputs;
 mod oracle;
@@ -64,8 +65,8 @@ fn main() {
         }
     };
     let report = match (args.workload.as_str(), args.trace) {
-        ("compile_cold", false) => Ok(compile_cold::run(args.seed)),
-        ("compile_cold", true) => Ok(compile_cold::run_traced(args.seed)),
+        ("compile_cold", false) => compile_cold::run(args.seed),
+        ("compile_cold", true) => compile_cold::run_traced(args.seed),
         ("serve_warm", trace) => serve::warm(&args.reqiscd, args.seed, args.seconds, trace),
         ("serve_mixed", trace) => serve::mixed(&args.reqiscd, args.seed, trace),
         (other, _) => {

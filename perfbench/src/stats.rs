@@ -42,27 +42,6 @@ pub fn pct(samples: &[f64], q: f64) -> f64 {
     percentile(samples, q).unwrap_or(f64::NAN)
 }
 
-/// [`median`], or NaN for no samples.
-fn median_or_nan(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        f64::NAN
-    } else {
-        median(samples)
-    }
-}
-
-/// The median, over consecutive full windows of `window` samples, of each
-/// window's `q` percentile; a trailing partial window is left out. One
-/// burst of host noise then moves one window, not the result.
-pub fn windowed(samples: &[f64], window: usize, q: f64) -> f64 {
-    median_or_nan(
-        &samples
-            .chunks_exact(window)
-            .map(|w| pct(w, q))
-            .collect::<Vec<_>>(),
-    )
-}
-
 /// Arithmetic mean (`0` for no samples).
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -104,20 +83,6 @@ mod tests {
         // The median of twenty samples has ten beyond it.
         assert_eq!(percentile(&ramp(20), 0.5), Some(10.0));
         assert_eq!(percentile(&ramp(19), 0.5), None);
-    }
-
-    #[test]
-    fn windowed_percentiles_take_the_median_window() {
-        // Three windows of 1000; the middle one has a slow tail.
-        let mut s = ramp(1000);
-        s.extend(ramp(1000).iter().map(|v| v * 10.0));
-        s.extend(ramp(1000));
-        s.extend([5.0; 999]); // partial window: ignored
-        assert_eq!(windowed(&s, 1000, 0.99), 990.0);
-        assert_eq!(windowed(&s, 1000, 0.50), 500.0);
-        // Windows too small for the percentile give NaN, not a number.
-        assert!(windowed(&s, 500, 0.99).is_nan());
-        assert!(windowed(&[], 10, 0.5).is_nan());
     }
 
     #[test]
