@@ -70,6 +70,59 @@ fn parse_stat(stat: &str) -> Option<ProcessCpu> {
 /// Probe time of a host on which scaled figures are quoted.
 pub const REFERENCE_PROBE_S: f64 = 1e-3;
 
+/// [`MemProbe`] time of a host on which memory-scaled figures are
+/// quoted, in µs.
+pub const REFERENCE_MEM_PROBE_US: f64 = 5.0;
+
+/// A fixed allocation-and-copy kernel in the harness, shaped like an
+/// in-process warm repeat: copy 64 boxed arrays of 32 floats (16 KiB in
+/// 64 allocations) and hash the copy. `probe_s`'s arithmetic does not
+/// follow such few-µs work; this does. Taken at the same moments as the
+/// work it scales, it is the host's speed for that kind of work. The
+/// kernel is the harness's own, so no change to the repository moves it.
+pub struct MemProbe {
+    source: Vec<Box<[f64; 32]>>,
+    samples_us: Vec<f64>,
+}
+
+impl Default for MemProbe {
+    fn default() -> MemProbe {
+        MemProbe {
+            source: (0..64).map(|k| Box::new([k as f64 * 0.5; 32])).collect(),
+            samples_us: Vec::new(),
+        }
+    }
+}
+
+impl MemProbe {
+    /// Runs the kernel `n` times.
+    pub fn take(&mut self, n: usize) {
+        for _ in 0..n {
+            let t0 = std::time::Instant::now();
+            let copy: Vec<Box<[f64; 32]>> = self.source.iter().map(|b| Box::new(**b)).collect();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for x in copy.iter().flat_map(|b| b.iter()) {
+                h = (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            }
+            std::hint::black_box(h);
+            drop(copy);
+            self.samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+
+    /// [`REFERENCE_MEM_PROBE_US`] ÷ the median kernel time: a latency
+    /// measured beside the kernel, multiplied by it, is the latency on
+    /// the reference host.
+    pub fn scale(&self) -> f64 {
+        let probe = median(&self.samples_us);
+        eprintln!(
+            "# host: median of {} memory probes {probe:.3} us",
+            self.samples_us.len()
+        );
+        REFERENCE_MEM_PROBE_US / probe
+    }
+}
+
 /// CPU seconds this thread takes for a fixed floating-point kernel: a
 /// chain of 8×8 complex matrix products, each into a freshly allocated
 /// buffer and renormalised through square roots, the kind of arithmetic
@@ -145,6 +198,14 @@ impl Probes {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memory_probe_gives_a_finite_scale() {
+        let mut m = MemProbe::default();
+        m.take(9);
+        let scale = m.scale();
+        assert!(scale.is_finite() && scale > 0.0, "scale {scale}");
+    }
 
     #[test]
     fn parses_stat_lines_with_spaces_in_the_name() {

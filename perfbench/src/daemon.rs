@@ -1,7 +1,9 @@
 //! The `reqiscd` child process and line-protocol connections to it.
 
 use crate::cpu;
-use reqisc_service::{Json, StatsSnapshot};
+use reqisc_compiler::{Metrics, STORE_FORMAT_VERSION};
+use reqisc_service::{Json, StatsSnapshot, DEFAULT_SHM_CAPACITY_BYTES};
+use reqisc_shmem::Segment;
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -14,6 +16,8 @@ use std::time::{Duration, Instant};
 /// location.
 const SOCKET: &str = "d.sock";
 const SEGMENT: &str = "d.seg";
+/// Socket of a peer daemon sharing the run directory's segment.
+const PEER_SOCKET: &str = "p.sock";
 
 /// How long a daemon may take to accept its first connection.
 const START_TIMEOUT: Duration = Duration::from_secs(60);
@@ -62,9 +66,19 @@ impl Daemon {
     /// environment, so no stray knob (a cache directory, say) changes
     /// what it does.
     pub fn spawn(bin: &Path, dir: &RunDir) -> io::Result<Daemon> {
+        Daemon::spawn_on(bin, dir, SOCKET)
+    }
+
+    /// Starts a peer of the run directory's daemon: the same segment, its
+    /// own socket. Both may run at once.
+    pub fn spawn_peer(bin: &Path, dir: &RunDir) -> io::Result<Daemon> {
+        Daemon::spawn_on(bin, dir, PEER_SOCKET)
+    }
+
+    fn spawn_on(bin: &Path, dir: &RunDir, socket: &str) -> io::Result<Daemon> {
         let mut cmd = Command::new(bin.canonicalize()?);
         cmd.current_dir(dir.path())
-            .args(["--socket", SOCKET, "--shm-path", SEGMENT, "--workers", "1"])
+            .args(["--socket", socket, "--shm-path", SEGMENT, "--workers", "1"])
             .stdin(Stdio::null())
             .stdout(Stdio::null());
         for (k, _) in std::env::vars_os() {
@@ -75,7 +89,7 @@ impl Daemon {
         let child = cmd.spawn()?;
         Ok(Daemon {
             child,
-            socket: dir.path().join(SOCKET),
+            socket: dir.path().join(socket),
         })
     }
 
@@ -261,6 +275,27 @@ pub fn reply_fingerprint(reply: &str) -> Option<u128> {
     u128::from_str_radix(reply.get(start..start + 32)?, 16).ok()
 }
 
+/// The quality metrics an `ok` compile reply carries (`count_2q`,
+/// `depth_2q`, `duration_g`), or `None` for any other reply.
+pub fn reply_metrics(reply: &str) -> Option<Metrics> {
+    let j = Json::parse(reply).ok()?;
+    if j.get("ok").and_then(Json::as_bool) != Some(true) {
+        return None;
+    }
+    Some(Metrics {
+        count_2q: j.get("count_2q")?.as_u64()? as usize,
+        depth_2q: j.get("depth_2q")?.as_u64()? as usize,
+        duration: j.get("duration_g")?.as_f64()?,
+    })
+}
+
+/// Attaches (creating it if absent) the shared segment at `path`, with
+/// the daemon's capacity and format.
+pub fn attach_segment(path: &Path) -> io::Result<Segment> {
+    Segment::attach(path, DEFAULT_SHM_CAPACITY_BYTES, STORE_FORMAT_VERSION)
+        .map_err(io::Error::other)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,8 +310,10 @@ mod tests {
         };
         let ok = reqisc_service::protocol::compile_response(1, fp, &m, false, 1).emit();
         assert_eq!(reply_fingerprint(&ok), Some(fp));
+        assert_eq!(reply_metrics(&ok), Some(m));
         let err = reqisc_service::protocol::error_response(1, "queue_full", "full").emit();
         assert_eq!(reply_fingerprint(&err), None);
+        assert_eq!(reply_metrics(&err), None);
         assert_eq!(reply_fingerprint(r#"{"ok":true,"fingerprint":"12"}"#), None);
         assert_eq!(reply_fingerprint("not json"), None);
     }

@@ -64,16 +64,27 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let report = match (args.workload.as_str(), args.trace) {
-        ("compile_cold", false) => compile_cold::run(args.seed),
-        ("compile_cold", true) => compile_cold::run_traced(args.seed),
-        ("serve_warm", trace) => serve::warm(&args.reqiscd, args.seed, args.seconds, trace),
-        ("serve_mixed", trace) => serve::mixed(&args.reqiscd, args.seed, trace),
-        (other, _) => {
+    let (seed, seconds, trace) = (args.seed, args.seconds, args.trace);
+    let report = match args.workload.as_str() {
+        "compile_cold" => compile_cold::run(seed, seconds, trace),
+        "serve_warm" => serve::warm(&args.reqiscd, seed, seconds, trace),
+        "serve_mixed" => serve::mixed(&args.reqiscd, seed, trace),
+        other => {
             eprintln!("perfbench: unknown workload '{other}'");
             std::process::exit(2);
         }
     };
+    // Every workload reports every metric of the manifest's list for
+    // its mode; a traced run's unreached layers read 0.
+    let (list, zero_missing) = if trace {
+        (report::PER_LAYER, true)
+    } else {
+        (report::END_TO_END, false)
+    };
+    let report = report.map_err(|e| e.to_string()).and_then(|mut r| {
+        r.complete(list, zero_missing)?;
+        Ok(r)
+    });
     match report {
         Ok(r) => println!("{}", r.to_json()),
         Err(e) => {

@@ -42,6 +42,13 @@ pub fn pct(samples: &[f64], q: f64) -> f64 {
     percentile(samples, q).unwrap_or(f64::NAN)
 }
 
+/// The median of each key's samples (`samples[k]` holds key `k`'s, one
+/// per repetition): a key's typical time, unmoved by a stall or a fast
+/// moment in fewer than half of the repetitions.
+pub fn median_per_key(samples: &[Vec<f64>]) -> Vec<f64> {
+    samples.iter().map(|s| median(s)).collect()
+}
+
 /// Arithmetic mean (`0` for no samples).
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -83,6 +90,12 @@ mod tests {
         // The median of twenty samples has ten beyond it.
         assert_eq!(percentile(&ramp(20), 0.5), Some(10.0));
         assert_eq!(percentile(&ramp(19), 0.5), None);
+    }
+
+    #[test]
+    fn median_per_key_ignores_a_minority_of_outliers() {
+        let samples = vec![vec![5.0, 900.0, 6.0, 5.5, 1.0], vec![2.0, 2.0, 3.0]];
+        assert_eq!(median_per_key(&samples), vec![5.5, 2.0]);
     }
 
     #[test]
