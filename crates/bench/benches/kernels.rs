@@ -1,14 +1,18 @@
 //! Criterion micro-benchmarks for the hot kernels behind every exhibit:
 //! KAK decomposition, Hamiltonian evolution, genAshN pulse solving,
-//! approximate-synthesis sweeps, and SABRE routing.
+//! approximate-synthesis sweeps (and their 4×4 polar factor), and SABRE
+//! routing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use reqisc_compiler::{route, RouteOptions, Router, Topology};
 use reqisc_microarch::{optimal_duration, solve_ea, solve_pulse, Coupling, EaSign};
 use reqisc_qcircuit::{Circuit, Gate};
-use reqisc_qmath::{expm_i_hermitian, haar_su4, kak_decompose, local_invariant_trace, weyl_coords, WeylCoord};
+use reqisc_qmath::{
+    expm_i_hermitian, haar_su4, kak_decompose, local_invariant_trace, polar_unitary_4x4,
+    weyl_coords, WeylCoord, C64,
+};
 use reqisc_synthesis::{instantiate, SweepOptions};
 use std::hint::black_box;
 
@@ -100,13 +104,33 @@ fn bench_synthesis_sweep(c: &mut Criterion) {
             black_box(instantiate(&target, &structure, 3, &SweepOptions::default()).infidelity)
         })
     });
+    // A failing probe: the structure search's budget (80 sweeps, one
+    // random restart) spent on a structure too short for CCX. Probes like
+    // this make most of a cold compile's block updates.
+    let probe = SweepOptions { max_sweeps: 80, target_infidelity: 1e-9, restarts: 1, seed: 7 };
+    g.bench_function("probe_fail_ccx_4blocks", |b| {
+        b.iter(|| black_box(instantiate(&target, &structure[..4], 3, &probe).infidelity))
+    });
     g.finish();
+    // The block update's polar factor, on environment-like inputs.
+    let mut rng = StdRng::seed_from_u64(8);
+    let envs: Vec<[C64; 16]> = (0..32)
+        .map(|_| {
+            std::array::from_fn(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        })
+        .collect();
+    let mut i = 0;
+    c.bench_function("polar_unitary_4x4", |b| {
+        b.iter(|| {
+            i = (i + 1) % envs.len();
+            black_box(polar_unitary_4x4(&envs[i]))
+        })
+    });
 }
 
 fn bench_routing(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let mut circ = Circuit::new(8);
-    use rand::Rng;
     for _ in 0..60 {
         let a = rng.gen_range(0..8);
         let mut b = rng.gen_range(0..8);

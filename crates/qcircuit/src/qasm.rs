@@ -172,9 +172,12 @@ pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| err(line, "bad qubit operand"))
         };
+        // Non-finite operands (`nan`, `inf`) are rejected here: every
+        // pipeline's eigen/SVD kernels assume finite unitaries.
         let f = |k: usize| -> Result<f64, ParseQasmError> {
             rest.get(k)
-                .and_then(|v| v.parse().ok())
+                .and_then(|v| v.parse::<f64>().ok())
+                .filter(|x| x.is_finite())
                 .ok_or_else(|| err(line, "bad float operand"))
         };
         let g = match name {
@@ -292,5 +295,27 @@ mod tests {
     #[test]
     fn rejects_missing_header() {
         assert!(parse("h 0\n").is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_float_operands() {
+        for text in [
+            "qubits 2\nrz 1 nan\n",
+            "qubits 2\nrx 0 inf\n",
+            "qubits 2\nh 0\nu3 1 0.1 -inf 0.3\n",
+            "qubits 2\nrzz 0 1 NaN\n",
+            "qubits 2\ncan 0 1 0.3 infinity 0.1\n",
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!(e.message, "bad float operand", "{text:?}");
+            assert_eq!(e.line, text.lines().count(), "{text:?}");
+        }
+        let mut su4 = String::from("qubits 2\nsu4 0 1");
+        for k in 0..32 {
+            su4.push_str(if k == 5 { " nan" } else { " 0.0" });
+        }
+        assert_eq!(parse(&su4).unwrap_err().message, "bad float operand");
+        // Finite spellings still parse, including exponents and signs.
+        assert_eq!(parse("qubits 1\nrz 0 -7.5e-1\nrx 0 +1e300\n").unwrap().len(), 2);
     }
 }

@@ -7,7 +7,7 @@
 //! rank-deficient environments.
 
 // lint:allow-file(tolerance-literal, Jacobi rotation convergence guards; pure numerics)
-use crate::c64::{C64, ONE};
+use crate::c64::{C64, ONE, ZERO};
 use crate::mat::CMat;
 
 /// A singular value decomposition `A = U · diag(σ) · V†`.
@@ -33,103 +33,23 @@ pub struct Svd {
 pub fn svd(a: &CMat) -> Svd {
     assert!(a.is_square(), "svd expects a square matrix");
     let n = a.rows();
-    let mut w = a.clone();
-    let mut v = CMat::identity(n);
-    for _sweep in 0..128 {
-        let mut rotated = false;
-        for p in 0..n {
-            for q in p + 1..n {
-                // Gram entries for columns p, q of w.
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = C64::default();
-                for k in 0..n {
-                    let wp = w[(k, p)];
-                    let wq = w[(k, q)];
-                    app += wp.norm_sqr();
-                    aqq += wq.norm_sqr();
-                    apq += wp.conj() * wq;
-                }
-                if apq.abs() <= 1e-15 * (app * aqq).sqrt().max(1e-300) {
-                    continue;
-                }
-                rotated = true;
-                // Complex Jacobi rotation diagonalizing [[app, apq],[apq*, aqq]].
-                let phase = apq.unit();
-                let ang = 0.5 * (2.0 * apq.abs()).atan2(app - aqq);
-                let (s, c) = ang.sin_cos();
-                let gpq = phase.scale(-s);
-                let gqp = phase.conj().scale(s);
-                let gc = C64::real(c);
-                for k in 0..n {
-                    let wp = w[(k, p)];
-                    let wq = w[(k, q)];
-                    w[(k, p)] = wp * gc + wq * gqp;
-                    w[(k, q)] = wp * gpq + wq * gc;
-                }
-                for k in 0..n {
-                    let vp = v[(k, p)];
-                    let vq = v[(k, q)];
-                    v[(k, p)] = vp * gc + vq * gqp;
-                    v[(k, q)] = vp * gpq + vq * gc;
-                }
-            }
-        }
-        if !rotated {
-            break;
-        }
-    }
-    // Column norms → singular values; normalize columns → U.
+    let mut w = a.as_slice().to_vec();
+    let mut rot = CMat::identity(n).as_slice().to_vec();
+    let mut u = vec![ZERO; n * n];
+    let mut v = vec![ZERO; n * n];
+    let mut norms = vec![0.0; n];
     let mut order: Vec<usize> = (0..n).collect();
-    let norms: Vec<f64> = (0..n)
-        .map(|j| (0..n).map(|i| w[(i, j)].norm_sqr()).sum::<f64>().sqrt())
-        .collect();
-    order.sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
-    let mut u = CMat::identity(n);
-    let mut sigma = vec![0.0; n];
-    let mut vv = CMat::identity(n);
-    // Track columns already used to complete the basis for zero σ.
-    for (jj, &j) in order.iter().enumerate() {
-        sigma[jj] = norms[j];
-        for i in 0..n {
-            vv[(i, jj)] = v[(i, j)];
-        }
-        if norms[j] > 1e-150 {
-            for i in 0..n {
-                u[(i, jj)] = w[(i, j)] / norms[j];
-            }
-        } else {
-            // Fill with a unit vector orthogonal to previous columns
-            // (Gram–Schmidt against existing ones).
-            let mut col = vec![C64::default(); n];
-            'basis: for b in 0..n {
-                for c in col.iter_mut() {
-                    *c = C64::default();
-                }
-                col[b] = ONE;
-                for prev in 0..jj {
-                    let mut ip = C64::default();
-                    for i in 0..n {
-                        ip += u[(i, prev)].conj() * col[i];
-                    }
-                    for (i, c) in col.iter_mut().enumerate() {
-                        *c -= ip * u[(i, prev)];
-                    }
-                }
-                let nrm = col.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-                if nrm > 1e-6 {
-                    for c in col.iter_mut() {
-                        *c = *c / nrm;
-                    }
-                    break 'basis;
-                }
-            }
-            for i in 0..n {
-                u[(i, jj)] = col[i];
-            }
-        }
-    }
-    Svd { u, sigma, v: vv }
+    jacobi_svd(JacobiSvd {
+        n,
+        w: &mut w,
+        rot: &mut rot,
+        u: &mut u,
+        v: &mut v,
+        norms: &mut norms,
+        order: &mut order,
+    });
+    let sigma = order.iter().map(|&j| norms[j]).collect();
+    Svd { u: CMat::from_slice(n, n, &u), sigma, v: CMat::from_slice(n, n, &v) }
 }
 
 /// Returns the unitary polar factor of `a`: the unitary `P` maximizing
@@ -145,6 +65,149 @@ pub fn svd(a: &CMat) -> Svd {
 pub fn polar_unitary(a: &CMat) -> CMat {
     let d = svd(a);
     d.u.mul_mat(&d.v.adjoint())
+}
+
+/// [`polar_unitary`] of a row-major 4×4 matrix, bit for bit, without
+/// allocating: the block update of the synthesis sweep.
+pub fn polar_unitary_4x4(a: &[C64; 16]) -> [C64; 16] {
+    let mut w = *a;
+    let mut rot = [ZERO; 16];
+    for i in 0..4 {
+        rot[i * 4 + i] = ONE;
+    }
+    let mut u = [ZERO; 16];
+    let mut v = [ZERO; 16];
+    let mut norms = [0.0; 4];
+    let mut order = [0, 1, 2, 3];
+    jacobi_svd(JacobiSvd {
+        n: 4,
+        w: &mut w,
+        rot: &mut rot,
+        u: &mut u,
+        v: &mut v,
+        norms: &mut norms,
+        order: &mut order,
+    });
+    // U·V†, summed as `CMat::mul_mat` does (zero left factors skipped).
+    let mut p = [ZERO; 16];
+    for i in 0..4 {
+        for k in 0..4 {
+            let a = u[i * 4 + k];
+            if a.re == 0.0 && a.im == 0.0 {
+                continue;
+            }
+            for j in 0..4 {
+                p[i * 4 + j] += a * v[j * 4 + k].conj();
+            }
+        }
+    }
+    p
+}
+
+/// Row-major `n × n` storage of one Jacobi SVD. On entry `w` holds the
+/// input, `rot` the identity and `order` `0..n`; on exit `u` and `v` hold
+/// the singular vectors and `order` the columns by descending norm, so
+/// σ is `norms[order[..]]`. `w` and `rot` are scratch.
+struct JacobiSvd<'a> {
+    n: usize,
+    w: &'a mut [C64],
+    rot: &'a mut [C64],
+    u: &'a mut [C64],
+    v: &'a mut [C64],
+    norms: &'a mut [f64],
+    order: &'a mut [usize],
+}
+
+/// The one Jacobi SVD behind [`svd`], [`polar_unitary`] and
+/// [`polar_unitary_4x4`]; the caller chooses the storage.
+fn jacobi_svd(s: JacobiSvd<'_>) {
+    let JacobiSvd { n, w, rot, u, v, norms, order } = s;
+    for _sweep in 0..128 {
+        let mut rotated = false;
+        for p in 0..n {
+            for q in p + 1..n {
+                // Gram entries for columns p, q of w.
+                let mut app = 0.0;
+                let mut aqq = 0.0;
+                let mut apq = C64::default();
+                for k in 0..n {
+                    let wp = w[k * n + p];
+                    let wq = w[k * n + q];
+                    app += wp.norm_sqr();
+                    aqq += wq.norm_sqr();
+                    apq += wp.conj() * wq;
+                }
+                if apq.abs() <= 1e-15 * (app * aqq).sqrt().max(1e-300) {
+                    continue;
+                }
+                rotated = true;
+                // Complex Jacobi rotation diagonalizing [[app, apq],[apq*, aqq]].
+                let phase = apq.unit();
+                let ang = 0.5 * (2.0 * apq.abs()).atan2(app - aqq);
+                let (s, c) = ang.sin_cos();
+                let gpq = phase.scale(-s);
+                let gqp = phase.conj().scale(s);
+                let gc = C64::real(c);
+                for m in [&mut *w, &mut *rot] {
+                    for k in 0..n {
+                        let mp = m[k * n + p];
+                        let mq = m[k * n + q];
+                        m[k * n + p] = mp * gc + mq * gqp;
+                        m[k * n + q] = mp * gpq + mq * gc;
+                    }
+                }
+            }
+        }
+        if !rotated {
+            break;
+        }
+    }
+    // Column norms → singular values; normalize columns → U.
+    for j in 0..n {
+        norms[j] = (0..n).map(|i| w[i * n + j].norm_sqr()).sum::<f64>().sqrt();
+    }
+    order.sort_by(|&i, &j| norms[j].partial_cmp(&norms[i]).unwrap());
+    for (jj, &j) in order.iter().enumerate() {
+        for i in 0..n {
+            v[i * n + jj] = rot[i * n + j];
+        }
+        if norms[j] > 1e-150 {
+            for i in 0..n {
+                u[i * n + jj] = w[i * n + j] / norms[j];
+            }
+        } else {
+            complete_basis(u, n, jj);
+        }
+    }
+}
+
+/// Fills column `jj` of `u` with a unit vector orthogonal to columns
+/// `0..jj` (Gram–Schmidt over the standard basis): the completion for a
+/// zero singular value.
+fn complete_basis(u: &mut [C64], n: usize, jj: usize) {
+    for b in 0..n {
+        for i in 0..n {
+            u[i * n + jj] = ZERO;
+        }
+        u[b * n + jj] = ONE;
+        for prev in 0..jj {
+            let mut ip = C64::default();
+            for i in 0..n {
+                ip += u[i * n + prev].conj() * u[i * n + jj];
+            }
+            for i in 0..n {
+                let d = ip * u[i * n + prev];
+                u[i * n + jj] -= d;
+            }
+        }
+        let nrm = (0..n).map(|i| u[i * n + jj].norm_sqr()).sum::<f64>().sqrt();
+        if nrm > 1e-6 {
+            for i in 0..n {
+                u[i * n + jj] = u[i * n + jj] / nrm;
+            }
+            return;
+        }
+    }
 }
 
 #[cfg(test)]

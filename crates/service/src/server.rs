@@ -28,7 +28,8 @@ pub struct ServeOutcome {
     /// Request lines processed (well-formed or not).
     pub requests: u64,
     /// True when the stream ended on a `shutdown` request (already
-    /// recorded on the service via [`Service::request_shutdown`]).
+    /// recorded on the service via [`Service::request_shutdown`], after
+    /// every reply on the stream, the ack included, was written).
     pub shutdown: bool,
 }
 
@@ -36,6 +37,8 @@ pub struct ServeOutcome {
 enum Pending {
     /// Already-built response (errors, acks).
     Ready(Json),
+    /// The `shutdown` ack: the last reply of its stream.
+    Shutdown { id: u64 },
     /// A compile job's claim; resolved when the job finishes.
     Compile { id: u64, ticket: Ticket },
     /// A debug job's claim.
@@ -145,16 +148,10 @@ pub fn serve_lines(
             }
             outcome.requests += 1;
             let pending = handle_line(service, &line);
-            let is_shutdown = matches!(
-                &pending,
-                Pending::Ready(j)
-                    if j.get("op").and_then(Json::as_str) == Some("shutdown")
-            );
-            if tx.send(pending).is_err() {
-                break; // responder died (writer error); stop reading
-            }
-            if is_shutdown {
-                outcome.shutdown = true;
+            outcome.shutdown = matches!(pending, Pending::Shutdown { .. });
+            // Stop reading after `shutdown`, or once the responder died
+            // (writer error).
+            if tx.send(pending).is_err() || outcome.shutdown {
                 break;
             }
         }
@@ -164,6 +161,11 @@ pub fn serve_lines(
         let write_result = responder.join().unwrap_or_else(|_| {
             Err(std::io::Error::other("responder thread panicked"))
         });
+        // Only now, with every reply on this stream written (or the
+        // writer gone), may the accept loop close connections.
+        if outcome.shutdown {
+            service.request_shutdown();
+        }
         (read_result, write_result)
     });
     read_result?;
@@ -197,10 +199,7 @@ fn handle_line(service: &Service, line: &str) -> Pending {
         RequestBody::Stats => Pending::Stats { id },
         RequestBody::Snapshot => Pending::Snapshot { id },
         RequestBody::Compact { max_idle_gens } => Pending::Compact { id, max_idle_gens },
-        RequestBody::Shutdown => {
-            service.request_shutdown();
-            Pending::Ready(ok_response(id, "shutdown"))
-        }
+        RequestBody::Shutdown => Pending::Shutdown { id },
         RequestBody::DebugSleep { ms } => {
             match service.submit_debug(DebugOp::Sleep { ms }, DEFAULT_PRIORITY) {
                 Ok(ticket) => Pending::Debug { id, op: "sleep", ticket },
@@ -256,6 +255,7 @@ fn respond_loop(
     for pending in rx {
         let response = match pending {
             Pending::Ready(j) => j,
+            Pending::Shutdown { id } => ok_response(id, "shutdown"),
             Pending::Compile { id, ticket } => {
                 let coalesced = ticket.coalesced;
                 match ticket.wait() {

@@ -230,6 +230,91 @@ fn socket_shutdown_completes_despite_an_idle_connection() {
     service.shutdown();
 }
 
+/// A `shutdown` queued behind slower work on the same connection: the
+/// ack comes after every earlier reply, and the accept loop closes
+/// connections only once it has been written.
+#[cfg(unix)]
+#[test]
+fn shutdown_ack_is_delivered_after_earlier_replies() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let sock = std::env::temp_dir().join(format!("reqisc-e2e-ack-{}.sock", std::process::id()));
+    let service = Service::start_with_compiler(
+        small_compiler(),
+        ServiceConfig { workers: 1, debug_ops: true, ..ServiceConfig::default() },
+    );
+    let (replies, served) = std::thread::scope(|scope| {
+        let service = &service;
+        let sock_path = sock.clone();
+        let server = scope.spawn(move || reqisc_service::serve_unix(service, &sock_path));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let conn = loop {
+            match UnixStream::connect(&sock) {
+                Ok(s) => break s,
+                Err(_) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(10))
+                }
+                Err(e) => panic!("socket never came up: {e}"),
+            }
+        };
+        writeln!(&conn, "{{\"id\":1,\"op\":\"sleep\",\"ms\":200}}").expect("write");
+        writeln!(&conn, "{{\"id\":2,\"op\":\"shutdown\"}}").expect("write");
+        let replies: Vec<Json> = BufReader::new(&conn)
+            .lines()
+            .map(|l| Json::parse(&l.expect("read")).expect("reply parses"))
+            .collect();
+        (replies, server.join().expect("server thread"))
+    });
+    served.expect("serve_unix must return cleanly");
+    service.shutdown();
+    assert_eq!(replies.len(), 2, "both replies delivered: {replies:?}");
+    for (reply, (id, op)) in replies.iter().zip([(1, "sleep"), (2, "shutdown")]) {
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id), "{}", reply.emit());
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{}", reply.emit());
+        assert_eq!(reply.get("op").and_then(Json::as_str), Some(op), "{}", reply.emit());
+    }
+}
+
+/// A non-finite angle is a malformed program: every pipeline must get a
+/// `bad_request` at the QASM boundary instead of a solve worker panic.
+#[test]
+fn non_finite_angles_are_bad_requests() {
+    let service = Service::start_with_compiler(
+        small_compiler(),
+        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+    );
+    let mut script = String::new();
+    let bad = ["qubits 2\\ncx 0 1\\nrz 1 nan\\n", "qubits 3\\nccx 0 1 2\\nrx 2 -inf\\n"];
+    let pipelines = ["reqisc-full", "reqisc-eff", "qiskit"];
+    let mut id = 0;
+    for qasm in bad {
+        for pipeline in pipelines {
+            id += 1;
+            script.push_str(&format!(
+                "{{\"id\":{id},\"op\":\"compile\",\"pipeline\":\"{pipeline}\",\"qasm\":\"{qasm}\"}}\n"
+            ));
+        }
+    }
+    script.push_str(&format!(
+        "{{\"id\":99,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"{P2}\"}}\n"
+    ));
+    let mut out: Vec<u8> = Vec::new();
+    serve_lines(&service, script.as_bytes(), &mut out).expect("serve");
+    let stats = service.stats_snapshot();
+    service.shutdown();
+    let replies: Vec<Json> =
+        String::from_utf8(out).unwrap().lines().map(|l| Json::parse(l).expect("parses")).collect();
+    assert_eq!(replies.len(), id as usize + 1, "every line gets a response");
+    for r in &replies[..id as usize] {
+        assert_eq!(r.get("error").and_then(Json::as_str), Some("bad_request"), "{}", r.emit());
+        let detail = r.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(detail.contains("bad float operand"), "{}", r.emit());
+    }
+    assert_eq!(replies[id as usize].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stats.service.failed, 0, "no job reached a solve worker and failed");
+    assert_eq!(stats.service.submitted, 1, "only the finite program was admitted");
+}
+
 #[test]
 fn protocol_errors_are_responses_not_failures() {
     let service = Service::start_with_compiler(

@@ -14,12 +14,24 @@ use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const V: u32 = 4242;
 const CAPACITY: u64 = 4 << 20;
 
 static NEXT: AtomicU32 = AtomicU32::new(0);
+
+/// The crash tests run one at a time. A child process that one test
+/// spawns holds copies of every file this process has open until it
+/// execs, so a sibling test's spawn can keep a segment's flock alive
+/// across the "sole attacher" recovery the tests assert.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling test poisons the lock; the guarded data is `()`.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -120,6 +132,7 @@ fn shmem_child() {
 /// entries — regardless of where the kill landed.
 #[test]
 fn kill9_random_point_leaves_consistent_segment() {
+    let _serial = serial();
     let path = tmp_path("kill9-random");
     let _c = Cleanup(path.clone());
     let survivor = Segment::attach(&path, CAPACITY, V).expect("parent attach");
@@ -180,6 +193,7 @@ fn kill9_random_point_leaves_consistent_segment() {
 /// entry.
 #[test]
 fn kill9_mid_append_truncates_uncommitted_tail() {
+    let _serial = serial();
     let path = tmp_path("kill9-tail");
     let _c = Cleanup(path.clone());
     const COUNT: u64 = 25;
@@ -225,6 +239,7 @@ fn kill9_mid_append_truncates_uncommitted_tail() {
 /// end up holding exactly the union.
 #[test]
 fn interleaved_publishes_conserve_union() {
+    let _serial = serial();
     use proptest::prelude::*;
 
     let mut runner = TestRunner::new(ProptestConfig::with_cases(8));

@@ -13,7 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reqisc_qcircuit::embed;
-use reqisc_qmath::{haar_unitary, polar_unitary, CMat, C64};
+use reqisc_qmath::c64::ZERO;
+use reqisc_qmath::{haar_unitary, polar_unitary_4x4, CMat, C64};
 
 /// An ordered list of qubit pairs, one per SU(4) block.
 pub type Structure = Vec<(usize, usize)>;
@@ -150,120 +151,246 @@ pub fn instantiate(
         assert!(a < num_qubits && b < num_qubits && a != b, "bad pair ({a},{b})");
     }
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut best: Option<SweepResult> = None;
+    let mut kernel = Kernel::new(target, structure, num_qubits);
+    let mut best: Option<(f64, usize)> = None;
+    let mut best_blocks = kernel.blocks.clone();
     for restart in 0..=opts.restarts {
-        let init: Vec<CMat> = if restart == 0 {
-            vec![CMat::identity(4); structure.len()]
-        } else {
-            (0..structure.len()).map(|_| haar_unitary(4, &mut rng)).collect()
-        };
-        let r = sweep_once(target, structure, num_qubits, init, opts);
-        let better = best.as_ref().is_none_or(|b| r.infidelity < b.infidelity);
-        if better {
-            best = Some(r);
+        for block in &mut kernel.blocks {
+            let init = if restart == 0 { CMat::identity(4) } else { haar_unitary(4, &mut rng) };
+            block.copy_from_slice(init.as_slice());
         }
-        if best.as_ref().unwrap().infidelity <= opts.target_infidelity {
+        let (inf, sweeps) = kernel.sweep_once(opts);
+        if best.is_none_or(|(b, _)| inf < b) {
+            best = Some((inf, sweeps));
+            best_blocks.copy_from_slice(&kernel.blocks);
+        }
+        if best.is_some_and(|(b, _)| b <= opts.target_infidelity) {
             break;
         }
     }
-    best.expect("at least one restart ran")
-}
-
-fn sweep_once(
-    target: &CMat,
-    structure: &[(usize, usize)],
-    num_qubits: usize,
-    mut blocks: Vec<CMat>,
-    opts: &SweepOptions,
-) -> SweepResult {
-    let dim = 1usize << num_qubits;
-    let m = structure.len();
-    let udag = target.adjoint();
-    let mut sweeps = 0;
-    let mut last = f64::INFINITY;
-    for s in 0..opts.max_sweeps {
-        sweeps = s + 1;
-        // Prefix products R_k = G_{k-1}···G_0 and suffixes L_k = G_{m-1}···G_{k+1}.
-        let mut prefix = vec![CMat::identity(dim)];
-        for k in 0..m {
-            let g = embed(&blocks[k], &[structure[k].0, structure[k].1], num_qubits);
-            prefix.push(g.mul_mat(&prefix[k]));
-        }
-        let mut suffix = vec![CMat::identity(dim); m + 1];
-        for k in (0..m).rev() {
-            let g = embed(&blocks[k], &[structure[k].0, structure[k].1], num_qubits);
-            suffix[k] = suffix[k + 1].mul_mat(&g);
-        }
-        for k in 0..m {
-            // M = R_k · U† · L_k ; environment N_ij = Σ_ctx M[(ctx,j)][(ctx,i)].
-            let mmat = prefix[k].mul_mat(&udag).mul_mat(&suffix[k + 1]);
-            let env = partial_trace_env(&mmat, structure[k], num_qubits);
-            // Optimal block maximizing Re Tr(B·envᵀ) = Re Tr((conj(env))†·B):
-            // the unitary polar factor of conj(env).
-            blocks[k] = polar_unitary(&env.conj());
-            // Refresh prefix for subsequent blocks in this sweep.
-            let g = embed(&blocks[k], &[structure[k].0, structure[k].1], num_qubits);
-            prefix[k + 1] = g.mul_mat(&prefix[k]);
-            // Suffixes for earlier indices are unused for j > k in this
-            // sweep, so only prefix needs the refresh.
-        }
-        // Recompute suffixes lazily next sweep; track convergence.
-        let c = BlockCircuit {
-            num_qubits,
-            blocks: structure.iter().copied().zip(blocks.iter().cloned()).collect(),
-        };
-        let inf = c.infidelity(target);
-        if inf <= opts.target_infidelity || (last - inf).abs() < 1e-16 {
-            return SweepResult { circuit: c, infidelity: inf, sweeps };
-        }
-        last = inf;
-    }
-    let c = BlockCircuit {
-        num_qubits,
-        blocks: structure.iter().copied().zip(blocks.iter().cloned()).collect(),
-    };
-    let inf = c.infidelity(target);
-    SweepResult { circuit: c, infidelity: inf, sweeps }
-}
-
-/// Environment of a block: `N[i][j] = Σ_ctx M[(ctx,j)][(ctx,i)]` so that
-/// `Tr(emb(B)·M) = Tr(B·Nᵀ) = Σ_ij B_ij·N_ij`.
-fn partial_trace_env(m: &CMat, pair: (usize, usize), num_qubits: usize) -> CMat {
-    let n = num_qubits;
-    let shifts = [n - 1 - pair.0, n - 1 - pair.1];
-    let rest: Vec<usize> = (0..n)
-        .filter(|&q| q != pair.0 && q != pair.1)
-        .map(|q| n - 1 - q)
+    let (infidelity, sweeps) = best.expect("at least one restart ran");
+    let blocks = structure
+        .iter()
+        .zip(&best_blocks)
+        .map(|(&pair, g)| (pair, CMat::from_slice(4, 4, g)))
         .collect();
-    let mut env = CMat::zeros(4, 4);
-    for ctx in 0..(1usize << rest.len()) {
-        let mut base = 0usize;
-        for (bi, &sh) in rest.iter().enumerate() {
-            if (ctx >> bi) & 1 == 1 {
-                base |= 1 << sh;
+    SweepResult { circuit: BlockCircuit { num_qubits, blocks }, infidelity, sweeps }
+}
+
+/// Where a block's qubit pair sits in the `2^n` basis.
+struct PairIndex {
+    /// Basis offset of block state `b` (bit 1 of `b` on the pair's first
+    /// qubit, bit 0 on its second).
+    off: [usize; 4],
+    /// Block states by ascending offset: the order in which
+    /// `CMat::mul_mat` sums an embedded block's terms.
+    ord: [usize; 4],
+    /// Basis offsets of the other qubits' states, in `embed`'s context
+    /// order (the partial trace sums over contexts in this order).
+    bases: Vec<usize>,
+}
+
+impl PairIndex {
+    fn new((a, b): (usize, usize), n: usize) -> Self {
+        let (sa, sb) = (n - 1 - a, n - 1 - b);
+        let rest: Vec<usize> = (0..n).filter(|&q| q != a && q != b).map(|q| n - 1 - q).collect();
+        let bases = (0..1usize << rest.len())
+            .map(|ctx| {
+                rest.iter()
+                    .enumerate()
+                    .filter(|&(bi, _)| (ctx >> bi) & 1 == 1)
+                    .fold(0, |base, (_, &sh)| base | 1 << sh)
+            })
+            .collect();
+        Self {
+            off: [0, 1 << sb, 1 << sa, (1 << sa) | (1 << sb)],
+            ord: if sa > sb { [0, 1, 2, 3] } else { [0, 2, 1, 3] },
+            bases,
+        }
+    }
+}
+
+/// The working set of one [`instantiate`] call, reused by every restart
+/// and sweep, so a block update allocates nothing.
+///
+/// Every matrix entry is summed term for term in the order of
+/// `embed(..)` + `CMat::mul_mat` from `+0`: the terms skipped here are
+/// products of a finite value and an exact zero, which never change such
+/// a sum, so the blocks come out bit-identical to the dense formulation.
+struct Kernel<'a> {
+    target: &'a CMat,
+    dim: usize,
+    /// `U†`, row-major.
+    udag: Vec<C64>,
+    pairs: Vec<PairIndex>,
+    /// The blocks `G_k`, row-major.
+    blocks: Vec<[C64; 16]>,
+    /// `R_k = G_{k-1}···G_0` for `k = 0..=m`, `dim²` each; `R_m` is the
+    /// circuit unitary.
+    prefix: Vec<C64>,
+    /// `L_kᵀ` for `k = 0..m`, where `L_k = G_{m-1}···G_{k+1}`: transposed,
+    /// so that both chains update, and the environment reads, whole rows.
+    suffix_t: Vec<C64>,
+    /// `R_k·U†` of the block being updated.
+    rk_udag: Vec<C64>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(target: &'a CMat, structure: &[(usize, usize)], num_qubits: usize) -> Self {
+        let dim = 1usize << num_qubits;
+        let m = structure.len();
+        let identity = CMat::identity(dim);
+        let mut prefix = vec![ZERO; (m + 1) * dim * dim];
+        prefix[..dim * dim].copy_from_slice(identity.as_slice());
+        let mut suffix_t = vec![ZERO; m * dim * dim];
+        if m > 0 {
+            suffix_t[(m - 1) * dim * dim..].copy_from_slice(identity.as_slice());
+        }
+        Self {
+            target,
+            dim,
+            udag: target.adjoint().as_slice().to_vec(),
+            pairs: structure.iter().map(|&p| PairIndex::new(p, num_qubits)).collect(),
+            blocks: vec![[ZERO; 16]; m],
+            prefix,
+            suffix_t,
+            rk_udag: vec![ZERO; dim * dim],
+        }
+    }
+
+    /// Sweeps from the current blocks until converged or out of budget;
+    /// returns the final infidelity and the sweeps run.
+    fn sweep_once(&mut self, opts: &SweepOptions) -> (f64, usize) {
+        let m = self.blocks.len();
+        // Built once: the chain each update refreshes is exactly the next
+        // sweep's rebuild, and its last element is the circuit unitary.
+        for k in 0..m {
+            self.refresh_prefix(k);
+        }
+        let mut inf = self.infidelity();
+        let mut sweeps = 0;
+        let mut last = f64::INFINITY;
+        for s in 0..opts.max_sweeps {
+            sweeps = s + 1;
+            for k in (1..m).rev() {
+                self.refresh_suffix(k);
+            }
+            for k in 0..m {
+                // Optimal block maximizing Re Tr(B·envᵀ) = Re Tr((conj(env))†·B):
+                // the unitary polar factor of conj(env).
+                let env = self.environment(k);
+                self.blocks[k] = polar_unitary_4x4(&env.map(|z| z.conj()));
+                self.refresh_prefix(k);
+            }
+            inf = self.infidelity();
+            if inf <= opts.target_infidelity || (last - inf).abs() < 1e-16 {
+                break;
+            }
+            last = inf;
+        }
+        (inf, sweeps)
+    }
+
+    /// `R_{k+1} = G_k·R_k`.
+    fn refresh_prefix(&mut self, k: usize) {
+        let d2 = self.dim * self.dim;
+        let (done, next) = self.prefix.split_at_mut((k + 1) * d2);
+        let g = &self.blocks[k];
+        combine_rows(|x, y| g[x * 4 + y], &self.pairs[k], &done[k * d2..], &mut next[..d2]);
+    }
+
+    /// `L_{k-1} = L_k·G_k`, as `L_{k-1}ᵀ = G_kᵀ·L_kᵀ`.
+    fn refresh_suffix(&mut self, k: usize) {
+        let d2 = self.dim * self.dim;
+        let (next, done) = self.suffix_t.split_at_mut(k * d2);
+        let g = &self.blocks[k];
+        combine_rows(|x, y| g[y * 4 + x], &self.pairs[k], &done[..d2], &mut next[(k - 1) * d2..]);
+    }
+
+    /// Environment of block `k`: `N[i][j] = Σ_ctx M[(ctx,j)][(ctx,i)]` with
+    /// `M = R_k·U†·L_k`, so that `Tr(emb(B)·M) = Σ_ij B_ij·N_ij`. Only the
+    /// entries of `M` the trace reads are formed.
+    fn environment(&mut self, k: usize) -> [C64; 16] {
+        let (dim, d2) = (self.dim, self.dim * self.dim);
+        let rk = &self.prefix[k * d2..(k + 1) * d2];
+        let udag = self.udag.as_chunks::<4>().0;
+        for (row, rk_row) in self.rk_udag.chunks_exact_mut(dim).zip(rk.chunks_exact(dim)) {
+            for (c, out) in row.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+                let mut acc = [ZERO; 4];
+                for (kk, &a) in rk_row.iter().enumerate() {
+                    if a.re == 0.0 && a.im == 0.0 {
+                        continue;
+                    }
+                    let x = &udag[kk * dim / 4 + c];
+                    for i in 0..4 {
+                        acc[i] += a * x[i];
+                    }
+                }
+                *out = acc;
             }
         }
-        for i in 0..4usize {
-            let row_i = base
-                | (((i >> 1) & 1) << shifts[0])
-                | ((i & 1) << shifts[1]);
-            for j in 0..4usize {
-                let row_j = base
-                    | (((j >> 1) & 1) << shifts[0])
-                    | ((j & 1) << shifts[1]);
-                env[(i, j)] += m[(row_j, row_i)];
+        let lk_t = &self.suffix_t[k * d2..(k + 1) * d2];
+        let p = &self.pairs[k];
+        let mut env = [ZERO; 16];
+        for &base in &p.bases {
+            let lk_cols = p.off.map(|o| &lk_t[(base | o) * dim..][..dim]);
+            for j in 0..4 {
+                let mut mj = [ZERO; 4];
+                let row = &self.rk_udag[(base | p.off[j]) * dim..][..dim];
+                for (kk, &a) in row.iter().enumerate() {
+                    if a.re == 0.0 && a.im == 0.0 {
+                        continue;
+                    }
+                    for i in 0..4 {
+                        mj[i] += a * lk_cols[i][kk];
+                    }
+                }
+                for i in 0..4 {
+                    env[i * 4 + j] += mj[i];
+                }
+            }
+        }
+        env
+    }
+
+    /// [`BlockCircuit::infidelity`] of the current blocks, read off `R_m`.
+    fn infidelity(&self) -> f64 {
+        let u = &self.prefix[self.blocks.len() * self.dim * self.dim..];
+        let overlap: C64 =
+            self.target.as_slice().iter().zip(u).map(|(t, &x)| t.conj() * x).sum();
+        (1.0 - overlap.abs() / self.dim as f64).max(0.0)
+    }
+}
+
+/// `dst = emb(h)·src` for the 4×4 block `h(x, y)` on pair `p`: each row
+/// `(ctx, x)` of `dst` is `Σ_y h(x, y)·src[(ctx, y)]`, summed over `y` in
+/// ascending basis order, four columns at a time in registers.
+fn combine_rows(h: impl Fn(usize, usize) -> C64, p: &PairIndex, src: &[C64], dst: &mut [C64]) {
+    let dim = 4 * p.bases.len();
+    for &base in &p.bases {
+        let src_rows = p.off.map(|o| src[(base | o) * dim..][..dim].as_chunks::<4>().0);
+        for x in 0..4 {
+            let row = dst[(base | p.off[x]) * dim..][..dim].as_chunks_mut::<4>().0;
+            for (c, out) in row.iter_mut().enumerate() {
+                let mut acc = [ZERO; 4];
+                for &y in &p.ord {
+                    let a = h(x, y);
+                    if a.re == 0.0 && a.im == 0.0 {
+                        continue;
+                    }
+                    for i in 0..4 {
+                        acc[i] += a * src_rows[y][c][i];
+                    }
+                }
+                *out = acc;
             }
         }
     }
-    env
 }
-
-const _: C64 = reqisc_qmath::c64::ONE;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
     use reqisc_qmath::gates as qg;
 
     #[test]
@@ -311,20 +438,43 @@ mod tests {
 
     #[test]
     fn environment_gradient_consistency() {
-        // Numerically verify: Tr(emb(B)·M) == Tr(B·Nᵀ) for random inputs.
+        // Numerically verify Σ_ij B_ij·N_ij == Tr(emb(B)·R_k·U†·L_k) for a
+        // random target and blocks, on every block of a structure that
+        // mixes pair orders.
         let mut rng = StdRng::seed_from_u64(11);
-        let m = CMat::from_fn(8, 8, |_, _| {
-            C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let b = haar_unitary(4, &mut rng);
-        for pair in [(0usize, 1usize), (1, 2), (0, 2)] {
-            let env = partial_trace_env(&m, pair, 3);
+        let target = haar_unitary(8, &mut rng);
+        let structure = [(0usize, 1usize), (2, 1), (0, 2), (1, 0)];
+        let mut kernel = Kernel::new(&target, &structure, 3);
+        for block in &mut kernel.blocks {
+            block.copy_from_slice(haar_unitary(4, &mut rng).as_slice());
+        }
+        for k in 0..structure.len() {
+            kernel.refresh_prefix(k);
+        }
+        for k in (1..structure.len()).rev() {
+            kernel.refresh_suffix(k);
+        }
+        let emb = |g: &[C64; 16], (a, b): (usize, usize)| {
+            embed(&CMat::from_slice(4, 4, g), &[a, b], 3)
+        };
+        for (k, &pair) in structure.iter().enumerate() {
+            let env = kernel.environment(k);
+            let mut rk = CMat::identity(8);
+            for j in 0..k {
+                rk = emb(&kernel.blocks[j], structure[j]).mul_mat(&rk);
+            }
+            let mut lk = CMat::identity(8);
+            for j in k + 1..structure.len() {
+                lk = emb(&kernel.blocks[j], structure[j]).mul_mat(&lk);
+            }
+            let m = rk.mul_mat(&target.adjoint()).mul_mat(&lk);
+            let b = haar_unitary(4, &mut rng);
             let lhs = embed(&b, &[pair.0, pair.1], 3).mul_mat(&m).trace();
             let rhs: C64 = (0..4)
                 .flat_map(|i| (0..4).map(move |j| (i, j)))
-                .map(|(i, j)| b[(i, j)] * env[(i, j)])
+                .map(|(i, j)| b[(i, j)] * env[i * 4 + j])
                 .sum();
-            assert!(lhs.dist(rhs) < 1e-10, "env mismatch for {pair:?}");
+            assert!(lhs.dist(rhs) < 1e-10, "env mismatch for block {k} on {pair:?}");
         }
     }
 
