@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the hot kernels behind every exhibit:
-//! KAK decomposition, Hamiltonian evolution, genAshN pulse solving,
-//! approximate-synthesis sweeps (and their 4×4 polar factor), and SABRE
-//! routing.
+//! KAK decomposition and the reply metrics it prices, Hamiltonian
+//! evolution, genAshN pulse solving, approximate-synthesis sweeps (and
+//! their 4×4 polar factor), and SABRE routing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reqisc_compiler::{route, RouteOptions, Router, Topology};
+use reqisc_benchsuite::{suite, Scale};
+use reqisc_compiler::{metrics, route, Compiler, Pipeline, RouteOptions, Router, Topology};
 use reqisc_microarch::{optimal_duration, solve_ea, solve_pulse, Coupling, EaSign};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_qmath::{
@@ -26,6 +27,18 @@ fn bench_kak(c: &mut Criterion) {
             black_box(kak_decompose(&us[i]).unwrap())
         })
     });
+}
+
+fn bench_metrics(c: &mut Criterion) {
+    // One compile reply's metrics: a reqisc-eff demo-suite output (83
+    // SU(4) gates), each distinct gate priced through a KAK.
+    let program = suite(Scale::Demo)
+        .into_iter()
+        .find(|b| b.name == "alu_v2")
+        .expect("alu_v2 is in the demo suite");
+    let out = Compiler::new().compile(&program.circuit, Pipeline::ReqiscEff);
+    let cp = Coupling::xy(1.0);
+    c.bench_function("metrics_reqisc_eff_alu_v2", |b| b.iter(|| black_box(metrics(&out, &cp))));
 }
 
 fn bench_expm(c: &mut Criterion) {
@@ -159,6 +172,7 @@ fn bench_routing(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_kak,
+    bench_metrics,
     bench_expm,
     bench_duration,
     bench_pulse_solve,

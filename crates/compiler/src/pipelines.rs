@@ -8,8 +8,9 @@ use crate::hierarchical::{hierarchical_synthesis_batched, HsOptions};
 use crate::template_pass::template_synthesis;
 use reqisc_microarch::{duration_in_g, Coupling};
 use reqisc_qcircuit::{Circuit, Gate};
-use reqisc_qmath::weyl_coords;
 use reqisc_synthesis::{SearchOptions, TemplateLibrary};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -350,13 +351,7 @@ pub fn gate_duration(g: &Gate, cp: &Coupling) -> f64 {
         Gate::Cx(..) | Gate::Cz(..) => reqisc_microarch::conventional_cnot_duration(),
         Gate::Swap(..) => 3.0 * reqisc_microarch::conventional_cnot_duration(),
         Gate::Su4(..) | Gate::Can(..) | Gate::Rzz(..) | Gate::ISwap(..) | Gate::SqiSw(..)
-        | Gate::BGate(..) => {
-            let w = g
-                .weyl()
-                .or_else(|| weyl_coords(&g.matrix()).ok())
-                .unwrap_or_default();
-            duration_in_g(&w, cp)
-        }
+        | Gate::BGate(..) => duration_in_g(&g.weyl().unwrap_or_default(), cp),
         other => {
             // ≥3Q gates should be lowered before timing; price them as
             // their CX lowering.
@@ -367,12 +362,74 @@ pub fn gate_duration(g: &Gate, cp: &Coupling) -> f64 {
     }
 }
 
+/// A gate priced by its Weyl point, hashed and compared by what its
+/// price depends on, to the bit: its variant and its parameters, qubits
+/// aside. A `Su4` compares all 32 `f64` bit patterns of its matrix — not
+/// [`reqisc_qmath::CMat::fingerprint`], a hash that also folds −0.0 into
+/// +0.0, which the KAK can tell apart.
+#[derive(Debug)]
+struct PriceKey<'a>(&'a Gate);
+
+impl<'a> PriceKey<'a> {
+    /// `None` for gates with a fixed price (1Q, CX, CZ, SWAP), ≥3Q gates,
+    /// and `Su4` gates whose matrix is not 4×4.
+    fn of(g: &'a Gate) -> Option<Self> {
+        match g {
+            Gate::ISwap(..) | Gate::SqiSw(..) | Gate::BGate(..) | Gate::Rzz(..) | Gate::Can(..) => {
+                Some(Self(g))
+            }
+            Gate::Su4(_, _, m) if (m.rows(), m.cols()) == (4, 4) => Some(Self(g)),
+            _ => None,
+        }
+    }
+
+    /// The bit patterns of the parameters, zero-padded.
+    fn bits(&self) -> [u64; 32] {
+        let mut bits = [0; 32];
+        match self.0 {
+            Gate::Rzz(_, _, t) => bits[0] = t.to_bits(),
+            Gate::Can(_, _, w) => bits[..3].copy_from_slice(&[w.x, w.y, w.z].map(f64::to_bits)),
+            Gate::Su4(_, _, m) => {
+                for (pair, z) in bits.chunks_exact_mut(2).zip(m.as_slice()) {
+                    pair.copy_from_slice(&[z.re.to_bits(), z.im.to_bits()]);
+                }
+            }
+            _ => {}
+        }
+        bits
+    }
+}
+
+impl PartialEq for PriceKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.name() == other.0.name() && self.bits() == other.bits()
+    }
+}
+
+impl Eq for PriceKey<'_> {}
+
+impl Hash for PriceKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.name().hash(state);
+        self.bits().hash(state);
+    }
+}
+
 /// Computes the metrics of a compiled circuit under a coupling.
+///
+/// Compiled outputs repeat gates, and pricing an SU(4) gate runs a KAK
+/// decomposition, so each distinct gate (by its `PriceKey`) is priced once
+/// per call.
 pub fn metrics(c: &Circuit, cp: &Coupling) -> Metrics {
+    let mut priced = HashMap::new();
+    let duration = c.duration(&mut |g| match PriceKey::of(g) {
+        Some(key) => *priced.entry(key).or_insert_with(|| gate_duration(g, cp)),
+        None => gate_duration(g, cp),
+    });
     Metrics {
         count_2q: c.count_2q(),
         depth_2q: c.depth_2q(),
-        duration: c.duration(&|g| gate_duration(g, cp)),
+        duration,
     }
 }
 
@@ -401,9 +458,8 @@ pub fn distinct_su4_count_with_tol(c: &Circuit, tol: f64) -> usize {
         if !g.is_2q() {
             continue;
         }
-        let w = match g.weyl().or_else(|| weyl_coords(&g.matrix()).ok()) {
-            Some(w) => w,
-            None => continue,
+        let Some(w) = g.weyl() else {
+            continue;
         };
         if w.l1_norm() < tol {
             continue; // identity-class: nothing to calibrate
@@ -429,6 +485,28 @@ mod tests {
             c.hs.search.sweep.max_sweeps = 150;
             c
         })
+    }
+
+    #[test]
+    fn price_keys_are_exact_bits_without_qubits() {
+        use reqisc_qmath::{gates::cnot, WeylCoord, C64};
+        let mut flipped = cnot();
+        flipped[(2, 3)] = C64::new(1.0, -0.0);
+        let gates = [
+            Gate::Su4(0, 1, Box::new(cnot())),
+            Gate::Su4(2, 3, Box::new(cnot())),
+            Gate::Su4(0, 1, Box::new(flipped)),
+            Gate::Rzz(0, 1, 0.5),
+            Gate::Can(0, 1, WeylCoord::new(0.5, 0.0, 0.0)),
+            Gate::Can(1, 0, WeylCoord::new(0.5, 0.0, 0.0)),
+        ];
+        let keys: Vec<_> = gates.iter().map(|g| PriceKey::of(g).expect("priced by Weyl point")).collect();
+        assert_eq!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[3], keys[4]);
+        assert_eq!(keys[4], keys[5]);
+        assert!(PriceKey::of(&Gate::Cx(0, 1)).is_none());
+        assert!(PriceKey::of(&Gate::Ccx(0, 1, 2)).is_none());
     }
 
     fn toffoli_chain() -> Circuit {

@@ -182,8 +182,9 @@ impl Circuit {
     ///
     /// `dur(gate)` should return the pulse duration of each gate (typically
     /// `0` for 1Q gates, per the paper's convention that 1Q gates are much
-    /// faster than 2Q interactions).
-    pub fn duration(&self, dur: &dyn Fn(&Gate) -> f64) -> f64 {
+    /// faster than 2Q interactions). It is called once per gate, in order,
+    /// with references into this circuit, so it may memoize by gate.
+    pub fn duration<'a>(&'a self, dur: &mut dyn FnMut(&'a Gate) -> f64) -> f64 {
         let mut finish = vec![0.0f64; self.num_qubits];
         let mut total = 0.0f64;
         for g in &self.gates {
@@ -564,13 +565,13 @@ mod tests {
         c.push(Gate::Cx(0, 1));
         c.push(Gate::Cx(1, 2));
         c.push(Gate::Cx(0, 1));
-        let d = c.duration(&|g| if g.is_2q() { 2.0 } else { 0.0 });
+        let d = c.duration(&mut |g| if g.is_2q() { 2.0 } else { 0.0 });
         assert!((d - 6.0).abs() < 1e-12);
         // Parallel pair takes one slot.
         let mut p = Circuit::new(4);
         p.push(Gate::Cx(0, 1));
         p.push(Gate::Cx(2, 3));
-        assert!((p.duration(&|_| 2.0) - 2.0).abs() < 1e-12);
+        assert!((p.duration(&mut |_| 2.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use reqisc_qmath::gates as g;
 use reqisc_qmath::weyl::WeylCoord;
-use reqisc_qmath::{kak_decompose, CMat};
+use reqisc_qmath::{weyl_coords, CMat};
 
 /// A quantum gate instance bound to qubit indices.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,9 +205,9 @@ impl Gate {
             ISwap(..) => Some(WeylCoord::iswap()),
             SqiSw(..) => Some(WeylCoord::sqisw()),
             BGate(..) => Some(WeylCoord::b_gate()),
-            Rzz(..) => kak_decompose(&self.matrix()).ok().map(|k| k.coords),
+            Rzz(..) => weyl_coords(&self.matrix()).ok(),
             Can(_, _, c) => Some(*c),
-            Su4(_, _, m) => kak_decompose(m).ok().map(|k| k.coords),
+            Su4(_, _, m) => weyl_coords(m).ok(),
             _ => None,
         }
     }

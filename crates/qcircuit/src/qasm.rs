@@ -10,6 +10,7 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use reqisc_qmath::weyl::WeylCoord;
+use reqisc_qmath::KAK_UNITARY_TOL;
 use std::fmt::Write as _;
 
 /// Serializes a circuit to QASM-lite.
@@ -82,10 +83,11 @@ impl std::error::Error for ParseQasmError {}
 /// Input bounds for [`parse_bounded`] — the service-boundary guard rails.
 /// A compile service accepting QASM from untrusted callers must bound
 /// what it agrees to *compile*: a 40-qubit header would make the first
-/// `unitary()` allocate 2⁸⁰ complex entries. The checks run after the
-/// (cheap, gate-list-only) parse, so the raw *input size* must be
-/// bounded by the transport — the service caps request lines at
-/// `MAX_REQUEST_LINE_BYTES` before any text reaches this function.
+/// `unitary()` allocate 2⁸⁰ complex entries. The header is checked
+/// before any gate line is read, and parsing stops at the first gate over
+/// the limit; the raw *input size* must still be bounded by the
+/// transport — the service caps request lines at `MAX_REQUEST_LINE_BYTES`
+/// before any text reaches this function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseLimits {
     /// Maximum accepted `qubits N` header value.
@@ -102,45 +104,30 @@ impl Default for ParseLimits {
     }
 }
 
-/// [`parse`] with explicit input bounds: rejects (with a line-1 error for
-/// the header, or the offending gate's line) instead of building an
+/// [`parse`] with explicit input bounds: rejects an over-wide `qubits N`
+/// header (on its line) before reading any gate, and stops at the first
+/// gate over the limit (on that gate's line), instead of building an
 /// oversized circuit.
 ///
 /// # Errors
 ///
 /// [`ParseQasmError`] on malformed input or a violated limit.
 pub fn parse_bounded(text: &str, limits: &ParseLimits) -> Result<Circuit, ParseQasmError> {
-    let c = parse(text)?;
-    if c.num_qubits() > limits.max_qubits {
-        return Err(ParseQasmError {
-            line: 1,
-            message: format!(
-                "{} qubits exceeds the limit of {}",
-                c.num_qubits(),
-                limits.max_qubits
-            ),
-        });
-    }
-    if c.gates().len() > limits.max_gates {
-        return Err(ParseQasmError {
-            line: 1,
-            message: format!(
-                "{} gates exceeds the limit of {}",
-                c.gates().len(),
-                limits.max_gates
-            ),
-        });
-    }
-    Ok(c)
+    parse_within(text, limits)
 }
 
 /// Parses QASM-lite text produced by [`emit`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseQasmError`] on malformed headers, unknown mnemonics, or
-/// bad operands.
+/// Returns [`ParseQasmError`] on malformed headers, unknown mnemonics, bad
+/// operands (out-of-range or repeated qubits, non-finite floats), or a
+/// `su4` matrix that is not unitary within [`KAK_UNITARY_TOL`].
 pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
+    parse_within(text, &ParseLimits { max_qubits: usize::MAX, max_gates: usize::MAX })
+}
+
+fn parse_within(text: &str, limits: &ParseLimits) -> Result<Circuit, ParseQasmError> {
     let err = |line: usize, message: &str| ParseQasmError { line, message: message.to_string() };
     let mut lines = text.lines().enumerate();
     let (mut ln, mut header) = (0usize, "");
@@ -157,12 +144,21 @@ pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
         .strip_prefix("qubits ")
         .and_then(|v| v.trim().parse().ok())
         .ok_or_else(|| err(ln, "expected 'qubits N' header"))?;
+    if n > limits.max_qubits {
+        return Err(err(ln, &format!("{n} qubits exceeds the limit of {}", limits.max_qubits)));
+    }
     let mut c = Circuit::new(n);
     for (i, raw) in lines {
         let line = i + 1;
         let l = raw.trim();
         if l.is_empty() || l.starts_with('#') {
             continue;
+        }
+        if c.len() == limits.max_gates {
+            return Err(err(
+                line,
+                &format!("gate {} exceeds the limit of {} gates", c.len() + 1, limits.max_gates),
+            ));
         }
         let mut tok = l.split_whitespace();
         let name = tok.next().unwrap();
@@ -212,6 +208,11 @@ pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
                         m[(i2, j2)] = reqisc_qmath::C64::new(f(base)?, f(base + 1)?);
                     }
                 }
+                // The tolerance the KAK decomposition demands: a matrix it
+                // rejects would be priced as the identity class.
+                if !m.is_unitary(KAK_UNITARY_TOL) {
+                    return Err(err(line, "su4 matrix is not unitary"));
+                }
                 Gate::Su4(q(0)?, q(1)?, Box::new(m))
             }
             "ccx" => Gate::Ccx(q(0)?, q(1)?, q(2)?),
@@ -229,9 +230,13 @@ pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
             }
             other => return Err(err(line, &format!("unknown gate '{other}'"))),
         };
-        for qq in g.qubits() {
+        let qs = g.qubits();
+        for (k, &qq) in qs.iter().enumerate() {
             if qq >= n {
                 return Err(err(line, "qubit index out of range"));
+            }
+            if qs[..k].contains(&qq) {
+                return Err(err(line, &format!("gate {} repeats qubit {qq}", g.name())));
             }
         }
         c.push(g);
@@ -317,5 +322,69 @@ mod tests {
         assert_eq!(parse(&su4).unwrap_err().message, "bad float operand");
         // Finite spellings still parse, including exponents and signs.
         assert_eq!(parse("qubits 1\nrz 0 -7.5e-1\nrx 0 +1e300\n").unwrap().len(), 2);
+    }
+
+    fn su4_line(qubits: &str, m: &reqisc_qmath::CMat) -> String {
+        let mut line = format!("su4 {qubits}");
+        for z in m.as_slice() {
+            line.push_str(&format!(" {:.17e} {:.17e}", z.re, z.im));
+        }
+        line
+    }
+
+    #[test]
+    fn rejects_repeated_qubits() {
+        let su4 = su4_line("1 1", &reqisc_qmath::CMat::identity(4));
+        for (text, gate, q) in [
+            ("qubits 2\ncx 0 0\n".to_string(), "cx", 0),
+            ("qubits 2\nh 0\nswap 1 1\n".to_string(), "swap", 1),
+            ("qubits 2\ncan 1 1 0.3 0.2 0.1\n".to_string(), "can", 1),
+            (format!("qubits 2\n{su4}\n"), "su4", 1),
+            ("qubits 3\nccx 0 1 0\n".to_string(), "ccx", 0),
+            ("qubits 3\nperes 2 1 2\n".to_string(), "peres", 2),
+            ("qubits 4\nmcx 0 1 2 1\n".to_string(), "mcx", 1),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert_eq!(e.message, format!("gate {gate} repeats qubit {q}"), "{text:?}");
+            assert_eq!(e.line, text.lines().count(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_unitary_su4() {
+        use reqisc_qmath::{C64, CMat};
+        for m in [CMat::zeros(4, 4), CMat::identity(4).scale(C64::real(2.0))] {
+            let text = format!("qubits 2\nh 0\n{}\n", su4_line("0 1", &m));
+            let e = parse(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (3, "su4 matrix is not unitary"));
+        }
+        // An emitted product of rotations, as synthesis leaves it, parses
+        // back bit for bit.
+        let block = reqisc_qmath::gates::canonical_gate(0.3, 0.2, -0.1)
+            .mul_mat(&reqisc_qmath::gates::u3(0.4, -1.2, 2.2).kron(&reqisc_qmath::gates::rx(0.7)));
+        let mut c = Circuit::new(2);
+        c.push(Gate::Su4(1, 0, Box::new(block.clone())));
+        let back = parse(&emit(&c)).expect("emitted su4 parses");
+        match &back.gates()[0] {
+            Gate::Su4(1, 0, m) => assert_eq!(**m, block),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bounded_parse_checks_the_header_before_any_gate() {
+        let limits = ParseLimits { max_qubits: 4, max_gates: 100 };
+        let e = parse_bounded("# wide\nqubits 100000\nh 0\nfrobnicate 0\n", &limits).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "100000 qubits exceeds the limit of 4"));
+        assert_eq!(parse_bounded("qubits 4\ncx 0 3\n", &limits).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn bounded_parse_stops_at_the_first_gate_over_the_limit() {
+        let limits = ParseLimits { max_qubits: 2, max_gates: 2 };
+        let text = "qubits 2\nh 0\n# comment\n\ncx 0 1\nh 1\nfrobnicate 0\n";
+        let e = parse_bounded(text, &limits).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (6, "gate 3 exceeds the limit of 2 gates"));
+        assert_eq!(parse_bounded("qubits 2\nh 0\ncx 0 1\n# end\n", &limits).unwrap().len(), 2);
     }
 }

@@ -7,8 +7,11 @@
 //! * [`eig_real_symmetric`] — real symmetric matrices,
 //! * [`eig_hermitian`] — complex Hermitian matrices,
 //! * [`simdiag_commuting_symmetric`] — *simultaneous* diagonalization of two
-//!   commuting real symmetric matrices, the workhorse of the canonical (KAK)
-//!   decomposition in [`crate::kak`].
+//!   commuting real symmetric 4×4 matrices, the workhorse of the canonical
+//!   (KAK) decomposition in [`crate::kak`].
+//!
+//! The real symmetric solver and the simultaneous diagonalization share one
+//! Jacobi core; the latter runs on stack arrays.
 
 // lint:allow-file(tolerance-literal, eigensolver convergence and deflation guards; pure numerics)
 use crate::c64::{C64, ONE, ZERO};
@@ -34,8 +37,25 @@ pub struct RealEig {
 pub fn eig_real_symmetric(a: &[f64], n: usize) -> RealEig {
     assert_eq!(a.len(), n * n, "shape mismatch");
     let mut m: Vec<f64> = a.to_vec();
-    // q starts as identity, accumulates rotations (row-major).
     let mut q = vec![0.0; n * n];
+    let mut order: Vec<usize> = (0..n).collect();
+    jacobi_eig(&mut m, &mut q, &mut order, n);
+    let values = order.iter().map(|&i| m[i * n + i]).collect();
+    let vectors = order
+        .iter()
+        .map(|&j| (0..n).map(|i| q[i * n + j]).collect())
+        .collect();
+    RealEig { values, vectors }
+}
+
+/// The one cyclic Jacobi eigensolver behind [`eig_real_symmetric`] and
+/// [`simdiag_commuting_symmetric`]; the caller chooses the storage. On
+/// entry `m` holds the row-major `n × n` symmetric input and `order`
+/// holds `0..n`. On exit `m`'s diagonal holds the eigenvalues, `q` the
+/// accumulated rotations (eigenvectors as columns), and `order` the
+/// columns by ascending eigenvalue (a stable sort).
+fn jacobi_eig(m: &mut [f64], q: &mut [f64], order: &mut [usize], n: usize) {
+    q.fill(0.0);
     for i in 0..n {
         q[i * n + i] = 1.0;
     }
@@ -57,10 +77,8 @@ pub fn eig_real_symmetric(a: &[f64], n: usize) -> RealEig {
                 }
                 let app = m[p * n + p];
                 let aqq = m[r * n + r];
-                let theta = 0.5 * (aqq - app).atan2(2.0 * apq) + std::f64::consts::FRAC_PI_4;
                 // Classic Jacobi angle: tan(2φ) = 2 a_pq / (a_pp - a_qq).
                 let phi = 0.5 * (2.0 * apq).atan2(app - aqq);
-                let _ = theta;
                 let (s, c) = phi.sin_cos();
                 // Rotate rows/cols p and r of m: m ← Gᵀ m G with
                 // G = [[c, -s], [s, c]] acting on the (p, r) plane.
@@ -85,16 +103,7 @@ pub fn eig_real_symmetric(a: &[f64], n: usize) -> RealEig {
             }
         }
     }
-    // Extract and sort ascending.
-    let mut idx: Vec<usize> = (0..n).collect();
-    let vals: Vec<f64> = (0..n).map(|i| m[i * n + i]).collect();
-    idx.sort_by(|&i, &j| vals[i].partial_cmp(&vals[j]).unwrap());
-    let values = idx.iter().map(|&i| vals[i]).collect();
-    let vectors = idx
-        .iter()
-        .map(|&j| (0..n).map(|i| q[i * n + j]).collect())
-        .collect();
-    RealEig { values, vectors }
+    order.sort_by(|&i, &j| m[i * n + i].partial_cmp(&m[j * n + j]).unwrap());
 }
 
 /// Result of a Hermitian eigendecomposition `H = V · diag(λ) · V†`.
@@ -177,65 +186,67 @@ pub fn eig_hermitian(h: &CMat) -> HermEig {
     HermEig { values, vectors }
 }
 
-/// Simultaneously diagonalizes two *commuting* real symmetric matrices.
+/// Simultaneously diagonalizes two *commuting* real symmetric 4×4
+/// matrices.
 ///
-/// Returns an orthogonal `Q` (row-major, `n × n`) such that both `Qᵀ A Q`
-/// and `Qᵀ B Q` are diagonal. The strategy is: diagonalize `A`; inside each
+/// Returns an orthogonal `Q` (row-major) such that both `Qᵀ A Q` and
+/// `Qᵀ B Q` are diagonal. The strategy is: diagonalize `A`; inside each
 /// (near-)degenerate eigenspace of `A`, diagonalize the restriction of `B`.
 ///
 /// This is the key primitive behind the magic-basis KAK decomposition, where
 /// `A` and `B` are the real and imaginary parts of the complex symmetric
 /// unitary `U_m · U_mᵀ`.
-///
-/// # Panics
-///
-/// Panics if the slices are not `n × n`.
-pub fn simdiag_commuting_symmetric(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    assert_eq!(a.len(), n * n, "shape mismatch for a");
-    assert_eq!(b.len(), n * n, "shape mismatch for b");
-    let ea = eig_real_symmetric(a, n);
+pub fn simdiag_commuting_symmetric(a: &[f64; 16], b: &[f64; 16]) -> [f64; 16] {
+    const N: usize = 4;
+    let mut m = *a;
+    let mut v = [0.0; 16];
+    let mut order = [0, 1, 2, 3];
+    jacobi_eig(&mut m, &mut v, &mut order, N);
+    let values = order.map(|i| m[i * N + i]);
     // q columns = eigenvectors of a, ordered ascending.
-    let mut q: Vec<f64> = vec![0.0; n * n];
-    for j in 0..n {
-        for i in 0..n {
-            q[i * n + j] = ea.vectors[j][i];
+    let mut q = [0.0; 16];
+    for j in 0..N {
+        for i in 0..N {
+            q[i * N + j] = v[i * N + order[j]];
         }
     }
     // b' = Qᵀ B Q
-    let bq = mat_mul_real(b, &q, n);
-    let bt = mat_mul_real(&transpose_real(&q, n), &bq, n);
+    let bt = mat_mul_real(&transpose_real(&q), &mat_mul_real(b, &q));
     // Group degenerate clusters of A's spectrum.
-    let tol = 1e-9 * (1.0 + ea.values.iter().fold(0.0f64, |m, v| m.max(v.abs())));
+    let tol = 1e-9 * (1.0 + values.iter().fold(0.0f64, |m, v| m.max(v.abs())));
     let mut start = 0;
-    while start < n {
+    while start < N {
         let mut end = start + 1;
-        while end < n && (ea.values[end] - ea.values[start]).abs() <= tol {
+        while end < N && (values[end] - values[start]).abs() <= tol {
             end += 1;
         }
         let k = end - start;
         if k > 1 {
             // Diagonalize the k×k block of bt.
-            let mut blk = vec![0.0; k * k];
+            let mut blk = [0.0; 16];
             for i in 0..k {
                 for j in 0..k {
-                    blk[i * k + j] = bt[(start + i) * n + (start + j)];
+                    blk[i * k + j] = bt[(start + i) * N + (start + j)];
                 }
             }
-            let eb = eig_real_symmetric(&blk, k);
-            // Rotate the corresponding columns of q by eb's eigenvectors.
-            let mut newcols = vec![0.0; n * k];
+            let mut w = [0.0; 16];
+            let mut sub = [0, 1, 2, 3];
+            jacobi_eig(&mut blk[..k * k], &mut w[..k * k], &mut sub[..k], k);
+            // Rotate the corresponding columns of q by the block's
+            // eigenvectors (column sub[j] of w).
+            let mut newcols = [0.0; 16];
             for j in 0..k {
-                for i in 0..n {
+                for i in 0..N {
                     let mut acc = 0.0;
                     for l in 0..k {
-                        acc += q[i * n + (start + l)] * eb.vectors[j][l];
+                        acc += q[i * N + (start + l)] * w[l * k + sub[j]];
                     }
                     newcols[i * k + j] = acc;
                 }
             }
             for j in 0..k {
-                for i in 0..n {
-                    q[i * n + (start + j)] = newcols[i * k + j];
+                for i in 0..N {
+                    q[i * N + (start + j)] = newcols[i * k + j];
                 }
             }
         }
@@ -244,30 +255,24 @@ pub fn simdiag_commuting_symmetric(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     q
 }
 
-fn mat_mul_real(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let v = a[i * n + k];
+fn mat_mul_real(a: &[f64; 16], b: &[f64; 16]) -> [f64; 16] {
+    let mut out = [0.0; 16];
+    for i in 0..4 {
+        for k in 0..4 {
+            let v = a[i * 4 + k];
             if v == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                out[i * n + j] += v * b[k * n + j];
+            for j in 0..4 {
+                out[i * 4 + j] += v * b[k * 4 + j];
             }
         }
     }
     out
 }
 
-fn transpose_real(a: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            out[j * n + i] = a[i * n + j];
-        }
-    }
-    out
+fn transpose_real(a: &[f64; 16]) -> [f64; 16] {
+    std::array::from_fn(|k| a[(k % 4) * 4 + k / 4])
 }
 
 /// Converts a row-major real matrix to a [`CMat`].
@@ -381,7 +386,7 @@ mod tests {
         let da = [1.0, 1.0, 2.0, 2.0]; // degenerate
         let db = [0.5, -0.5, 3.0, 7.0];
         let mk = |d: &[f64]| {
-            let mut m = vec![0.0; n * n];
+            let mut m = [0.0; 16];
             for i in 0..n {
                 for j in 0..n {
                     let mut acc = 0.0;
@@ -395,11 +400,10 @@ mod tests {
         };
         let a = mk(&da);
         let b = mk(&db);
-        let q = simdiag_commuting_symmetric(&a, &b, n);
+        let q = simdiag_commuting_symmetric(&a, &b);
         // Verify both QᵀAQ and QᵀBQ diagonal.
         for (mat, name) in [(&a, "A"), (&b, "B")] {
-            let mq = mat_mul_real(mat, &q, n);
-            let d = mat_mul_real(&transpose_real(&q, n), &mq, n);
+            let d = mat_mul_real(&transpose_real(&q), &mat_mul_real(mat, &q));
             for i in 0..n {
                 for j in 0..n {
                     if i != j {
@@ -409,7 +413,7 @@ mod tests {
             }
         }
         // Q orthogonal.
-        let qtq = mat_mul_real(&transpose_real(&q, n), &q, n);
+        let qtq = mat_mul_real(&transpose_real(&q), &q);
         for i in 0..n {
             for j in 0..n {
                 let want = if i == j { 1.0 } else { 0.0 };

@@ -6,6 +6,7 @@
 //! `SWAP ~ Can(π/4, π/4, π/4)` and `B ~ Can(π/4, π/8, 0)`.
 
 use crate::c64::{C64, I, ONE, ZERO};
+use crate::fixed::to_cmat;
 use crate::mat::CMat;
 use std::f64::consts::{FRAC_PI_4, FRAC_PI_8, SQRT_2};
 
@@ -16,32 +17,32 @@ pub fn id2() -> CMat {
 
 /// Pauli X.
 pub fn pauli_x() -> CMat {
-    CMat::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0])
+    to_cmat(&array::pauli_x())
 }
 
 /// Pauli Y.
 pub fn pauli_y() -> CMat {
-    CMat::from_slice(2, 2, &[ZERO, -I, I, ZERO])
+    to_cmat(&array::pauli_y())
 }
 
 /// Pauli Z.
 pub fn pauli_z() -> CMat {
-    CMat::from_real(2, 2, &[1.0, 0.0, 0.0, -1.0])
+    to_cmat(&array::pauli_z())
 }
 
 /// Hadamard.
 pub fn hadamard() -> CMat {
-    CMat::from_real(2, 2, &[1.0, 1.0, 1.0, -1.0]).scale(C64::real(1.0 / SQRT_2))
+    to_cmat(&array::hadamard())
 }
 
 /// Phase gate S = diag(1, i).
 pub fn s_gate() -> CMat {
-    CMat::from_slice(2, 2, &[ONE, ZERO, ZERO, I])
+    to_cmat(&array::s_gate())
 }
 
 /// S† = diag(1, -i).
 pub fn sdg_gate() -> CMat {
-    CMat::from_slice(2, 2, &[ONE, ZERO, ZERO, -I])
+    to_cmat(&array::sdg_gate())
 }
 
 /// T = diag(1, e^{iπ/4}).
@@ -56,12 +57,7 @@ pub fn tdg_gate() -> CMat {
 
 /// X-rotation `Rx(θ) = e^{-iθX/2}`.
 pub fn rx(theta: f64) -> CMat {
-    let (s, c) = (theta / 2.0).sin_cos();
-    CMat::from_slice(
-        2,
-        2,
-        &[C64::real(c), C64::imag(-s), C64::imag(-s), C64::real(c)],
-    )
+    to_cmat(&array::rx(theta))
 }
 
 /// Y-rotation `Ry(θ) = e^{-iθY/2}`.
@@ -197,15 +193,59 @@ pub fn ecp_gate() -> CMat {
 /// assert!(diff < 1e-12);
 /// ```
 pub fn canonical_gate(x: f64, y: f64, z: f64) -> CMat {
-    let xx = pauli_x().kron(&pauli_x());
-    let yy = pauli_y().kron(&pauli_y());
-    let zz = pauli_z().kron(&pauli_z());
-    let rot = |p: &CMat, t: f64| -> CMat {
-        // e^{-i t P} = cos(t) I - i sin(t) P for P² = I.
-        let (s, c) = t.sin_cos();
-        &CMat::identity(4).scale(C64::real(c)) + &p.scale(C64::imag(-s))
-    };
-    rot(&xx, x).mul_mat(&rot(&yy, y)).mul_mat(&rot(&zz, z))
+    to_cmat(&array::canonical_gate(x, y, z))
+}
+
+/// The gates the KAK path multiplies by, as stack arrays; the `CMat`
+/// constructors above wrap these.
+pub(crate) mod array {
+    use crate::c64::{C64, I, ONE, ZERO};
+    use crate::fixed::{self, Mat};
+    use std::f64::consts::SQRT_2;
+
+    pub fn pauli_x() -> Mat<2> {
+        [[C64::real(0.0), C64::real(1.0)], [C64::real(1.0), C64::real(0.0)]]
+    }
+
+    pub fn pauli_y() -> Mat<2> {
+        [[ZERO, -I], [I, ZERO]]
+    }
+
+    pub fn pauli_z() -> Mat<2> {
+        [[C64::real(1.0), C64::real(0.0)], [C64::real(0.0), C64::real(-1.0)]]
+    }
+
+    pub fn hadamard() -> Mat<2> {
+        let m = [[C64::real(1.0), C64::real(1.0)], [C64::real(1.0), C64::real(-1.0)]];
+        fixed::scale(&m, C64::real(1.0 / SQRT_2))
+    }
+
+    pub fn s_gate() -> Mat<2> {
+        [[ONE, ZERO], [ZERO, I]]
+    }
+
+    pub fn sdg_gate() -> Mat<2> {
+        [[ONE, ZERO], [ZERO, -I]]
+    }
+
+    pub fn rx(theta: f64) -> Mat<2> {
+        let (s, c) = (theta / 2.0).sin_cos();
+        [[C64::real(c), C64::imag(-s)], [C64::imag(-s), C64::real(c)]]
+    }
+
+    pub fn canonical_gate(x: f64, y: f64, z: f64) -> Mat<4> {
+        let xx = fixed::kron(&pauli_x(), &pauli_x());
+        let yy = fixed::kron(&pauli_y(), &pauli_y());
+        let zz = fixed::kron(&pauli_z(), &pauli_z());
+        let rot = |p: &Mat<4>, t: f64| -> Mat<4> {
+            // e^{-i t P} = cos(t) I - i sin(t) P for P² = I.
+            let (s, c) = t.sin_cos();
+            let a = fixed::scale(&fixed::identity::<4>(), C64::real(c));
+            let b = fixed::scale(p, C64::imag(-s));
+            std::array::from_fn(|i| std::array::from_fn(|j| a[i][j] + b[i][j]))
+        };
+        fixed::mul(&fixed::mul(&rot(&xx, x), &rot(&yy, y)), &rot(&zz, z))
+    }
 }
 
 /// Decomposes a 2×2 unitary as `U = e^{iγ}·U3(θ, φ, λ)`, returning

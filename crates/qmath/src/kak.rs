@@ -11,10 +11,13 @@
 //! root, and canonicalize the resulting coordinates into the chamber with
 //! explicit, phase-tracked local-gate moves.
 
-use crate::c64::{C64, ONE};
+use crate::c64::C64;
 use crate::eig::simdiag_commuting_symmetric;
-use crate::gates::{canonical_gate, hadamard, pauli_x, pauli_y, pauli_z, rx, s_gate, sdg_gate};
-use crate::magic::{magic_pauli_diagonals, so4_to_su2_pair, to_magic};
+use crate::fixed::{self, from_cmat, to_cmat, Mat};
+use crate::gates::array::{
+    canonical_gate, hadamard, pauli_x, pauli_y, pauli_z, rx, s_gate, sdg_gate,
+};
+use crate::magic::{so4_to_su2_pair4, to_magic4, MAGIC_PAULI_DIAGONALS};
 use crate::mat::CMat;
 use crate::weyl::WeylCoord;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
@@ -38,12 +41,51 @@ pub struct Kak {
 
 impl Kak {
     /// Rebuilds the 4×4 unitary this decomposition represents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a local factor is not 2×2.
     pub fn reconstruct(&self) -> CMat {
-        let left = self.a1.kron(&self.a2);
-        let right = self.b1.kron(&self.b2);
-        left.mul_mat(&canonical_gate(self.coords.x, self.coords.y, self.coords.z))
-            .mul_mat(&right)
-            .scale(self.phase)
+        let k = Kak4 {
+            phase: self.phase,
+            a1: from_cmat(&self.a1),
+            a2: from_cmat(&self.a2),
+            coords: self.coords,
+            b1: from_cmat(&self.b1),
+            b2: from_cmat(&self.b2),
+        };
+        to_cmat(&k.reconstruct())
+    }
+}
+
+/// [`Kak`] with its local factors on the stack: what [`kak_decompose`]
+/// computes and checks before copying them out.
+struct Kak4 {
+    phase: C64,
+    a1: Mat<2>,
+    a2: Mat<2>,
+    coords: WeylCoord,
+    b1: Mat<2>,
+    b2: Mat<2>,
+}
+
+impl Kak4 {
+    fn reconstruct(&self) -> Mat<4> {
+        let left = fixed::kron(&self.a1, &self.a2);
+        let right = fixed::kron(&self.b1, &self.b2);
+        let can = canonical_gate(self.coords.x, self.coords.y, self.coords.z);
+        fixed::scale(&fixed::mul(&fixed::mul(&left, &can), &right), self.phase)
+    }
+
+    fn into_kak(self) -> Kak {
+        Kak {
+            phase: self.phase,
+            a1: to_cmat(&self.a1),
+            a2: to_cmat(&self.a2),
+            coords: self.coords,
+            b1: to_cmat(&self.b1),
+            b2: to_cmat(&self.b2),
+        }
     }
 }
 
@@ -62,13 +104,26 @@ impl std::fmt::Display for KakError {
 
 impl std::error::Error for KakError {}
 
+/// How far from unitary an input to [`kak_decompose`] may be: the largest
+/// entry-wise distance of `U†·U` from the identity.
+pub const KAK_UNITARY_TOL: f64 = 1e-8;
+
+/// The largest imaginary part tolerated in the inner factor `F†·U_m`,
+/// which is real orthogonal in exact arithmetic.
+const INNER_REAL_TOL: f64 = 1e-6;
+
+/// The largest entry-wise residual [`kak_decompose`] accepts when it
+/// rebuilds its input from the decomposition.
+const RECONSTRUCTION_TOL: f64 = 1e-6;
+
 /// Computes the canonical decomposition of a two-qubit unitary.
 ///
 /// # Errors
 ///
-/// Returns [`KakError`] if `u` is not 4×4 unitary (within `1e-8`) or if the
-/// internal factorization fails to reconstruct `u` to `1e-6` (which would
-/// indicate a numerically pathological input).
+/// Returns [`KakError`] if `u` is not 4×4 unitary (within
+/// [`KAK_UNITARY_TOL`]) or if the internal factorization fails to
+/// reconstruct `u` to `1e-6` (which would indicate a numerically
+/// pathological input).
 ///
 /// # Examples
 ///
@@ -79,75 +134,83 @@ impl std::error::Error for KakError {}
 /// assert!(k.coords.y.abs() < 1e-9 && k.coords.z.abs() < 1e-9);
 /// ```
 pub fn kak_decompose(u: &CMat) -> Result<Kak, KakError> {
+    decompose(u).map(Kak4::into_kak)
+}
+
+/// The decomposition behind [`kak_decompose`] and [`weyl_coords`], on
+/// stack arrays. Every floating-point operation is the one the `CMat`
+/// formulation performs, in its order (see [`crate::fixed`]).
+fn decompose(u: &CMat) -> Result<Kak4, KakError> {
     if u.rows() != 4 || u.cols() != 4 {
         return Err(KakError { message: "expected a 4x4 matrix".into() });
     }
-    if !u.is_unitary(1e-8) {
+    let u: Mat<4> = from_cmat(u);
+    if !fixed::is_unitary(&u, KAK_UNITARY_TOL) {
         return Err(KakError { message: "input is not unitary".into() });
     }
     // 1. Project to SU(4), remembering the removed phase.
-    let det = u.det();
+    let det = fixed::det(&u);
     let phase0 = C64::cis(det.arg() / 4.0);
-    let su = u.scale(phase0.recip());
+    let su = fixed::scale(&u, phase0.recip());
 
     // 2. Magic basis; P = U_m·U_mᵀ is complex symmetric unitary.
-    let um = to_magic(&su);
-    let p = um.mul_mat(&um.transpose());
+    let um = to_magic4(&su);
+    let p = fixed::mul(&um, &fixed::transpose(&um));
 
     // 3. Simultaneously diagonalize Re(P), Im(P) with a real orthogonal Q.
-    let n = 4usize;
-    let mut re = vec![0.0; 16];
-    let mut im = vec![0.0; 16];
+    let mut re = [0.0; 16];
+    let mut im = [0.0; 16];
     for i in 0..4 {
         for j in 0..4 {
             // Symmetrize against round-off.
-            let v = (p[(i, j)] + p[(j, i)]).scale(0.5);
+            let v = (p[i][j] + p[j][i]).scale(0.5);
             re[i * 4 + j] = v.re;
             im[i * 4 + j] = v.im;
         }
     }
-    let mut q = simdiag_commuting_symmetric(&re, &im, n);
+    let mut q = simdiag_commuting_symmetric(&re, &im);
     // Enforce det Q = +1 (so Q ∈ SO(4) maps to local unitaries).
     if det_real4(&q) < 0.0 {
         for row in 0..4 {
             q[row * 4] = -q[row * 4];
         }
     }
-    let qc = CMat::from_fn(4, 4, |i, j| C64::real(q[i * 4 + j]));
+    let qc: Mat<4> = std::array::from_fn(|i| std::array::from_fn(|j| C64::real(q[i * 4 + j])));
+    let qct = fixed::transpose(&qc);
 
     // 4. Eigenphases θ_k of P in Q's basis; adjust branches so Σθ = 0.
-    let d = qc.transpose().mul_mat(&p).mul_mat(&qc);
-    let mut theta: Vec<f64> = (0..4).map(|k| d[(k, k)].arg()).collect();
+    let d = fixed::mul(&fixed::mul(&qct, &p), &qc);
+    let mut theta: [f64; 4] = std::array::from_fn(|k| d[k][k].arg());
     let sum: f64 = theta.iter().sum();
     // det P = 1 so Σθ ≡ 0 (mod 2π); fold the residue into θ₀.
     let wraps = (sum / (2.0 * PI)).round();
     theta[0] -= wraps * 2.0 * PI;
 
     // 5. F = Q·diag(e^{iθ/2})·Qᵀ; O = F†·U_m is real special orthogonal.
-    let half = CMat::diag(&theta.iter().map(|&t| C64::cis(t / 2.0)).collect::<Vec<_>>());
-    let f = qc.mul_mat(&half).mul_mat(&qc.transpose());
-    let o = f.adjoint().mul_mat(&um);
-    if !o.is_real(1e-6) {
+    let half = fixed::diag(theta.map(|t| C64::cis(t / 2.0)));
+    let f = fixed::mul(&fixed::mul(&qc, &half), &qct);
+    let o = fixed::mul(&fixed::adjoint(&f), &um);
+    if !o.as_flattened().iter().all(|z| z.im.abs() <= INNER_REAL_TOL) {
         return Err(KakError { message: format!("inner factor not real (max imag {:.2e})", max_imag(&o)) });
     }
     // U_m = K1 · diag(e^{iθ/2}) · K2 with K1 = Q, K2 = Qᵀ·O real orthogonal.
-    let k2 = qc.transpose().mul_mat(&o);
+    let k2 = fixed::mul(&qct, &o);
 
     // 6. Coordinates from projecting the half-phases onto the magic
     //    diagonals of XX/YY/ZZ: θ_k/2 = -(x·dX_k + y·dY_k + z·dZ_k).
-    let (dx, dy, dz) = magic_pauli_diagonals();
+    let [dx, dy, dz] = MAGIC_PAULI_DIAGONALS;
     let proj = |dv: &[f64; 4]| -> f64 {
         -(0..4).map(|k| theta[k] / 2.0 * dv[k]).sum::<f64>() / 4.0
     };
     let coords = WeylCoord::new(proj(&dx), proj(&dy), proj(&dz));
 
     // 7. Transport K1, K2 out of the magic basis into SU(2)⊗SU(2).
-    let (g1, a1, a2) = so4_to_su2_pair(&qc)
+    let (g1, a1, a2) = so4_to_su2_pair4(&qc)
         .map_err(|e| KakError { message: format!("left factor: {e}") })?;
-    let (g2, b1, b2) = so4_to_su2_pair(&k2.clone())
+    let (g2, b1, b2) = so4_to_su2_pair4(&k2)
         .map_err(|e| KakError { message: format!("right factor: {e}") })?;
 
-    let mut kak = Kak {
+    let mut kak = Kak4 {
         phase: phase0 * g1 * g2,
         a1,
         a2,
@@ -158,11 +221,10 @@ pub fn kak_decompose(u: &CMat) -> Result<Kak, KakError> {
     canonicalize(&mut kak);
 
     // 8. Verify.
-    let rec = kak.reconstruct();
-    if !rec.approx_eq(u, 1e-6) {
-        return Err(KakError {
-            message: format!("reconstruction residual {:.3e}", rec.max_dist(u)),
-        });
+    let residual = fixed::max_dist(&kak.reconstruct(), &u);
+    let reconstructs = residual <= RECONSTRUCTION_TOL;
+    if !reconstructs {
+        return Err(KakError { message: format!("reconstruction residual {residual:.3e}") });
     }
     if !kak.coords.in_chamber() {
         return Err(KakError {
@@ -181,7 +243,7 @@ pub fn kak_decompose(u: &CMat) -> Result<Kak, KakError> {
 ///
 /// Same conditions as [`kak_decompose`].
 pub fn weyl_coords(u: &CMat) -> Result<WeylCoord, KakError> {
-    kak_decompose(u).map(|k| k.coords)
+    decompose(u).map(|k| k.coords)
 }
 
 /// The local-equivalence trace invariant `tr(U_m · U_mᵀ)` of a two-qubit
@@ -200,11 +262,11 @@ pub fn weyl_coords(u: &CMat) -> Result<WeylCoord, KakError> {
 /// Cost: one basis conjugation plus a sum of squared entries (`tr(A·Aᵀ) =
 /// Σ_{ij} A_{ij}²`, no conjugation).
 pub fn local_invariant_trace(u: &CMat) -> C64 {
-    let m = crate::magic::to_magic(u);
+    let m = to_magic4(&from_cmat(u));
     let mut s = C64::real(0.0);
     for i in 0..4 {
         for j in 0..4 {
-            s += m[(i, j)] * m[(i, j)];
+            s += m[i][j] * m[i][j];
         }
     }
     s
@@ -219,12 +281,10 @@ pub fn locally_equivalent(u: &CMat, v: &CMat, tol: f64) -> Result<bool, KakError
     Ok(weyl_coords(u)?.approx_eq(&weyl_coords(v)?, tol))
 }
 
-fn max_imag(m: &CMat) -> f64 {
+fn max_imag(m: &Mat<4>) -> f64 {
     let mut worst = 0.0f64;
-    for i in 0..m.rows() {
-        for j in 0..m.cols() {
-            worst = worst.max(m[(i, j)].im.abs());
-        }
+    for z in m.as_flattened() {
+        worst = worst.max(z.im.abs());
     }
     worst
 }
@@ -246,7 +306,7 @@ fn det_real4(a: &[f64]) -> f64 {
 /// `kak.reconstruct()` exactly; the face pin in [`canonicalize`] is the one
 /// exception (see below).
 struct Canon<'a> {
-    k: &'a mut Kak,
+    k: &'a mut Kak4,
 }
 
 impl Canon<'_> {
@@ -280,8 +340,8 @@ impl Canon<'_> {
         // Can(c) = -i (P⊗P) Can(c-π/2); increasing uses +i.
         let ph = if sign < 0.0 { C64::imag(-1.0) } else { C64::imag(1.0) };
         self.k.phase *= ph;
-        self.k.a1 = self.k.a1.mul_mat(&p);
-        self.k.a2 = self.k.a2.mul_mat(&p);
+        self.k.a1 = fixed::mul(&self.k.a1, &p);
+        self.k.a2 = fixed::mul(&self.k.a2, &p);
     }
 
     /// Negates the two coordinates other than `keep` by conjugating with a
@@ -298,8 +358,8 @@ impl Canon<'_> {
                 *self.coord_mut(idx) = -v;
             }
         }
-        self.k.a1 = self.k.a1.mul_mat(&p);
-        self.k.b1 = p.mul_mat(&self.k.b1);
+        self.k.a1 = fixed::mul(&self.k.a1, &p);
+        self.k.b1 = fixed::mul(&p, &self.k.b1);
     }
 
     /// Swaps two coordinates by conjugating with a Clifford on both qubits.
@@ -317,10 +377,10 @@ impl Canon<'_> {
         *self.coord_mut(j) = vi;
         // Can(old) = (C⊗C) · Can(swapped) · (C†⊗C†) with the conventions
         // picked so the identity holds exactly (verified by tests).
-        self.k.a1 = self.k.a1.mul_mat(&c);
-        self.k.a2 = self.k.a2.mul_mat(&c);
-        self.k.b1 = cdg.mul_mat(&self.k.b1);
-        self.k.b2 = cdg.mul_mat(&self.k.b2);
+        self.k.a1 = fixed::mul(&self.k.a1, &c);
+        self.k.a2 = fixed::mul(&self.k.a2, &c);
+        self.k.b1 = fixed::mul(&cdg, &self.k.b1);
+        self.k.b2 = fixed::mul(&cdg, &self.k.b2);
     }
 }
 
@@ -351,7 +411,7 @@ const COORD_ZERO_SNAP: f64 = 1e-14;
 /// coordinates within that tolerance of the `x = π/4` face are pinned to
 /// it, perturbing reconstruction by at most that much (exact everywhere
 /// else).
-fn canonicalize(kak: &mut Kak) {
+fn canonicalize(kak: &mut Kak4) {
     let mut c = Canon { k: kak };
     for _round in 0..4 {
         // 1. Fold every coordinate into (-π/4, π/4].
@@ -437,12 +497,10 @@ pub fn coord_residual(u: &CMat, target: &WeylCoord) -> Result<f64, KakError> {
         .max((c.z - target.z).abs()))
 }
 
-const _: C64 = ONE;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gates::{b_gate, cnot, cz, ecp_gate, iswap, sqisw, swap, u3};
+    use crate::gates::{b_gate, canonical_gate, cnot, cz, ecp_gate, iswap, sqisw, swap, u3};
     use crate::haar::{haar_su2, haar_unitary};
     use crate::magic::kron_factor;
     use rand::rngs::StdRng;

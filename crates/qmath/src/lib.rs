@@ -28,6 +28,7 @@ pub mod c64;
 pub mod eig;
 pub mod expm;
 pub mod fingerprint;
+mod fixed;
 pub mod gates;
 pub mod haar;
 pub mod kak;
@@ -44,7 +45,7 @@ pub use fingerprint::Fnv128;
 pub use haar::{haar_su2, haar_su4, haar_unitary};
 pub use kak::{
     kak_decompose, kak_parts, local_invariant_trace, locally_equivalent, weyl_coords, Kak,
-    KakError, KAK_FACE_SNAP_TOL,
+    KakError, KAK_FACE_SNAP_TOL, KAK_UNITARY_TOL,
 };
 pub use magic::{from_magic, kron_factor, magic_basis, to_magic};
 pub use mat::CMat;

@@ -6,57 +6,73 @@
 
 // lint:allow-file(tolerance-literal, basis-transform degeneracy guards; pure numerics)
 use crate::c64::{C64, I, ONE, ZERO};
+use crate::fixed::{self, from_cmat, to_cmat, Mat};
 use crate::mat::CMat;
-use crate::gates::{pauli_x, pauli_y, pauli_z};
 
 /// The magic-basis change matrix
 /// `M = (1/√2)·[[1,0,0,i],[0,i,1,0],[0,i,-1,0],[1,0,0,-i]]`.
 pub fn magic_basis() -> CMat {
-    let s = C64::real(1.0 / std::f64::consts::SQRT_2);
-    CMat::from_slice(
-        4,
-        4,
-        &[
-            ONE, ZERO, ZERO, I, //
-            ZERO, I, ONE, ZERO, //
-            ZERO, I, -ONE, ZERO, //
-            ONE, ZERO, ZERO, -I,
-        ],
-    )
-    .scale(s)
+    to_cmat(&magic4())
+}
+
+fn magic4() -> Mat<4> {
+    let m = [
+        [ONE, ZERO, ZERO, I],
+        [ZERO, I, ONE, ZERO],
+        [ZERO, I, -ONE, ZERO],
+        [ONE, ZERO, ZERO, -I],
+    ];
+    fixed::scale(&m, C64::real(1.0 / std::f64::consts::SQRT_2))
 }
 
 /// Conjugates into the magic basis: `M† · U · M`.
+///
+/// # Panics
+///
+/// Panics if `u` is not 4×4.
 pub fn to_magic(u: &CMat) -> CMat {
-    let m = magic_basis();
-    m.adjoint().mul_mat(u).mul_mat(&m)
+    to_cmat(&to_magic4(&from_cmat(u)))
 }
 
 /// Conjugates out of the magic basis: `M · U · M†`.
+///
+/// # Panics
+///
+/// Panics if `u` is not 4×4.
 pub fn from_magic(u: &CMat) -> CMat {
-    let m = magic_basis();
-    m.mul_mat(u).mul_mat(&m.adjoint())
+    to_cmat(&from_magic4(&from_cmat(u)))
 }
+
+/// [`to_magic`] on a stack array.
+pub(crate) fn to_magic4(u: &Mat<4>) -> Mat<4> {
+    let m = magic4();
+    fixed::mul(&fixed::mul(&fixed::adjoint(&m), u), &m)
+}
+
+/// [`from_magic`] on a stack array.
+pub(crate) fn from_magic4(u: &Mat<4>) -> Mat<4> {
+    let m = magic4();
+    fixed::mul(&fixed::mul(&m, u), &fixed::adjoint(&m))
+}
+
+/// `1 − 2⁻⁵²`: the magnitude of every entry of the magic Pauli
+/// diagonals, where `(1/√2)²` rounds below `1/2`.
+const MAGIC_DIAGONAL: f64 = 1.0 - f64::EPSILON;
+
+/// The diagonals of `M†(XX)M`, `M†(YY)M`, `M†(ZZ)M`, as [`to_magic`]
+/// computes them (pinned by a test).
+pub(crate) const MAGIC_PAULI_DIAGONALS: [[f64; 4]; 3] = {
+    let d = MAGIC_DIAGONAL;
+    [[d, d, -d, -d], [-d, d, -d, d], [d, -d, -d, d]]
+};
 
 /// The diagonals of `M†(XX)M`, `M†(YY)M`, `M†(ZZ)M`.
 ///
 /// These three ±1 vectors, together with `(1,1,1,1)`, form an orthogonal
 /// basis of R⁴; projecting eigenphases onto them recovers Weyl coordinates.
 pub fn magic_pauli_diagonals() -> ([f64; 4], [f64; 4], [f64; 4]) {
-    let take_diag = |p: &CMat| -> [f64; 4] {
-        let d = to_magic(p);
-        let mut out = [0.0; 4];
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = d[(k, k)].re;
-            debug_assert!(d[(k, k)].im.abs() < 1e-12);
-        }
-        out
-    };
-    (
-        take_diag(&pauli_x().kron(&pauli_x())),
-        take_diag(&pauli_y().kron(&pauli_y())),
-        take_diag(&pauli_z().kron(&pauli_z())),
-    )
+    let [dx, dy, dz] = MAGIC_PAULI_DIAGONALS;
+    (dx, dy, dz)
 }
 
 /// Error from [`kron_factor`] when the input is not a Kronecker product.
@@ -84,13 +100,25 @@ impl std::error::Error for KronFactorError {}
 ///
 /// Returns [`KronFactorError`] when `G` is not (numerically) a Kronecker
 /// product of unitaries within `tol`.
+///
+/// # Panics
+///
+/// Panics if `g` is not 4×4.
 pub fn kron_factor(g: &CMat, tol: f64) -> Result<(C64, CMat, CMat), KronFactorError> {
     assert_eq!((g.rows(), g.cols()), (4, 4), "kron_factor expects 4x4");
+    kron_factor4(&from_cmat(g), tol).map(|(phase, a, b)| (phase, to_cmat(&a), to_cmat(&b)))
+}
+
+/// [`kron_factor`] on stack arrays.
+pub(crate) fn kron_factor4(
+    g: &Mat<4>,
+    tol: f64,
+) -> Result<(C64, Mat<2>, Mat<2>), KronFactorError> {
     // Locate the entry of maximum modulus.
     let (mut r, mut c, mut best) = (0usize, 0usize, -1.0f64);
     for i in 0..4 {
         for j in 0..4 {
-            let v = g[(i, j)].abs();
+            let v = g[i][j].abs();
             if v > best {
                 best = v;
                 r = i;
@@ -100,34 +128,26 @@ pub fn kron_factor(g: &CMat, tol: f64) -> Result<(C64, CMat, CMat), KronFactorEr
     }
     let (i0, k0, j0, l0) = (r >> 1, r & 1, c >> 1, c & 1);
     // G[(i<<1)|k][(j<<1)|l] = A_ij · B_kl.
-    let mut a = CMat::zeros(2, 2);
-    let mut b = CMat::zeros(2, 2);
-    for k in 0..2 {
-        for l in 0..2 {
-            b[(k, l)] = g[((i0 << 1) | k, (j0 << 1) | l)];
-        }
-    }
-    for i in 0..2 {
-        for j in 0..2 {
-            a[(i, j)] = g[((i << 1) | k0, (j << 1) | l0)];
-        }
-    }
+    let b: Mat<2> =
+        std::array::from_fn(|k| std::array::from_fn(|l| g[(i0 << 1) | k][(j0 << 1) | l]));
+    let a: Mat<2> =
+        std::array::from_fn(|i| std::array::from_fn(|j| g[(i << 1) | k0][(j << 1) | l0]));
     // a⊗b = G·G[r][c]; normalize each factor to SU(2).
-    let norm_su2 = |m: &CMat| -> Option<CMat> {
-        let d = m.det();
+    let norm_su2 = |m: &Mat<2>| -> Option<Mat<2>> {
+        let d = fixed::det(m);
         if d.abs() < 1e-18 {
             return None;
         }
-        Some(m.scale(d.sqrt().recip()))
+        Some(fixed::scale(m, d.sqrt().recip()))
     };
     let (a, b) = match (norm_su2(&a), norm_su2(&b)) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(KronFactorError { residual: f64::INFINITY }),
     };
     // Global phase from the Hilbert–Schmidt overlap.
-    let phase = a.kron(&b).hs_inner(g).scale(0.25);
-    let rec = a.kron(&b).scale(phase);
-    let residual = rec.max_dist(g);
+    let ab = fixed::kron(&a, &b);
+    let phase = fixed::hs_inner(&ab, g).scale(0.25);
+    let residual = fixed::max_dist(&fixed::scale(&ab, phase), g);
     if residual > tol {
         return Err(KronFactorError { residual });
     }
@@ -139,11 +159,20 @@ pub fn kron_factor(g: &CMat, tol: f64) -> Result<(C64, CMat, CMat), KronFactorEr
 /// # Errors
 ///
 /// Returns [`KronFactorError`] if `o` is not (numerically) in SO(4).
+///
+/// # Panics
+///
+/// Panics if `o` is not 4×4.
 pub fn so4_to_su2_pair(o: &CMat) -> Result<(C64, CMat, CMat), KronFactorError> {
+    so4_to_su2_pair4(&from_cmat(o)).map(|(phase, a, b)| (phase, to_cmat(&a), to_cmat(&b)))
+}
+
+/// [`so4_to_su2_pair`] on stack arrays.
+pub(crate) fn so4_to_su2_pair4(o: &Mat<4>) -> Result<(C64, Mat<2>, Mat<2>), KronFactorError> {
     // The tolerance is looser than machine precision because inputs are
     // products of long gate chains; the KAK caller re-verifies the full
     // reconstruction at 1e-6 anyway.
-    kron_factor(&from_magic(o), 1e-6)
+    kron_factor4(&from_magic4(o), 1e-6)
 }
 
 #[cfg(test)]
@@ -168,6 +197,18 @@ mod tests {
                 if i != j {
                     assert!(cm[(i, j)].abs() < 1e-12, "off-diagonal {}", cm[(i, j)]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pauli_diagonals_are_the_conjugated_paulis_bit_for_bit() {
+        use crate::gates::{pauli_x, pauli_y, pauli_z};
+        for (p, want) in [pauli_x(), pauli_y(), pauli_z()].iter().zip(MAGIC_PAULI_DIAGONALS) {
+            let d = to_magic(&p.kron(p));
+            for (k, w) in want.iter().enumerate() {
+                assert_eq!(d[(k, k)].re.to_bits(), w.to_bits());
+                assert!(d[(k, k)].im.abs() < 1e-12);
             }
         }
     }

@@ -117,19 +117,7 @@ impl CMat {
     pub fn mul_mat(&self, rhs: &Self) -> Self {
         assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
         let mut out = Self::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a.re == 0.0 && a.im == 0.0 {
-                    continue;
-                }
-                let row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(row) {
-                    *o += a * b;
-                }
-            }
-        }
+        mul_into(&self.data, &rhs.data, &mut out.data, (self.rows, self.cols, rhs.cols));
         out
     }
 
@@ -192,19 +180,8 @@ impl CMat {
     /// Kronecker product `self ⊗ rhs`.
     pub fn kron(&self, rhs: &Self) -> Self {
         let mut out = Self::zeros(self.rows * rhs.rows, self.cols * rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self[(i, j)];
-                if a.re == 0.0 && a.im == 0.0 {
-                    continue;
-                }
-                for k in 0..rhs.rows {
-                    for l in 0..rhs.cols {
-                        out[(i * rhs.rows + k, j * rhs.cols + l)] = a * rhs[(k, l)];
-                    }
-                }
-            }
-        }
+        let (a, b) = ((self.rows, self.cols), (rhs.rows, rhs.cols));
+        kron_into(&self.data, a, &rhs.data, b, &mut out.data);
         out
     }
 
@@ -220,11 +197,7 @@ impl CMat {
     /// Panics if the shapes differ.
     pub fn max_dist(&self, other: &Self) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.dist(*b))
-            .fold(0.0, f64::max)
+        max_dist(&self.data, &other.data)
     }
 
     /// True when every entry of `self` is within `tol` of `other`.
@@ -269,42 +242,7 @@ impl CMat {
     /// Panics if the matrix is not square.
     pub fn det(&self) -> C64 {
         assert!(self.is_square(), "determinant of non-square matrix");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut det = ONE;
-        for k in 0..n {
-            // Partial pivot.
-            let mut p = k;
-            let mut best = a[(k, k)].abs();
-            for i in k + 1..n {
-                let v = a[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best == 0.0 {
-                return ZERO;
-            }
-            if p != k {
-                for j in 0..n {
-                    let t = a[(k, j)];
-                    a[(k, j)] = a[(p, j)];
-                    a[(p, j)] = t;
-                }
-                det = -det;
-            }
-            let piv = a[(k, k)];
-            det *= piv;
-            for i in k + 1..n {
-                let f = a[(i, k)] / piv;
-                for j in k..n {
-                    let v = a[(k, j)];
-                    a[(i, j)] -= f * v;
-                }
-            }
-        }
-        det
+        det_in_place(&mut self.data.clone(), self.rows)
     }
 
     /// Inverse by Gauss–Jordan elimination with partial pivoting.
@@ -369,11 +307,7 @@ impl CMat {
     /// Panics if the shapes differ.
     pub fn hs_inner(&self, other: &Self) -> C64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.conj() * *b)
-            .sum()
+        hs_inner(&self.data, &other.data)
     }
 
     /// Swaps two rows in place.
@@ -409,6 +343,110 @@ impl CMat {
             self[(i, c)] *= s;
         }
     }
+}
+
+// The arithmetic cores behind the `CMat` methods above, on row-major
+// slices, shared with the stack-array kernels in `crate::fixed` so both
+// storages perform the same floating-point operations in the same order.
+
+/// Adds `a · b` into `out` for row-major `a` (`rows × inner`) and `b`
+/// (`inner × cols`), skipping exact-zero entries of `a`.
+#[inline]
+pub(crate) fn mul_into(
+    a: &[C64],
+    b: &[C64],
+    out: &mut [C64],
+    (rows, inner, cols): (usize, usize, usize),
+) {
+    for i in 0..rows {
+        for k in 0..inner {
+            let x = a[i * inner + k];
+            if x.re == 0.0 && x.im == 0.0 {
+                continue;
+            }
+            let row = &b[k * cols..(k + 1) * cols];
+            let orow = &mut out[i * cols..(i + 1) * cols];
+            for (o, &y) in orow.iter_mut().zip(row) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// Writes `a ⊗ b` into the zeroed `out`, leaving the blocks of exact-zero
+/// entries of `a` untouched.
+#[inline]
+pub(crate) fn kron_into(
+    a: &[C64],
+    (ar, ac): (usize, usize),
+    b: &[C64],
+    (br, bc): (usize, usize),
+    out: &mut [C64],
+) {
+    let cols = ac * bc;
+    for i in 0..ar {
+        for j in 0..ac {
+            let x = a[i * ac + j];
+            if x.re == 0.0 && x.im == 0.0 {
+                continue;
+            }
+            for k in 0..br {
+                for l in 0..bc {
+                    out[(i * br + k) * cols + j * bc + l] = x * b[k * bc + l];
+                }
+            }
+        }
+    }
+}
+
+/// Largest entry-wise distance between equally long slices.
+#[inline]
+pub(crate) fn max_dist(a: &[C64], b: &[C64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x.dist(*y)).fold(0.0, f64::max)
+}
+
+/// `Σ conj(a_k)·b_k` over equally long slices.
+#[inline]
+pub(crate) fn hs_inner(a: &[C64], b: &[C64]) -> C64 {
+    a.iter().zip(b).map(|(x, y)| x.conj() * *y).sum()
+}
+
+/// Determinant of the row-major `n × n` matrix `a` by LU with partial
+/// pivoting; `a` is overwritten.
+#[inline]
+pub(crate) fn det_in_place(a: &mut [C64], n: usize) -> C64 {
+    let mut det = ONE;
+    for k in 0..n {
+        // Partial pivot.
+        let mut p = k;
+        let mut best = a[k * n + k].abs();
+        for i in k + 1..n {
+            let v = a[i * n + k].abs();
+            if v > best {
+                best = v;
+                p = i;
+            }
+        }
+        if best == 0.0 {
+            return ZERO;
+        }
+        if p != k {
+            for j in 0..n {
+                a.swap(k * n + j, p * n + j);
+            }
+            det = -det;
+        }
+        let piv = a[k * n + k];
+        det *= piv;
+        for i in k + 1..n {
+            let f = a[i * n + k] / piv;
+            for j in k..n {
+                let v = a[k * n + j];
+                a[i * n + j] -= f * v;
+            }
+        }
+    }
+    det
 }
 
 impl Index<(usize, usize)> for CMat {

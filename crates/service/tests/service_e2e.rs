@@ -275,8 +275,10 @@ fn shutdown_ack_is_delivered_after_earlier_replies() {
     }
 }
 
-/// A non-finite angle is a malformed program: every pipeline must get a
-/// `bad_request` at the QASM boundary instead of a solve worker panic.
+/// A non-finite angle, a repeated qubit and a non-unitary `su4` matrix
+/// are malformed programs: every pipeline must get a `bad_request` at the
+/// QASM boundary instead of a reader-thread or solve-worker panic, or a
+/// reply that prices the matrix as the identity class.
 #[test]
 fn non_finite_angles_are_bad_requests() {
     let service = Service::start_with_compiler(
@@ -284,11 +286,19 @@ fn non_finite_angles_are_bad_requests() {
         ServiceConfig { workers: 1, ..ServiceConfig::default() },
     );
     let mut script = String::new();
-    let bad = ["qubits 2\\ncx 0 1\\nrz 1 nan\\n", "qubits 3\\nccx 0 1 2\\nrx 2 -inf\\n"];
+    let zero_su4 = format!("qubits 2\\nsu4 0 1{}\\n", " 0".repeat(32));
+    let bad = [
+        ("qubits 2\\ncx 0 1\\nrz 1 nan\\n", "bad float operand"),
+        ("qubits 3\\nccx 0 1 2\\nrx 2 -inf\\n", "bad float operand"),
+        ("qubits 2\\ncx 0 0\\n", "gate cx repeats qubit 0"),
+        (zero_su4.as_str(), "su4 matrix is not unitary"),
+    ];
     let pipelines = ["reqisc-full", "reqisc-eff", "qiskit"];
     let mut id = 0;
-    for qasm in bad {
+    let mut expected = Vec::new();
+    for (qasm, detail) in bad {
         for pipeline in pipelines {
+            expected.push(detail);
             id += 1;
             script.push_str(&format!(
                 "{{\"id\":{id},\"op\":\"compile\",\"pipeline\":\"{pipeline}\",\"qasm\":\"{qasm}\"}}\n"
@@ -305,14 +315,14 @@ fn non_finite_angles_are_bad_requests() {
     let replies: Vec<Json> =
         String::from_utf8(out).unwrap().lines().map(|l| Json::parse(l).expect("parses")).collect();
     assert_eq!(replies.len(), id as usize + 1, "every line gets a response");
-    for r in &replies[..id as usize] {
+    for (r, want) in replies[..id as usize].iter().zip(expected) {
         assert_eq!(r.get("error").and_then(Json::as_str), Some("bad_request"), "{}", r.emit());
         let detail = r.get("detail").and_then(Json::as_str).unwrap_or("");
-        assert!(detail.contains("bad float operand"), "{}", r.emit());
+        assert!(detail.contains(want), "{}", r.emit());
     }
     assert_eq!(replies[id as usize].get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(stats.service.failed, 0, "no job reached a solve worker and failed");
-    assert_eq!(stats.service.submitted, 1, "only the finite program was admitted");
+    assert_eq!(stats.service.submitted, 1, "only the well-formed program was admitted");
 }
 
 #[test]
