@@ -222,6 +222,7 @@ fn decompose(u: &CMat) -> Result<Kak4, KakError> {
 
     // 8. Verify.
     let residual = fixed::max_dist(&kak.reconstruct(), &u);
+    // Not `residual > tol`: a NaN residual must fail, as `approx_eq` did.
     let reconstructs = residual <= RECONSTRUCTION_TOL;
     if !reconstructs {
         return Err(KakError { message: format!("reconstruction residual {residual:.3e}") });
