@@ -1,13 +1,14 @@
 //! Criterion benches for end-to-end compilation throughput (the latency
-//! dimension of Fig. 16) and for the design-choice ablations DESIGN.md
-//! calls out: synthesis threshold `m_th` and the near-identity mirroring
-//! threshold `r`.
+//! dimension of Fig. 16), for one warm compile reply through the service,
+//! and for the design-choice ablations DESIGN.md calls out: synthesis
+//! threshold `m_th` and the near-identity mirroring threshold `r`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reqisc_benchsuite::generators::{qaoa, ripple_add};
 use reqisc_compiler::{hierarchical_synthesis, Compiler, HsOptions, Pipeline};
 use reqisc_microarch::{solve_with_mirroring, Coupling};
 use reqisc_qmath::WeylCoord;
+use reqisc_service::{serve_lines, Service, ServiceConfig};
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -26,6 +27,27 @@ fn bench_pipelines(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+fn bench_warm_reply(c: &mut Criterion) {
+    // One warm SU(4)-ISA compile reply in process: a request line for an
+    // already-compiled reqisc-eff output (alu_v2, 83 SU(4) gates) through
+    // `serve_lines` over an in-memory reader and writer — parse, lookup
+    // hit, reply fingerprint and metrics, encode.
+    let service = Service::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let line: &[u8] =
+        b"{\"id\":1,\"op\":\"compile\",\"pipeline\":\"reqisc-eff\",\"bench\":\"alu_v2\"}\n";
+    let mut out = Vec::new();
+    serve_lines(&service, line, &mut out).expect("populate");
+    assert!(out.starts_with(b"{\"id\":1,\"ok\":true"), "{}", String::from_utf8_lossy(&out));
+    c.bench_function("warm_reply_reqisc_eff_alu_v2", |b| {
+        b.iter(|| {
+            out.clear();
+            serve_lines(&service, line, &mut out).expect("serve");
+            black_box(out.len())
+        })
+    });
+    service.shutdown();
 }
 
 fn bench_mth_ablation(c: &mut Criterion) {
@@ -56,5 +78,11 @@ fn bench_mirror_threshold(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(pipeline, bench_pipelines, bench_mth_ablation, bench_mirror_threshold);
+criterion_group!(
+    pipeline,
+    bench_pipelines,
+    bench_warm_reply,
+    bench_mth_ablation,
+    bench_mirror_threshold
+);
 criterion_main!(pipeline);

@@ -37,7 +37,7 @@ pub mod template_pass;
 pub mod topology;
 pub mod variational;
 
-pub use cache::{CompileCache, CompileCacheStats};
+pub use cache::{reply_coupling, CompileCache, CompileCacheStats, Program, ReplyRecord};
 pub use reqisc_microarch::cache::{CacheStats, SolverStats};
 pub use cnot_opt::{merge_pauli_rotations, qiskit_like, resynthesize_to_cx, tket_like};
 pub use compact::{compact, gates_commute, CompactOptions};

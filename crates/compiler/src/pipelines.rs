@@ -1,7 +1,7 @@
 //! End-to-end compilation pipelines (paper §5.4, §6.1.2): the two ReQISC
 //! schemes and the five baselines, with the common metrics of §6.1.1.
 
-use crate::cache::{hs_options_fingerprint, CompileCache, CompileCacheStats};
+use crate::cache::{hs_options_fingerprint, CompileCache, CompileCacheStats, Program};
 use crate::cnot_opt::{qiskit_like, tket_like};
 use crate::fuse::fuse_2q;
 use crate::hierarchical::{hierarchical_synthesis_batched, HsOptions};
@@ -191,7 +191,7 @@ impl Compiler {
         circuit_hash: u128,
         pipeline: Pipeline,
         options_fp: u128,
-    ) -> Option<Arc<Circuit>> {
+    ) -> Option<Arc<Program>> {
         let key =
             crate::cache::ProgramKey { circuit: circuit_hash, pipeline, options: options_fp };
         self.cache.probe_program(&key)
@@ -208,9 +208,16 @@ impl Compiler {
     /// Runs one pipeline on a program, memoizing through the shared
     /// cache: a repeat compile of the same program bits under the same
     /// pipeline and options returns the cached circuit. (The one clone
-    /// per call is the cost of the owned return type every existing
-    /// consumer expects; lookups themselves are a single content hash.)
+    /// per call is the cost of the owned return type; callers that can
+    /// share the pool's entry use [`Compiler::compile_program`].)
     pub fn compile(&self, c: &Circuit, p: Pipeline) -> Circuit {
+        self.compile_program(c, p).circuit().clone()
+    }
+
+    /// [`Compiler::compile`] returning the whole-program pool's entry
+    /// itself: no copy of the output, and the entry's reply record is
+    /// shared with every later hit on the same key.
+    pub fn compile_program(&self, c: &Circuit, p: Pipeline) -> Arc<Program> {
         self.compile_with_block_threads(c, p, self.effective_block_threads())
     }
 
@@ -228,13 +235,13 @@ impl Compiler {
     /// the internal entry point [`Compiler::compile_batch`] workers use so
     /// program-level and block-level parallelism compose instead of
     /// oversubscribing.
-    fn compile_with_block_threads(&self, c: &Circuit, p: Pipeline, bt: usize) -> Circuit {
+    fn compile_with_block_threads(&self, c: &Circuit, p: Pipeline, bt: usize) -> Arc<Program> {
         let key = crate::cache::ProgramKey::new(c, p, hs_options_fingerprint(&self.hs));
         if let Some(hit) = self.cache.get_program(&key) {
-            return (*hit).clone();
+            return hit;
         }
-        let out = self.run_pipeline(c, p, Some(&self.cache), bt);
-        self.cache.put_program(key, Arc::new(out.clone()));
+        let out = Arc::new(Program::new(self.run_pipeline(c, p, Some(&self.cache), bt)));
+        self.cache.put_program(key, out.clone());
         out
     }
 
@@ -312,7 +319,7 @@ impl Compiler {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&(c, p)) = jobs.get(i) else { break };
                     let out = self.compile_with_block_threads(c, p, block_threads);
-                    slots[i].set(out).expect("job slot written twice");
+                    slots[i].set(out.circuit().clone()).expect("job slot written twice");
                 });
             }
         });

@@ -13,7 +13,7 @@
 //! with [`crate::store::STORE_FORMAT_VERSION`], so a codec bump
 //! invalidates stale segments exactly like it invalidates store files.
 
-use crate::cache::{CompileCache, ProgramKey, SynthKey};
+use crate::cache::{CompileCache, Program, ProgramKey, SynthKey};
 use crate::pipelines::Pipeline;
 use reqisc_microarch::cache::{read_solved_class, write_solved_class};
 use reqisc_qcircuit::{read_circuit, write_circuit, Circuit};
@@ -157,17 +157,18 @@ impl ShareStats {
 /// tier between the local pool and a cold solve). A hit decodes the
 /// circuit and seeds it into the local pool — counter-free, exactly
 /// like a store warm start — so the next request for this key is a
-/// local hit.
+/// local hit. The returned entry is the one seeded, its reply record
+/// not yet priced.
 pub fn probe_shared_program(
     seg: &Segment,
     cache: &CompileCache,
     circuit: u128,
     pipeline: Pipeline,
     options: u128,
-) -> Option<Arc<Circuit>> {
+) -> Option<Arc<Program>> {
     let key_bytes = program_key_bytes(circuit, pipeline, options);
     let val = seg.probe(POOL_PROGRAM, &key_bytes)?;
-    let decoded = Arc::new(decode_circuit_val(&val)?);
+    let decoded = Arc::new(Program::new(decode_circuit_val(&val)?));
     let key = ProgramKey { circuit, pipeline, options };
     cache.seed_program(key, decoded.clone());
     Some(decoded)
@@ -236,7 +237,7 @@ fn seed_filtered(seg: &Segment, cache: &CompileCache, include_programs: bool) ->
             POOL_PROGRAM if include_programs => {
                 match (decode_program_key(key), decode_circuit_val(val)) {
                     (Some(k), Some(v)) => {
-                        cache.seed_program(k, Arc::new(v));
+                        cache.seed_program(k, Arc::new(Program::new(v)));
                         true
                     }
                     _ => false,
@@ -323,7 +324,7 @@ mod tests {
     fn publish_all_then_seed_restores_pools() {
         let (seg, path) = tmp_seg("bulk");
         let cache = CompileCache::new();
-        let value = Arc::new(small_circuit());
+        let value = Arc::new(Program::new(small_circuit()));
         let pk = ProgramKey {
             circuit: value.content_hash(),
             pipeline: Pipeline::ReqiscEff,

@@ -66,7 +66,7 @@
 //! case one batch's worth of work is recompiled next run — a performance
 //! blip, never a correctness issue).
 
-use crate::cache::{CompileCache, ProgramKey, SynthKey};
+use crate::cache::{CompileCache, Program, ProgramKey, SynthKey};
 use crate::pipelines::Pipeline;
 use reqisc_microarch::cache::{read_solved_class, write_solved_class};
 use reqisc_qcircuit::{read_circuit, write_circuit, Circuit};
@@ -241,7 +241,7 @@ impl CacheStore {
             Ok(Some(d)) => {
                 let (np, ns, nu) = (d.programs.len(), d.synthesis.len(), d.pulses.len());
                 for (k, _, v) in d.programs {
-                    cache.seed_program(k, v);
+                    cache.seed_program(k, program_entry(v));
                 }
                 for (k, _, v) in d.synthesis {
                     cache.seed_synthesis(k, v);
@@ -329,7 +329,9 @@ impl CacheStore {
         // entries with no on-disk stamp (seeded into a cache that is saved
         // to a *different* directory) count as fresh — a new file starts a
         // new aging history.
-        let mut programs = stamp_merge(disk.programs, cache.export_programs(), new_gen);
+        let disk_programs =
+            disk.programs.into_iter().map(|(k, stamp, v)| (k, stamp, program_entry(v))).collect();
+        let mut programs = stamp_merge(disk_programs, cache.export_programs(), new_gen);
         let mut synthesis = stamp_merge(disk.synthesis, cache.export_synthesis(), new_gen);
         let mut pulses = stamp_merge(disk.pulses, cache.pulses().export_classes(), new_gen);
 
@@ -448,6 +450,12 @@ impl CacheStore {
         };
         decode_file(&bytes).map(Some).map_err(|e| e.message)
     }
+}
+
+/// A decoded whole-program value as a pool entry. The decoder holds the
+/// only reference, so the circuit moves in without a copy.
+fn program_entry(decoded: Arc<Circuit>) -> Arc<Program> {
+    Arc::new(Program::new(Arc::unwrap_or_clone(decoded)))
 }
 
 /// Overlays the in-memory `fresh` exports on the on-disk `base`: a

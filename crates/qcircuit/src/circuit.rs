@@ -89,6 +89,12 @@ impl Circuit {
         self.gates
     }
 
+    /// Drops the gate list's spare capacity, for circuits kept long
+    /// after they are built, such as cache entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.gates.shrink_to_fit();
+    }
+
     /// 128-bit content fingerprint of the program: register width plus
     /// every gate's kind, qubits, and exact parameter bits (explicit
     /// `Su4` matrices hash their entries). Two circuits built by the same

@@ -13,10 +13,11 @@
 //!   shutdown
 //! ```
 //!
-//! Prints every response line to stdout; exits nonzero when any response
-//! is not ok or an assertion flag fails. The connect loop retries for
-//! `--connect-timeout-secs` (default 10) so a just-spawned daemon can
-//! finish binding its socket.
+//! Prints every response line to stdout; exits 1 when any response is
+//! not ok or an assertion flag fails, and 2 on a usage error — including
+//! a numeric flag whose value does not parse, so a typo can never turn an
+//! assertion off. The connect loop retries for `--connect-timeout-secs`
+//! (default 10) so a just-spawned daemon can finish binding its socket.
 
 #[cfg(unix)]
 fn main() {
@@ -37,6 +38,14 @@ fn main() {
         std::process::exit(2);
     }
 
+    // A numeric flag's value; one that does not parse is a usage error.
+    fn number<T: std::str::FromStr>(name: &str, value: String) -> T {
+        value.parse().unwrap_or_else(|_| {
+            eprintln!("{name} needs a number, got '{value}'");
+            usage()
+        })
+    }
+
     let mut socket = PathBuf::from("/tmp/reqiscd.sock");
     let mut connect_timeout = std::time::Duration::from_secs(10);
     let mut rest: Vec<String> = Vec::new();
@@ -45,10 +54,7 @@ fn main() {
         match a.as_str() {
             "--socket" => socket = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--connect-timeout-secs" => {
-                let s: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let s = number(&a, it.next().unwrap_or_else(|| usage()));
                 connect_timeout = std::time::Duration::from_secs(s);
             }
             _ => {
@@ -70,6 +76,7 @@ fn main() {
         })
     };
     let has = |name: &str| rest.iter().any(|a| a == name);
+    let int_flag = |name: &str| flag(name).map(|v| number::<u64>(name, v));
 
     // Build the request lines.
     let mut require_hit_pct: Option<f64> = None;
@@ -86,7 +93,8 @@ fn main() {
     match command.as_str() {
         "submit" => {
             let pipeline = flag("--pipeline").unwrap_or_else(|| usage());
-            let priority = flag("--priority").map(|p| format!(",\"priority\":{p}")).unwrap_or_default();
+            let priority =
+                int_flag("--priority").map(|p| format!(",\"priority\":{p}")).unwrap_or_default();
             let source = match (flag("--bench"), flag("--qasm-file")) {
                 (Some(b), None) => format!("\"bench\":{}", Json::str(b).emit()),
                 (None, Some(f)) => {
@@ -107,7 +115,7 @@ fn main() {
             ));
         }
         "suite" => {
-            let take: usize = flag("--take").and_then(|v| v.parse().ok()).unwrap_or(usize::MAX);
+            let take = flag("--take").map(|v| number::<usize>("--take", v)).unwrap_or(usize::MAX);
             let pipelines = flag("--pipelines").unwrap_or_else(|| "reqisc-eff".into());
             let names: Vec<String> = reqisc_benchsuite::suite(reqisc_benchsuite::Scale::Demo)
                 .into_iter()
@@ -126,15 +134,22 @@ fn main() {
             }
         }
         "stats" => {
-            require_hit_pct = flag("--require-program-hit-pct").and_then(|v| v.parse().ok());
+            require_hit_pct = flag("--require-program-hit-pct").map(|v| {
+                let pct: f64 = number("--require-program-hit-pct", v);
+                if !pct.is_finite() {
+                    eprintln!("--require-program-hit-pct needs a finite percentage");
+                    usage();
+                }
+                pct
+            });
             require_zero_rejected = has("--require-zero-rejected");
-            require_shared_hits = flag("--require-shared-hits").and_then(|v| v.parse().ok());
+            require_shared_hits = int_flag("--require-shared-hits");
             require_zero_solves = has("--require-zero-solves");
             lines.push(format!("{{\"id\":{},\"op\":\"stats\"}}", id()));
         }
         "snapshot" => lines.push(format!("{{\"id\":{},\"op\":\"snapshot\"}}", id())),
         "compact" => {
-            let gens = flag("--max-idle-gens")
+            let gens = int_flag("--max-idle-gens")
                 .map(|g| format!(",\"max_idle_gens\":{g}"))
                 .unwrap_or_default();
             lines.push(format!("{{\"id\":{},\"op\":\"compact\"{}}}", id(), gens));

@@ -8,6 +8,14 @@
 //! Numbers are carried as `f64`. Every counter the protocol transports is
 //! far below 2⁵³, so round-trips are exact; 128-bit fingerprints travel
 //! as hex *strings* for the same reason.
+//!
+//! The parser recurses once per array or object, so it refuses documents
+//! nested deeper than [`MAX_NESTING_DEPTH`]: an untrusted line of
+//! brackets is a parse error, not a stack overflow.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Request lines
+/// are one level deep and `stats` replies four.
+pub const MAX_NESTING_DEPTH: usize = 64;
 
 /// A JSON value. Object member order is preserved (emission is
 /// deterministic, which the protocol tests rely on).
@@ -53,7 +61,7 @@ impl Json {
     /// [`JsonError`] on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -196,6 +204,8 @@ fn emit_string(t: &str, s: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,8 +234,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -234,6 +244,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
@@ -438,6 +463,89 @@ mod tests {
         assert_eq!(Json::num_u64(12345).emit(), "12345");
         assert_eq!(Json::Num(1.5).emit(), "1.5");
         assert_eq!(Json::Num(f64::NAN).emit(), "null");
+    }
+
+    /// `depth` nested containers around a `1`: arrays, objects, or
+    /// alternating from an array.
+    fn nested_doc(depth: usize, shape: &str) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for level in 0..depth {
+            let array = match shape {
+                "arrays" => true,
+                "objects" => false,
+                _ => level % 2 == 0,
+            };
+            open.push_str(if array { "[" } else { "{\"k\":" });
+            close.insert(0, if array { ']' } else { '}' });
+        }
+        format!("{open}1{close}")
+    }
+
+    fn depth_of(v: &Json) -> usize {
+        match v {
+            Json::Arr(items) => 1 + items.iter().map(depth_of).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| depth_of(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_limit() {
+        for shape in ["arrays", "objects", "mixed"] {
+            let at = Json::parse(&nested_doc(MAX_NESTING_DEPTH, shape)).expect(shape);
+            assert_eq!(depth_of(&at), MAX_NESTING_DEPTH, "{shape}");
+            assert_eq!(Json::parse(&at.emit()).as_ref(), Ok(&at), "{shape} round-trips");
+            let past = Json::parse(&nested_doc(MAX_NESTING_DEPTH + 1, shape)).unwrap_err();
+            assert!(past.message.contains("nesting deeper than 64 levels"), "{shape}: {past}");
+        }
+        // The limit is on nesting, not on size: siblings do not add up.
+        let wide = format!("[{}]", vec![nested_doc(MAX_NESTING_DEPTH - 1, "mixed"); 50].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        // The error points at the first bracket past the limit, long
+        // before the end of a huge line.
+        let deep = "[".repeat(1 << 20);
+        assert_eq!(Json::parse(&deep).unwrap_err().offset, MAX_NESTING_DEPTH);
+    }
+
+    proptest::proptest! {
+        /// Random bracket/brace/value strings never panic; a document
+        /// nested past the limit is an error, and a parsed one round-trips.
+        #[test]
+        fn random_nesting_never_panics(
+            opens in 0usize..2 * MAX_NESTING_DEPTH,
+            kinds in 0u64..u64::MAX,
+            tokens in proptest::collection::vec(0usize..12, 0..600),
+        ) {
+            const TOKENS: [&str; 12] = [
+                "[", "]", "{", "}", "\"k\":", ",", "1", "null", " ", "\"s\"",
+                "[[[[[[[[", "]]]]]]]]",
+            ];
+            // A well-formed run of opening brackets and braces first, so
+            // cases reach the limit before the random tail breaks them.
+            let mut text: String = (0..opens)
+                .map(|i| if kinds >> (i % 64) & 1 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            text.extend(tokens.iter().map(|&t| TOKENS[t]));
+            let (mut depth, mut deepest) = (0i64, 0i64);
+            for b in text.bytes() {
+                match b {
+                    b'[' | b'{' => depth += 1,
+                    b']' | b'}' => depth -= 1,
+                    _ => {}
+                }
+                deepest = deepest.max(depth);
+            }
+            match Json::parse(&text) {
+                Ok(v) => {
+                    proptest::prop_assert!(depth_of(&v) <= MAX_NESTING_DEPTH);
+                    proptest::prop_assert_eq!(Json::parse(&v.emit()), Ok(v));
+                }
+                Err(e) => proptest::prop_assert!(e.offset <= text.len()),
+            }
+            if deepest > MAX_NESTING_DEPTH as i64 {
+                proptest::prop_assert!(Json::parse(&text).is_err(), "{text}");
+            }
+        }
     }
 
     #[test]

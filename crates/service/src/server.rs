@@ -259,13 +259,10 @@ fn respond_loop(
             Pending::Compile { id, ticket } => {
                 let coalesced = ticket.coalesced;
                 match ticket.wait() {
-                    Ok(JobDone { circuit: Some(c), done_seq }) => compile_response(
-                        id,
-                        c.content_hash(),
-                        &service.metrics(&c),
-                        coalesced,
-                        done_seq,
-                    ),
+                    Ok(JobDone { circuit: Some(program), done_seq }) => {
+                        let reply = program.reply();
+                        compile_response(id, reply.fingerprint, &reply.metrics, coalesced, done_seq)
+                    }
                     // A compile job always carries a circuit; answering
                     // `internal` beats panicking the responder if that
                     // invariant ever breaks.

@@ -75,7 +75,7 @@ use crate::ring::FifoRing;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use reqisc_compiler::{
-    sharing, CacheStore, CompactOutcome, CompileCache, Compiler, LoadOutcome, Pipeline,
+    sharing, CacheStore, CompactOutcome, CompileCache, Compiler, LoadOutcome, Pipeline, Program,
     STORE_FORMAT_VERSION,
 };
 use reqisc_shmem::Segment;
@@ -178,15 +178,16 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A finished job's payload: the compiled circuit (compile jobs; `None`
-/// for debug ops) plus a global completion sequence number (monotone —
-/// the queue-semantics tests assert ordering through it). Assigned by
-/// the dispatcher at delivery time, so `done_seq` order *is* delivery
-/// order.
+/// A finished job's payload: the program pool's entry for the compiled
+/// circuit (compile jobs; `None` for debug ops) plus a global completion
+/// sequence number (monotone — the queue-semantics tests assert ordering
+/// through it). Assigned by the dispatcher at delivery time, so
+/// `done_seq` order *is* delivery order.
 #[derive(Debug, Clone)]
 pub struct JobDone {
-    /// The compiled circuit (`None` for debug ops).
-    pub circuit: Option<Arc<Circuit>>,
+    /// The compiled circuit's pool entry (`None` for debug ops). It
+    /// derefs to the circuit and carries the reply record.
+    pub circuit: Option<Arc<Program>>,
     /// Global completion order (1-based).
     pub done_seq: u64,
 }
@@ -300,7 +301,7 @@ enum CompletionTarget {
 /// One finished (or warm-served) job on its way to the dispatcher.
 struct Completion {
     target: CompletionTarget,
-    outcome: Result<Option<Arc<Circuit>>, String>,
+    outcome: Result<Option<Arc<Program>>, String>,
 }
 
 #[derive(Default)]
@@ -419,7 +420,7 @@ impl Inner {
             let inflight = self.inflight.lock_recover();
             match self.submission.try_pop() {
                 TryPop::Job(job, priority) => {
-                    self.route(job, priority);
+                    self.route_job(job, priority);
                     drop(inflight);
                 }
                 TryPop::Closed => return,
@@ -437,7 +438,7 @@ impl Inner {
     /// process). A segment hit counts under both `lookup_hits` (it is a
     /// warm short-circuit like any other) and `shared.hits` (which tier
     /// answered); `shared.hits <= lookup_hits` always.
-    fn probe_tiers(&self, key: &JobKey) -> Option<Arc<Circuit>> {
+    fn probe_tiers(&self, key: &JobKey) -> Option<Arc<Program>> {
         if let Some(hit) = self.compiler.lookup_program(key.circuit, key.pipeline, key.options) {
             return Some(hit);
         }
@@ -457,8 +458,9 @@ impl Inner {
     /// probe hit — local pool or shared segment — completes immediately;
     /// a miss — counted by the eventual solve-stage `compile`, not the
     /// probe — forwards at the job's original (possibly boosted)
-    /// priority.
-    fn route(&self, job: Job, priority: Priority) {
+    /// priority. (Named apart from `sabre::route` so `reqisc-lint`
+    /// resolves the call and checks this body under the inflight lock.)
+    fn route_job(&self, job: Job, priority: Priority) {
         match job {
             Job::Compile { key, circuit, pipeline } => {
                 if let Some(hit) = self.probe_tiers(&key) {
@@ -512,11 +514,10 @@ impl Inner {
                         std::thread::sleep(delay);
                     }
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        self.compiler.compile(&circuit, pipeline)
+                        self.compiler.compile_program(&circuit, pipeline)
                     }));
                     let outcome = match out {
                         Ok(c) => {
-                            let c = Arc::new(c);
                             // Publish at completion: every daemon on the
                             // box sees this solve as a warm hit from now
                             // on. A `Duplicate` means a peer solved the
@@ -930,10 +931,13 @@ impl Service {
         }
     }
 
-    /// Metrics of a compiled circuit under the evaluation's XY coupling —
-    /// what compile responses report.
+    /// Metrics of a compiled circuit under the reply coupling
+    /// ([`reqisc_compiler::reply_coupling`]), recomputed on every call.
+    /// Compile responses read the same numbers from the pool entry's
+    /// reply record ([`Program::reply`]), priced once per entry; this is
+    /// the reference they are checked against.
     pub fn metrics(&self, c: &Circuit) -> reqisc_compiler::Metrics {
-        reqisc_compiler::metrics(c, &reqisc_microarch::Coupling::xy(1.0))
+        reqisc_compiler::metrics(c, &reqisc_compiler::reply_coupling())
     }
 
     /// Snapshot of every counter the `stats` op reports.

@@ -338,7 +338,7 @@ proptest! {
             let done = t.wait().expect("compile");
             let expect = reference.compile(&tiny(s), pipelines[p]);
             prop_assert_eq!(
-                done.circuit.unwrap().as_ref(),
+                done.circuit.unwrap().circuit(),
                 &expect,
                 "service result diverged from direct compile"
             );

@@ -325,6 +325,81 @@ fn non_finite_angles_are_bad_requests() {
     assert_eq!(stats.service.submitted, 1, "only the well-formed program was admitted");
 }
 
+/// A request line nested a megabyte deep is a `parse_error`, not a stack
+/// overflow that takes the daemon down: the same connection still
+/// answers a `stats` after it, and a second connection still compiles.
+#[cfg(unix)]
+#[test]
+fn a_deeply_nested_line_is_a_parse_error() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let sock = std::env::temp_dir().join(format!("reqisc-e2e-deep-{}.sock", std::process::id()));
+    let service = Service::start_with_compiler(
+        small_compiler(),
+        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+    );
+    let (deep, other) = std::thread::scope(|scope| {
+        let service = &service;
+        // A failed read below must end the accept loop, not hang the
+        // scope's join.
+        struct StopOnDrop<'a>(&'a Service);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.request_shutdown();
+            }
+        }
+        let _stop = StopOnDrop(service);
+        let sock_path = sock.clone();
+        let server = scope.spawn(move || reqisc_service::serve_unix(service, &sock_path));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let connect = || loop {
+            match UnixStream::connect(&sock) {
+                Ok(s) => break s,
+                Err(_) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(10))
+                }
+                Err(e) => panic!("socket never came up: {e}"),
+            }
+        };
+        let read_replies = |conn: &UnixStream, n: usize| -> Vec<Json> {
+            let mut reader = BufReader::new(conn);
+            (0..n)
+                .map(|_| {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).expect("read reply");
+                    Json::parse(&line).expect("reply parses")
+                })
+                .collect()
+        };
+        let first = connect();
+        let mut bomb = "[".repeat(1 << 20);
+        bomb.push('\n');
+        (&first).write_all(bomb.as_bytes()).expect("write");
+        writeln!(&first, "{{\"id\":1,\"op\":\"stats\"}}").expect("write");
+        let deep = read_replies(&first, 2);
+        let second = connect();
+        writeln!(
+            &second,
+            "{{\"id\":2,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"{P2}\"}}"
+        )
+        .expect("write");
+        writeln!(&second, "{{\"id\":3,\"op\":\"shutdown\"}}").expect("write");
+        let other = read_replies(&second, 2);
+        server.join().expect("server thread").expect("serve_unix must return cleanly");
+        (deep, other)
+    });
+    service.shutdown();
+    let error = deep[0].get("error").and_then(Json::as_str);
+    assert_eq!(error, Some("parse_error"), "{}", deep[0].emit());
+    let detail = deep[0].get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("nesting deeper than 64 levels"), "{detail}");
+    assert_eq!(deep[1].get("op").and_then(Json::as_str), Some("stats"), "{}", deep[1].emit());
+    assert!(deep[1].get("stats").is_some());
+    assert_eq!(other[0].get("ok").and_then(Json::as_bool), Some(true), "{}", other[0].emit());
+    assert!(other[0].get("fingerprint").is_some());
+    assert_eq!(other[1].get("op").and_then(Json::as_str), Some("shutdown"));
+}
+
 #[test]
 fn protocol_errors_are_responses_not_failures() {
     let service = Service::start_with_compiler(
