@@ -22,11 +22,9 @@ use std::collections::BTreeMap;
 /// convenience that delegates to the service's exact semantics.
 pub mod env {
     pub use reqisc_env::{
-        BENCH_GIT_REV, BENCH_JSON, BENCH_N, CACHE_DIR, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET,
-        REQUIRE_DISK_WARM_X, REQUIRE_GENERIC_BUDGET, REQUIRE_PROGRAM_HIT_PCT,
-        REQUIRE_SLIVER_BUDGET, REQUIRE_ZERO_REJECT_EVALS, REQUIRE_ZERO_WARM_SOLVES, SCALE,
-        SERVE_LOOKUP_WORKERS, SERVE_WORKERS, SHM_CAPACITY_BYTES, SHM_PATH, SKIP_SERIAL, THREADS,
-        TRIALS,
+        BENCH_N, CACHE_DIR, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET, REQUIRE_DISK_WARM_X,
+        REQUIRE_GENERIC_BUDGET, REQUIRE_PROGRAM_HIT_PCT, REQUIRE_SLIVER_BUDGET,
+        REQUIRE_ZERO_REJECT_EVALS, SCALE, SKIP_SERIAL, THREADS, TRIALS,
     };
 
     /// Reads the cache-dir knob with the service's exact semantics

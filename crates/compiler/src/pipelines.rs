@@ -182,10 +182,10 @@ impl Compiler {
     /// pool hit, entry marked most-recently-used); absence counts
     /// **nothing** and returns `None`, leaving the miss accounting to the
     /// [`Compiler::compile`] call that eventually does the cold work.
-    /// This is the service pipeline's lookup stage entry point — it must
-    /// never synthesize, solve, or otherwise block, and its counters must
-    /// compose with a later `compile` to exactly one hit *or* one miss
-    /// per job.
+    /// This is the service's submission probe — it runs on the
+    /// submitting thread, so it must never synthesize, solve, or
+    /// otherwise block, and its counters must compose with a later
+    /// `compile` to exactly one hit *or* one miss per job.
     pub fn lookup_program(
         &self,
         circuit_hash: u128,

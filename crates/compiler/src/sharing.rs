@@ -225,7 +225,7 @@ pub fn seed_from_segment(seg: &Segment, cache: &CompileCache) -> usize {
 /// the *service* startup hook: sub-program entries are consulted deep
 /// inside a cold solve where nothing probes the segment, so they must
 /// be local to help — while whole-program entries stay segment-only so
-/// the lookup stage's shared-probe tier answers (and counts) them.
+/// the service's submission probe answers (and counts) them.
 pub fn seed_subprogram_pools(seg: &Segment, cache: &CompileCache) -> usize {
     seed_filtered(seg, cache, false)
 }

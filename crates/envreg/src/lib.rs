@@ -80,7 +80,7 @@ pub const CACHE_DIR: EnvKnob = EnvKnob {
 /// Shared-memory cache segment path (the cross-daemon warm tier).
 pub const SHM_PATH: EnvKnob = EnvKnob {
     name: "REQISC_SHM_PATH",
-    doc: "Shared-memory cache segment file attached by reqiscd and servebench (unset/empty = no shared tier)",
+    doc: "Shared-memory cache segment file attached by reqiscd (unset/empty = no shared tier)",
 };
 
 /// Capacity used when the shared segment is (re)created.
@@ -107,10 +107,10 @@ pub const HAAR_SAMPLES: EnvKnob = EnvKnob {
     doc: "table3 Haar-random SU(4) sample count (default 2000; the paper uses 1e5)",
 };
 
-/// Cap on how many suite programs `cachebench`/`servebench` drive.
+/// Cap on how many suite programs `cachebench` drives.
 pub const BENCH_N: EnvKnob = EnvKnob {
     name: "REQISC_BENCH_N",
-    doc: "Program-count cap for cachebench (default: whole suite) and servebench (default 24)",
+    doc: "Program-count cap for cachebench (default: whole suite)",
 };
 
 /// Worker-thread pin of `cachebench`'s batch tier.
@@ -119,34 +119,10 @@ pub const THREADS: EnvKnob = EnvKnob {
     doc: "cachebench batch worker count (default 0 = hardware parallelism)",
 };
 
-/// Worker-pool size of `servebench`'s in-process service.
-pub const SERVE_WORKERS: EnvKnob = EnvKnob {
-    name: "REQISC_SERVE_WORKERS",
-    doc: "servebench service worker-pool size (default 0 = hardware parallelism)",
-};
-
-/// Lookup-stage worker count of the pipelined service core.
-pub const SERVE_LOOKUP_WORKERS: EnvKnob = EnvKnob {
-    name: "REQISC_SERVE_LOOKUP_WORKERS",
-    doc: "Pipeline lookup-stage worker count for reqiscd and servebench (default 1)",
-};
-
 /// Deterministic cold-solve stall for the stall-isolation tests.
 pub const DEBUG_SOLVE_DELAY_MS: EnvKnob = EnvKnob {
     name: "REQISC_DEBUG_SOLVE_DELAY_MS",
     doc: "Milliseconds a solve worker sleeps before each cold compile it claims (stall-isolation drills; default 0 = off)",
-};
-
-/// Where `servebench` writes its machine-readable results.
-pub const BENCH_JSON: EnvKnob = EnvKnob {
-    name: "REQISC_BENCH_JSON",
-    doc: "Path servebench writes its BENCH_*.json results to (unset/empty = no JSON emitted)",
-};
-
-/// Git revision stamped into bench JSON artifacts.
-pub const BENCH_GIT_REV: EnvKnob = EnvKnob {
-    name: "REQISC_BENCH_GIT_REV",
-    doc: "Git revision the CI/bench driver stamps into BENCH_*.json artifacts (unset = `unknown`)",
 };
 
 /// Skip `cachebench`'s slow serial reference column.
@@ -191,12 +167,6 @@ pub const REQUIRE_ZERO_REJECT_EVALS: EnvKnob = EnvKnob {
     doc: "solverbench assertion: set = the wrong-subscheme reject tier must cost exactly 0 evaluations",
 };
 
-/// CI assertion: warm jobs must never traverse the solve stage.
-pub const REQUIRE_ZERO_WARM_SOLVES: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_ZERO_WARM_SOLVES",
-    doc: "servebench mixed-tier assertion: set = every warm request must short-circuit in the lookup stage (zero warm solve claims)",
-};
-
 /// Every declared knob, in the order the README table presents them.
 pub const ALL: &[&EnvKnob] = &[
     &CACHE_DIR,
@@ -207,11 +177,7 @@ pub const ALL: &[&EnvKnob] = &[
     &HAAR_SAMPLES,
     &BENCH_N,
     &THREADS,
-    &SERVE_WORKERS,
-    &SERVE_LOOKUP_WORKERS,
     &DEBUG_SOLVE_DELAY_MS,
-    &BENCH_JSON,
-    &BENCH_GIT_REV,
     &SKIP_SERIAL,
     &REQUIRE_DISK_WARM_X,
     &REQUIRE_PROGRAM_HIT_PCT,
@@ -219,7 +185,6 @@ pub const ALL: &[&EnvKnob] = &[
     &REQUIRE_GENERIC_BUDGET,
     &REQUIRE_DEGENERATE_BUDGET,
     &REQUIRE_ZERO_REJECT_EVALS,
-    &REQUIRE_ZERO_WARM_SOLVES,
 ];
 
 /// The README "Environment variables" table, generated from [`ALL`] so
@@ -258,7 +223,8 @@ mod tests {
     #[test]
     fn readme_documents_every_knob() {
         // The README env table is pasted from `markdown_table()`; this
-        // pin catches a knob added to the registry but not to the docs.
+        // pin catches a knob added to the registry but not to the docs,
+        // and a row left behind by a knob the registry dropped.
         let readme = std::fs::read_to_string(
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md"),
         )
@@ -266,6 +232,10 @@ mod tests {
         for k in ALL {
             assert!(readme.contains(k.name), "README does not mention {}", k.name);
         }
+        assert!(
+            readme.contains(&markdown_table()),
+            "README env table differs from markdown_table(); regenerate it"
+        );
     }
 
     #[test]

@@ -326,8 +326,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     /// Hit-only-counted lookup: on a hit it behaves exactly like
     /// [`ShardedMap::get`] (counts the hit, marks the entry
     /// most-recently-used); on absence it counts **nothing** and returns
-    /// `None`. The service's pipeline lookup stage probes the program
-    /// pool with this so a miss routed to the solve stage — whose
+    /// `None`. The service's submission probe reads the program pool
+    /// with this so a miss admitted to the solve stage — whose
     /// `compile()` performs the real, counted `get` — still accounts for
     /// exactly one miss per cold job, and [`CacheStats::is_consistent`]
     /// (`inserts ≤ misses`) stays true.

@@ -16,12 +16,12 @@
 //! * `--cache-dir DIR` — persistent store directory (default: the
 //!   `REQISC_CACHE_DIR` environment variable; no store when both unset);
 //! * `--workers N` — solve worker pool size (0 = hardware parallelism);
-//! * `--lookup-workers N` — lookup-stage worker count (default: the
-//!   `REQISC_SERVE_LOOKUP_WORKERS` environment knob, else 1);
 //! * `--solve-delay-ms MS` — park every solve worker for MS before each
 //!   cold compile it claims (stall-isolation drills; default: the
 //!   `REQISC_DEBUG_SOLVE_DELAY_MS` environment knob, else off);
-//! * `--queue-capacity N` — bounded queue size (default 256);
+//! * `--queue-capacity N` — bounded solve-ring size: cold compiles
+//!   beyond it are answered `queue_full`; warm hits never need a slot
+//!   (default 256);
 //! * `--snapshot-secs S` — periodic store snapshot interval (default 30;
 //!   0 disables the timer — the store still flushes on shutdown);
 //! * `--gc-idle-gens N` — snapshots become compacting: entries idle for
@@ -53,7 +53,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: reqiscd [--socket PATH | --stdio | --compact-now] [--cache-dir DIR] \
-         [--workers N] [--lookup-workers N] [--solve-delay-ms MS] [--queue-capacity N] \
+         [--workers N] [--solve-delay-ms MS] [--queue-capacity N] \
          [--snapshot-secs S] [--gc-idle-gens N] [--pool-shards N] [--pool-capacity N] \
          [--shm-path PATH] [--shm-capacity-bytes N] [--debug-ops]"
     );
@@ -68,7 +68,6 @@ fn parse_args() -> Args {
         config: ServiceConfig {
             cache_dir: cache_dir_from_env(),
             snapshot_interval: Some(Duration::from_secs(30)),
-            lookup_workers: reqisc_env::SERVE_LOOKUP_WORKERS.usize_or(1),
             shm_path: reqisc_env::SHM_PATH.path(),
             shm_capacity_bytes: reqisc_env::SHM_CAPACITY_BYTES
                 .u64_or(reqisc_service::DEFAULT_SHM_CAPACITY_BYTES),
@@ -91,10 +90,6 @@ fn parse_args() -> Args {
             "--compact-now" => args.compact_now = true,
             "--cache-dir" => args.config.cache_dir = Some(PathBuf::from(val("--cache-dir"))),
             "--workers" => args.config.workers = parse_num(&val("--workers"), "--workers"),
-            "--lookup-workers" => {
-                args.config.lookup_workers =
-                    parse_num(&val("--lookup-workers"), "--lookup-workers")
-            }
             "--solve-delay-ms" => {
                 args.config.solve_delay_ms =
                     Some(parse_num(&val("--solve-delay-ms"), "--solve-delay-ms"))

@@ -12,13 +12,15 @@
 //!
 //! The subsystem owns:
 //!
-//! * a **staged pipeline core** ([`service`]): submission ring → lookup
-//!   stage (warm hits short-circuit straight to the completion ring) →
-//!   solve ring → solve workers → completion ring → dispatcher, so a
-//!   warm hit never queues behind a cold solve;
-//! * **bounded priority rings** with non-blocking admission control
-//!   ([`queue`], [`ring`]) — overload rejects with `queue_full`, never
-//!   stalls the accept loop;
+//! * a **two-path core** ([`service`]): submission probes the warm tiers
+//!   (local program pool, then shared segment) and posts a hit straight
+//!   to the completion ring; only a miss enters the solve ring → solve
+//!   workers → completion ring → dispatcher, so a warm hit never queues
+//!   behind a cold solve;
+//! * a **bounded priority solve ring** with non-blocking admission
+//!   control ([`queue`]) and a FIFO completion ring ([`ring`]) —
+//!   overload rejects misses with `queue_full`, never stalls the accept
+//!   loop;
 //! * **in-flight request coalescing** keyed by `(circuit content hash,
 //!   pipeline, options fingerprint)` — N identical concurrent requests
 //!   cost one compile and N responses ([`service`]);
@@ -57,7 +59,7 @@ pub use protocol::{
     parse_request, CompileSource, Request, RequestBody, RingCounters as StageRingCounters,
     ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
-pub use queue::{JobQueue, Priority, QueueFull, RingStats, TryPop, DEFAULT_PRIORITY, MAX_PRIORITY};
+pub use queue::{JobQueue, Priority, QueueFull, RingStats, DEFAULT_PRIORITY, MAX_PRIORITY};
 pub use ring::FifoRing;
 pub use server::{serve_lines, ServeOutcome};
 #[cfg(unix)]

@@ -31,7 +31,12 @@
 //! ```
 //!
 //! Error `error` codes are machine-matchable: `queue_full`, `bad_request`,
-//! `parse_error`, `compile_failed`, `no_store`, `io`.
+//! `parse_error`, `compile_failed`, `no_store`, `io`. A `parse_error`
+//! echoes the line's `id` whenever the line is a JSON object with a valid
+//! one; only a line that is not JSON (or carries no usable id) is
+//! answered with id 0. `queue_full` only ever answers a compile that
+//! missed every warm tier (or a debug op): warm hits take no admission
+//! slot.
 
 use crate::json::Json;
 use crate::queue::{Priority, DEFAULT_PRIORITY, MAX_PRIORITY};
@@ -92,8 +97,8 @@ pub enum RequestBody {
 ///
 /// # Errors
 ///
-/// A human-readable description; the caller wraps it in a `bad_request`
-/// (or `parse_error`) response.
+/// A human-readable description; the caller wraps it in a `parse_error`
+/// response carrying [`request_id`] of the line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|e| e.to_string())?;
     let id = v.get("id").and_then(Json::as_u64).ok_or("missing or invalid 'id'")?;
@@ -147,10 +152,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request { id, body })
 }
 
+/// The `id` of a request line that may have failed [`parse_request`]:
+/// the line's `id` when it is a JSON object with a valid one, else 0.
+pub(crate) fn request_id(line: &str) -> u64 {
+    Json::parse(line).ok().and_then(|v| v.get("id").and_then(Json::as_u64)).unwrap_or(0)
+}
+
 /// Builds a successful compile response. `done_seq` is the service's
 /// global completion sequence number — the deterministic order handle
-/// the stall-isolation tests assert with (warm short-circuits must get
-/// lower numbers than the cold solves they overtook).
+/// the stall-isolation tests assert with (warm hits must get lower
+/// numbers than the cold solves they overtook).
 pub fn compile_response(
     id: u64,
     fingerprint: u128,
@@ -231,25 +242,28 @@ pub struct RingCounters {
     pub wait_us: u64,
 }
 
-/// Per-stage counters of the pipelined service core: the three rings'
-/// transit counters plus the stage-transition scalars. The load-bearing
-/// deterministic invariants (what the stall-isolation test and the mixed
-/// servebench tier assert): a warm workload moves `lookup_hits` and
-/// **not** `solve_claimed`; `delivered == completed + failed`; and every
-/// admitted compile job ends in exactly one of `lookup_hits`,
-/// `lookup_misses`, or `cancelled`.
+/// Per-stage counters of the service core: the rings' transit counters
+/// plus the stage-transition scalars. The deterministic laws the tests
+/// assert: every non-coalesced compile submission counts once, under
+/// `lookup_hits` (answered at submission by a warm tier) or
+/// `lookup_misses` (admitted to the solve ring), and every miss ends
+/// either claimed by a solve worker or cancelled. So a warm workload
+/// moves `lookup_hits` and **not** `solve_claimed`, and
+/// `delivered == completed + failed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
-    /// The submission ring (everything submitted lands here first).
+    /// Always zero: submissions no longer pass through a ring. Still on
+    /// the wire because the benchmark harness reads it.
+    #[deprecated(note = "always zero: there is no submission ring")]
     pub submission: RingCounters,
-    /// The solve ring (true misses and debug ops only).
+    /// The solve ring (misses and debug ops only).
     pub solve: RingCounters,
     /// The completion ring (warm hits + solved jobs, FIFO to delivery).
     pub completion: RingCounters,
-    /// Compile jobs the lookup stage short-circuited on a warm pool hit
-    /// (these never entered the solve stage).
+    /// Compile submissions answered at submission by a warm tier (these
+    /// never entered the solve stage).
     pub lookup_hits: u64,
-    /// Compile jobs the lookup stage forwarded to the solve ring.
+    /// Compile submissions admitted to the solve ring.
     pub lookup_misses: u64,
     /// Jobs (of any kind) claimed by a solve worker.
     pub solve_claimed: u64,
@@ -263,8 +277,8 @@ pub struct StageCounters {
 /// 0` — warm across processes with zero duplicate solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCounters {
-    /// Lookup-stage probes answered by the shared segment (each is also
-    /// a `lookup_hits` warm short-circuit; `hits <= lookup_hits`).
+    /// Submission probes answered by the shared segment (each is also a
+    /// `lookup_hits` warm hit; `hits <= lookup_hits`).
     pub hits: u64,
     /// Entries this daemon newly appended to the segment.
     pub published: u64,
@@ -348,6 +362,8 @@ fn ring_counters_from(v: &Json) -> Result<RingCounters, String> {
     })
 }
 
+// The deprecated `submission` ring stays on the wire, as zeros.
+#[allow(deprecated)]
 fn stage_counters_json(s: &StageCounters) -> Json {
     Json::obj(vec![
         ("submission", ring_counters_json(&s.submission)),
@@ -360,6 +376,7 @@ fn stage_counters_json(s: &StageCounters) -> Json {
     ])
 }
 
+#[allow(deprecated)]
 fn stage_counters_from(v: &Json) -> Result<StageCounters, String> {
     let f = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("missing counter '{k}'"));
     Ok(StageCounters {
@@ -573,13 +590,13 @@ mod tests {
                 queue_depth: 1,
             },
             stages: StageCounters {
-                submission: RingCounters { enqueued: 10, dequeued: 9, depth: 1, wait_us: 120 },
                 solve: RingCounters { enqueued: 6, dequeued: 6, depth: 0, wait_us: 90 },
                 completion: RingCounters { enqueued: 9, dequeued: 9, depth: 0, wait_us: 15 },
                 lookup_hits: 3,
                 lookup_misses: 6,
                 solve_claimed: 6,
                 delivered: 9,
+                ..StageCounters::default()
             },
             cache: CompileCacheStats {
                 programs: CacheStats { hits: 5, misses: 3, inserts: 3, evictions: 1 },

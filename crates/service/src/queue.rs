@@ -74,16 +74,6 @@ impl RingCounters {
     }
 }
 
-/// Outcome of a non-blocking [`JobQueue::try_pop`].
-pub enum TryPop<T> {
-    /// A job, with the (possibly boosted) priority it was queued at.
-    Job(T, Priority),
-    /// Nothing queued right now; the queue is still open.
-    Empty,
-    /// Closed and drained — the stage-worker exit signal.
-    Closed,
-}
-
 struct Entry<T> {
     priority: Priority,
     seq: u64,
@@ -191,35 +181,6 @@ impl<T> JobQueue<T> {
             if st.closed {
                 return None;
             }
-            st = crate::sync::wait_recover(&self.available, st);
-        }
-    }
-
-    /// Non-blocking pop for a stage worker that must hold another lock
-    /// across the claim (the pipeline's lookup stage holds the inflight
-    /// map): returns the job *with the priority it was queued at* so the
-    /// claimer can forward it downstream at the same priority, or reports
-    /// [`TryPop::Empty`] / [`TryPop::Closed`] without waiting.
-    pub fn try_pop(&self) -> TryPop<T> {
-        let mut st = self.state.lock_recover();
-        if let Some(e) = st.heap.pop() {
-            drop(st);
-            self.record_pop(e.at);
-            return TryPop::Job(e.item, e.priority);
-        }
-        if st.closed {
-            TryPop::Closed
-        } else {
-            TryPop::Empty
-        }
-    }
-
-    /// Blocks until the queue is non-empty or closed (without popping) —
-    /// the companion a [`JobQueue::try_pop`] loop parks on once it has
-    /// released whatever other lock it held across the claim.
-    pub fn wait_nonempty(&self) {
-        let mut st = self.state.lock_recover();
-        while st.heap.is_empty() && !st.closed {
             st = crate::sync::wait_recover(&self.available, st);
         }
     }

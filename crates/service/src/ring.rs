@@ -1,15 +1,14 @@
-//! The pipeline's completion ring: an unbounded, closable FIFO that the
-//! lookup stage (warm short-circuits) and the solve workers (finished
-//! cold jobs) both feed, and that the single dispatcher thread drains in
-//! arrival order. FIFO delivery is what makes the global `done_seq`
-//! assignment deterministic: the dispatcher stamps sequence numbers at
-//! pop time, so completion order *is* delivery order by construction.
+//! The service's completion ring: an unbounded, closable FIFO that
+//! submission (warm hits) and the solve workers (finished cold jobs) both
+//! feed, and that the single dispatcher thread drains in arrival order.
+//! FIFO delivery is what makes the global `done_seq` assignment
+//! deterministic: the dispatcher stamps sequence numbers at pop time, so
+//! completion order *is* delivery order by construction.
 //!
-//! Unbounded is deliberate — admission control already bounds the number
-//! of jobs in the system (the service's `in_system` gauge never exceeds
-//! the configured queue capacity), so ring occupancy is bounded by the
-//! same limit and a producer can never block on a full ring while
-//! holding the inflight lock.
+//! Unbounded is deliberate: no producer may ever block on it. Cold
+//! completions are bounded by the solve ring's capacity, and each warm
+//! hit is posted by the thread that submitted it, which the dispatcher
+//! answers with one channel send.
 
 use crate::queue::RingStats;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -50,10 +49,9 @@ impl<T> FifoRing<T> {
     }
 
     /// Posts one completion. Returns `false` (dropping `item`) if the
-    /// ring is already closed — unreachable under the service's shutdown
-    /// order, which closes the ring only after every producing stage has
-    /// been joined, but defended so a misordered caller degrades to a
-    /// lost completion instead of a panic.
+    /// ring is already closed: the service closes it only after its solve
+    /// workers have been joined, so only a submission racing shutdown
+    /// sees this, and it rejects the request.
     pub fn push_completion(&self, item: T) -> bool {
         let mut st = self.fifo.lock_recover();
         if st.closed {

@@ -14,7 +14,7 @@
 //! scripts read deterministic counters.
 
 use crate::protocol::{
-    compile_response, error_response, ok_response, parse_request, RequestBody,
+    compile_response, error_response, ok_response, parse_request, request_id, RequestBody,
 };
 use crate::json::Json;
 use crate::queue::DEFAULT_PRIORITY;
@@ -177,7 +177,7 @@ pub fn serve_lines(
 fn handle_line(service: &Service, line: &str) -> Pending {
     let req = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => return Pending::Ready(error_response(0, "parse_error", e)),
+        Err(e) => return Pending::Ready(error_response(request_id(line), "parse_error", e)),
     };
     let id = req.id;
     match req.body {

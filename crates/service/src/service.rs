@@ -1,64 +1,64 @@
-//! The resident compile service, structured as a staged pipeline
-//! (CXLMemUring's async-offload-with-completion-queue idiom applied to
-//! compile serving):
+//! The resident compile service. Warm requests are answered on the
+//! submitting thread; only misses go asynchronous, through a solve stage
+//! (CXLMemUring's lesson: offload only what really takes long):
 //!
 //! ```text
-//!  submit ──► submission ring ──► lookup stage ──► solve ring ──► solve workers
-//!                (bounded,          (probe the       (bounded,      (catch_unwind
-//!                 priority)          program pool)    priority)      compile)
-//!                                        │ warm hit                     │
-//!                                        ▼                              ▼
-//!                                   completion ring (FIFO) ◄────────────┘
-//!                                        │
-//!                                        ▼
-//!                                   dispatcher (assigns done_seq, counts
-//!                                   completed/failed, wakes the waiters)
+//!  submit ──► probe the warm tiers ──miss──► solve ring ──► solve workers
+//!             (local program pool,            (bounded,      (catch_unwind
+//!              then shared segment)            priority)      compile)
+//!                    │ hit                                       │
+//!                    ▼                                           ▼
+//!               completion ring (FIFO) ◄─────────────────────────┘
+//!                    │
+//!                    ▼
+//!               dispatcher (assigns done_seq, counts
+//!               completed/failed, wakes the waiters)
 //! ```
 //!
-//! The lookup stage probes the whole-program pool without ever
-//! synthesizing or solving (DAXFS's reader-never-blocks-writer
-//! discipline): a **warm hit short-circuits straight to the completion
-//! ring** and never touches the solve stage, so a warm response can
-//! never queue behind a concurrent cold solve. Only true misses cross
-//! into the solve ring, where the expensive workers run the pipeline
-//! (filling the synthesis/pulse pools that make the *next* miss of the
-//! same blocks cheaper). A single dispatcher drains the completion ring
-//! in FIFO order, assigns the global `done_seq` at delivery time, and
-//! wakes every coalesced waiter — which makes completion order exactly
-//! delivery order, deterministically.
+//! [`Service::submit_compile`] probes the local program pool and then the
+//! shared segment without ever synthesizing or solving (DAXFS's
+//! reader-never-blocks-writer discipline). A **warm hit posts its
+//! completion straight to the completion ring**: it takes no admission
+//! slot, creates no in-flight entry and never touches the solve stage, so
+//! a warm response can never queue behind a cold solve. Only misses enter
+//! the solve ring, where the expensive workers run the pipeline (filling
+//! the synthesis/pulse pools that make the *next* miss of the same blocks
+//! cheaper). A single dispatcher drains the completion ring in FIFO
+//! order, assigns the global `done_seq` at delivery time, and wakes the
+//! waiters — which makes completion order exactly delivery order,
+//! deterministically.
 //!
 //! ## Admission
 //!
-//! The bounded capacity is enforced by one `in_system` gauge counting
-//! jobs admitted but not yet claimed (by a solve worker), warm-served,
-//! or cancelled — physically such a job sits in the submission ring, the
-//! lookup stage's hand, or the solve ring. Because solve-ring occupancy
-//! can never exceed `in_system`, the stage-to-stage transfer can never
-//! reject, and the `queue_depth` gauge keeps its pre-pipeline meaning.
+//! Only misses (and debug ops) are admitted, and the solve ring's
+//! capacity is the admission bound: a job that finds the ring full — or
+//! closed, while the service drains — is rejected with [`QueueFull`].
+//! `queue_depth` is the ring's depth: jobs admitted but not yet claimed
+//! by a solve worker or cancelled. Warm hits and coalesced duplicates
+//! take no slot, so a full solve ring never turns a warm request away.
 //!
 //! ## Coalescing
 //!
-//! Jobs are keyed by `(circuit content hash, pipeline, options
+//! Misses are keyed by `(circuit content hash, pipeline, options
 //! fingerprint)` — exactly the whole-program cache key — so N identical
-//! concurrent requests occupy **one** admission slot: the first
-//! submission enqueues, the rest attach to the in-flight entry and all N
-//! receive the one result. (A request arriving *after* the job completed
-//! is not coalesced; it is a plain warm hit.) A duplicate hotter than
-//! the queued original boosts the queued job — in whichever ring it
-//! currently sits — so coalescing never inverts the priority contract.
+//! concurrent misses occupy **one** admission slot: the first submission
+//! enqueues and registers the in-flight entry, the rest attach to it and
+//! all N receive the one result. A request arriving *after* the job
+//! completed is not coalesced; the probe answers it as a plain warm hit.
+//! A hit registers nothing, so nothing ever coalesces onto one. A
+//! duplicate hotter than the queued original boosts the queued job, so
+//! coalescing never inverts the priority contract.
 //!
 //! ## Cancellation
 //!
-//! Every ticket carries a waiter guard: dropping the last ticket
-//! attached to a still-ringed job removes the job from its ring
-//! (freeing its admission slot) and counts it under `cancelled`. The
-//! inflight lock is held across the lookup stage's entire
-//! claim-and-route transfer *and* across the guard's removal, so at any
-//! instant under that lock a compile job is in exactly one place — the
-//! cancellation race between the rings does not exist. A job already
-//! claimed by a solve worker (or already warm-served onto the
-//! completion ring) is past cancellation and completes with nobody
-//! waiting.
+//! Every miss's ticket carries a waiter guard: dropping the last ticket
+//! attached to a job still in the solve ring removes the job (freeing its
+//! admission slot) and counts it under `cancelled`. The inflight lock is
+//! held across the push-and-register of a submission and across the
+//! guard's removal, so under that lock a job is either in the ring with
+//! its waiters registered or gone from both. A job already claimed by a
+//! solve worker is past cancellation and completes with nobody waiting; a
+//! warm hit is answered at submission and has nothing to cancel.
 //!
 //! ## Failure isolation
 //!
@@ -70,7 +70,7 @@
 use crate::protocol::{
     CompileSource, RingCounters, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
-use crate::queue::{JobQueue, Priority, QueueFull, RingStats, TryPop};
+use crate::queue::{JobQueue, Priority, QueueFull, RingStats};
 use crate::ring::FifoRing;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
@@ -94,8 +94,9 @@ pub struct ServiceConfig {
     /// parallelism (the same resolution rule as
     /// [`Compiler::block_threads`]).
     pub workers: usize,
-    /// Bounded admission capacity (jobs in the system, across both
-    /// rings); submissions beyond it reject immediately.
+    /// Bounded admission capacity: misses and debug ops waiting in the
+    /// solve ring; submissions beyond it reject immediately (warm hits
+    /// never need a slot).
     pub queue_capacity: usize,
     /// Persistent store directory (`None` = in-memory only). The store
     /// is loaded before the first worker starts and flushed on shutdown.
@@ -114,10 +115,10 @@ pub struct ServiceConfig {
     pub debug_ops: bool,
     /// Bounds on QASM accepted at the service boundary.
     pub parse_limits: ParseLimits,
-    /// Lookup-stage worker count (`0` = 1). One is almost always right —
-    /// the stage only probes the program pool — but the knob exists for
-    /// probe-heavy deployments (`REQISC_SERVE_LOOKUP_WORKERS` at the
-    /// daemon/bench level).
+    /// Ignored. The warm tiers are probed on the submitting thread, so
+    /// there is no lookup stage to size; the field stays only while the
+    /// benchmark harness still sets it.
+    #[deprecated(note = "ignored: the warm tiers are probed at submission, there is no lookup stage")]
     pub lookup_workers: usize,
     /// Artificial delay (milliseconds) a solve worker sleeps before each
     /// *cold compile* it claims — the deterministic stall the
@@ -126,9 +127,9 @@ pub struct ServiceConfig {
     /// or `0` = no delay).
     pub solve_delay_ms: Option<u64>,
     /// Shared-memory cache segment to attach (`None` = no shared tier).
-    /// The lookup stage probes it between the local pool and a cold
-    /// solve; solve workers publish every finished program into it, so
-    /// every daemon attached to the same file hits instantly.
+    /// Submission probes it between the local pool and a cold solve;
+    /// solve workers publish every finished program into it, so every
+    /// daemon attached to the same file hits instantly.
     pub shm_path: Option<PathBuf>,
     /// Capacity used if the segment file does not exist yet (an
     /// existing valid segment keeps its own).
@@ -138,6 +139,8 @@ pub struct ServiceConfig {
 /// Default [`ServiceConfig::shm_capacity_bytes`]: 64 MiB.
 pub const DEFAULT_SHM_CAPACITY_BYTES: u64 = 64 << 20;
 
+// Names the deprecated `lookup_workers` to give it its old default.
+#[allow(deprecated)]
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
@@ -195,16 +198,17 @@ pub struct JobDone {
 /// What a waiter receives: the result or the failure message.
 pub type JobResult = Result<JobDone, String>;
 
-/// A claim on one submitted job's result. Dropping a ticket without
-/// waiting detaches its waiter; when the *last* waiter of a still-ringed
-/// job detaches, the job is cancelled (see the module docs).
+/// A claim on one submitted job's result. Dropping a miss's ticket
+/// without waiting detaches its waiter; when the *last* waiter of a job
+/// still in the solve ring detaches, the job is cancelled (see the module
+/// docs).
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<JobResult>,
     /// True when this submission attached to an already-in-flight
     /// identical job instead of occupying an admission slot.
     pub coalesced: bool,
-    /// Detaches this waiter on drop (compile jobs only).
+    /// Detaches this waiter on drop (compile misses only).
     _guard: Option<WaiterGuard>,
 }
 
@@ -228,9 +232,10 @@ impl Ticket {
 }
 
 /// Removes one waiter from its job's coalesced waiter set on drop; the
-/// last waiter out cancels the job if it still sits in a ring. Waiter
-/// ids are globally unique, so a guard outliving its job (or racing a
-/// same-key resubmission) can never detach someone else's waiter.
+/// last waiter out cancels the job if it still sits in the solve ring.
+/// Waiter ids are globally unique, so a guard outliving its job (or
+/// racing a same-key resubmission) can never detach someone else's
+/// waiter.
 struct WaiterGuard {
     inner: Arc<Inner>,
     key: JobKey,
@@ -254,22 +259,15 @@ impl Drop for WaiterGuard {
             return; // other waiters still want the result
         }
         inflight.remove(&self.key);
-        // Last waiter gone: pull the job out of whichever ring still
-        // holds it. (A job claimed by a solve worker — or already
-        // warm-served onto the completion ring — is past cancellation
-        // and completes normally with nobody listening; that window is
+        // Last waiter gone: pull the job out of the solve ring. (A job
+        // already claimed by a solve worker is past cancellation and
+        // completes normally with nobody listening; that window is
         // unavoidable and harmless.) The inflight lock is deliberately
-        // held across both removals — the same inflight→ring order the
-        // lookup stage's transfer and `submit_compile` use — so neither
-        // a racing same-key resubmission nor the lookup stage moving the
-        // job between rings can slip into the gap: under this lock the
-        // job is in exactly one place.
-        let key = self.key;
-        let is_ours = move |job: &Job| matches!(job, Job::Compile { key: k, .. } if *k == key);
-        if self.inner.submission.remove_first(is_ours) || self.inner.solve.remove_first(is_ours)
-        {
+        // held across both removals — the same inflight→ring order
+        // `submit_compile` uses — so a racing same-key resubmission
+        // cannot slip into the gap.
+        if self.inner.solve.remove_first(is_job(self.key)) {
             self.inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            self.inner.release();
         }
         drop(inflight);
     }
@@ -290,11 +288,16 @@ enum Job {
     Panic { tx: mpsc::Sender<JobResult> },
 }
 
+/// Matches the compile job of `key` in the solve ring.
+fn is_job(key: JobKey) -> impl Fn(&Job) -> bool {
+    move |job| matches!(job, Job::Compile { key: k, .. } if *k == key)
+}
+
 /// Who a posted completion is for.
 enum CompletionTarget {
-    /// Every waiter registered under this in-flight key.
+    /// Every waiter registered under this in-flight key (a solved miss).
     Key(JobKey),
-    /// The one direct waiter of a debug op.
+    /// The one direct waiter of a warm hit or a debug op.
     Direct(mpsc::Sender<JobResult>),
 }
 
@@ -343,9 +346,9 @@ impl SharedAtomics {
 /// the `stats` JSON; the rings report their own enqueue/dequeue/wait).
 #[derive(Default)]
 struct StageAtomics {
-    /// Compile jobs the lookup stage short-circuited on a warm pool hit.
+    /// Compile submissions answered at submission by a warm tier.
     lookup_hits: AtomicU64,
-    /// Compile jobs the lookup stage forwarded to the solve ring.
+    /// Compile submissions admitted to the solve ring.
     lookup_misses: AtomicU64,
     /// Jobs (of any kind) claimed by a solve worker.
     solve_claimed: AtomicU64,
@@ -363,17 +366,11 @@ struct Inner {
     /// shutdown); the store itself is only torn-write-safe, not
     /// merge-atomic, within one process.
     store_lock: Mutex<()>,
-    /// Stage 1 input: everything submitted lands here first.
-    submission: JobQueue<Job>,
-    /// Stage 2 input: true misses (and debug ops) forwarded by lookup.
+    /// Misses and debug ops waiting for a solve worker; its capacity is
+    /// the admission bound and its depth is `queue_depth`.
     solve: JobQueue<Job>,
-    /// Stage 3 input: warm hits and solved jobs, drained FIFO by the
-    /// dispatcher.
+    /// Warm hits and solved jobs, drained FIFO by the dispatcher.
     completions: FifoRing<Completion>,
-    /// Jobs admitted but not yet claimed/warm-served/cancelled — the
-    /// single gauge admission control and `queue_depth` run on.
-    in_system: AtomicU64,
-    capacity: usize,
     inflight: Mutex<HashMap<JobKey, Vec<(u64, mpsc::Sender<JobResult>)>>>,
     /// The shared-memory cache segment (`None` = no shared tier).
     shared: Option<Segment>,
@@ -393,51 +390,18 @@ struct Inner {
 }
 
 impl Inner {
-    /// Claims one admission slot; `false` when the system is at capacity.
-    fn admit(&self) -> bool {
-        self.in_system
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.capacity as u64).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// Returns one admission slot (claim, warm short-circuit, or cancel).
-    fn release(&self) {
-        self.in_system.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The lookup stage: claims jobs off the submission ring and routes
-    /// them — warm compile hits short-circuit to the completion ring,
-    /// everything else crosses into the solve ring. Exits when the
-    /// submission ring is closed and drained.
-    fn lookup_loop(&self) {
-        loop {
-            // The inflight lock spans the whole claim-and-route transfer
-            // so ticket cancellation (which removes ring entries under
-            // the same lock) always finds a job in exactly one place —
-            // never "popped here but not yet pushed there".
-            let inflight = self.inflight.lock_recover();
-            match self.submission.try_pop() {
-                TryPop::Job(job, priority) => {
-                    self.route_job(job, priority);
-                    drop(inflight);
-                }
-                TryPop::Closed => return,
-                TryPop::Empty => {
-                    drop(inflight);
-                    self.submission.wait_nonempty();
-                }
-            }
-        }
+    /// Counts a rejected submission and builds its error.
+    fn reject(&self, full: QueueFull) -> SubmitError {
+        self.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+        SubmitError::QueueFull(full)
     }
 
     /// Probes the two warm tiers for a compile key: the local program
     /// pool first, then the shared segment (seeding the local pool on a
     /// segment hit, so the *next* probe of this key never leaves the
     /// process). A segment hit counts under both `lookup_hits` (it is a
-    /// warm short-circuit like any other) and `shared.hits` (which tier
-    /// answered); `shared.hits <= lookup_hits` always.
+    /// warm hit like any other) and `shared.hits` (which tier answered);
+    /// `shared.hits <= lookup_hits` always.
     fn probe_tiers(&self, key: &JobKey) -> Option<Arc<Program>> {
         if let Some(hit) = self.compiler.lookup_program(key.circuit, key.pipeline, key.options) {
             return Some(hit);
@@ -454,63 +418,17 @@ impl Inner {
         Some(hit)
     }
 
-    /// Routes one claimed job (inflight lock held by the caller): a warm
-    /// probe hit — local pool or shared segment — completes immediately;
-    /// a miss — counted by the eventual solve-stage `compile`, not the
-    /// probe — forwards at the job's original (possibly boosted)
-    /// priority. (Named apart from `sabre::route` so `reqisc-lint`
-    /// resolves the call and checks this body under the inflight lock.)
-    fn route_job(&self, job: Job, priority: Priority) {
-        match job {
-            Job::Compile { key, circuit, pipeline } => {
-                if let Some(hit) = self.probe_tiers(&key) {
-                    self.stage.lookup_hits.fetch_add(1, Ordering::Relaxed);
-                    self.release();
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Key(key),
-                        outcome: Ok(Some(hit)),
-                    });
-                } else {
-                    self.stage.lookup_misses.fetch_add(1, Ordering::Relaxed);
-                    if self
-                        .solve
-                        .try_push(Job::Compile { key, circuit, pipeline }, priority)
-                        .is_err()
-                    {
-                        // Unreachable by accounting: the solve ring's
-                        // capacity equals the admission bound and it is
-                        // closed only after this stage joins. Degrade to
-                        // an error response rather than stranding waiters.
-                        self.release();
-                        self.completions.push_completion(Completion {
-                            target: CompletionTarget::Key(key),
-                            outcome: Err("solve stage unavailable".into()),
-                        });
-                    }
-                }
-            }
-            debug_job => {
-                // Debug ops always traverse the full pipeline (they model
-                // cold work). On the unreachable push failure the job —
-                // and with it the direct sender — is dropped, which the
-                // waiter observes as service termination.
-                let _ = self.solve.try_push(debug_job, priority);
-            }
-        }
-    }
-
-    /// A solve worker: claims forwarded jobs, runs the expensive compile
+    /// A solve worker: claims admitted jobs, runs the expensive compile
     /// under `catch_unwind`, posts the outcome to the completion ring.
     fn solve_loop(&self) {
         while let Some(job) = self.solve.pop() {
             self.stage.solve_claimed.fetch_add(1, Ordering::Relaxed);
-            self.release();
             match job {
                 Job::Compile { key, circuit, pipeline } => {
                     if let Some(delay) = self.solve_delay {
                         // The deterministic cold-solve stall the
-                        // stall-isolation tests inject (debug ops and the
-                        // lookup stage are unaffected by design).
+                        // stall-isolation tests inject (debug ops and
+                        // warm hits are unaffected by design).
                         std::thread::sleep(delay);
                     }
                     let out = catch_unwind(AssertUnwindSafe(|| {
@@ -663,7 +581,6 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 /// store.
 pub struct Service {
     inner: Arc<Inner>,
-    lookup_workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
     workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
     dispatcher: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     timer: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
@@ -698,7 +615,6 @@ impl Service {
         } else {
             config.workers
         };
-        let lookup_workers = config.lookup_workers.max(1);
         let solve_delay = config
             .solve_delay_ms
             .or_else(|| match reqisc_env::DEBUG_SOLVE_DELAY_MS.usize_or(0) {
@@ -730,7 +646,7 @@ impl Service {
             // Only the sub-program pools seed eagerly: synthesis/pulse
             // entries are consulted deep inside a cold solve (no segment
             // probe there), while whole-program entries stay in the
-            // segment for the lookup stage's probe tier to answer.
+            // segment for the submission probe to answer.
             let seeded = sharing::seed_subprogram_pools(seg, compiler.cache());
             shared_stats.seeded.store(seeded as u64, Ordering::Relaxed);
         }
@@ -740,11 +656,8 @@ impl Service {
             options_fp,
             store,
             store_lock: Mutex::new(()),
-            submission: JobQueue::new(config.queue_capacity),
             solve: JobQueue::new(config.queue_capacity),
             completions: FifoRing::new(),
-            in_system: AtomicU64::new(0),
-            capacity: config.queue_capacity,
             inflight: Mutex::new(HashMap::new()),
             shared,
             shared_stats,
@@ -764,12 +677,6 @@ impl Service {
             .map(|_| {
                 let inner = inner.clone();
                 reqisc_sched::thread::spawn(move || inner.solve_loop())
-            })
-            .collect();
-        let lookup_handles = (0..lookup_workers)
-            .map(|_| {
-                let inner = inner.clone();
-                reqisc_sched::thread::spawn(move || inner.lookup_loop())
             })
             .collect();
         let dispatcher = {
@@ -798,7 +705,6 @@ impl Service {
         });
         Self {
             inner,
-            lookup_workers: Mutex::new(lookup_handles),
             workers: Mutex::new(solve_handles),
             dispatcher: Mutex::new(Some(dispatcher)),
             timer: Mutex::new(timer),
@@ -840,63 +746,60 @@ impl Service {
         }
     }
 
-    /// Submits one compile job (see the module docs for coalescing and
-    /// admission semantics).
+    /// Submits one compile job: a warm hit is answered here, a miss
+    /// coalesces onto its in-flight twin or is admitted to the solve ring
+    /// (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] when admission control rejects.
+    /// [`SubmitError::QueueFull`] when admission control rejects a miss,
+    /// or when the service is draining.
     pub fn submit_compile(
         &self,
         circuit: Arc<Circuit>,
         pipeline: Pipeline,
         priority: Priority,
     ) -> Result<Ticket, SubmitError> {
-        let key = JobKey {
-            circuit: circuit.content_hash(),
-            pipeline,
-            options: self.inner.options_fp,
-        };
+        let inner = &self.inner;
+        let key = JobKey { circuit: circuit.content_hash(), pipeline, options: inner.options_fp };
         let (tx, rx) = mpsc::channel();
-        let waiter_id = self.inner.waiter_seq.fetch_add(1, Ordering::Relaxed);
-        let guard = Some(WaiterGuard { inner: self.inner.clone(), key, id: waiter_id });
-        // The inflight lock spans the ring push so neither the lookup
-        // stage's transfer nor the dispatcher's waiter collection can
-        // interleave between "ringed" and "registered".
-        let mut inflight = self.inner.inflight.lock_recover();
+        // The probe never blocks, so a hit needs no other thread: it goes
+        // straight to the dispatcher, which stays the one place that
+        // assigns `done_seq`. The inflight lock is not held here.
+        if let Some(hit) = inner.probe_tiers(&key) {
+            let done = Completion { target: CompletionTarget::Direct(tx), outcome: Ok(Some(hit)) };
+            if !inner.completions.push_completion(done) {
+                return Err(inner.reject(QueueFull { capacity: inner.solve.capacity() }));
+            }
+            inner.stage.lookup_hits.fetch_add(1, Ordering::Relaxed);
+            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            return Ok(Ticket { rx, coalesced: false, _guard: None });
+        }
+        let waiter_id = inner.waiter_seq.fetch_add(1, Ordering::Relaxed);
+        let guard = Some(WaiterGuard { inner: inner.clone(), key, id: waiter_id });
+        // The inflight lock spans the ring push and the waiter's
+        // registration, so neither the dispatcher's waiter collection
+        // nor a cancellation can interleave between "ringed" and
+        // "registered".
+        let mut inflight = inner.inflight.lock_recover();
         if let Some(waiters) = inflight.get_mut(&key) {
             waiters.push((waiter_id, tx));
             // A more urgent duplicate must not wait at the original
-            // submission's priority: raise the ringed job to match,
-            // wherever it currently sits (a no-op if the job already
-            // runs or was ringed hotter).
-            let is_ours =
-                move |job: &Job| matches!(job, Job::Compile { key: k, .. } if *k == key);
-            if !self.inner.submission.boost(is_ours, priority) {
-                self.inner.solve.boost(is_ours, priority);
-            }
-            self.inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            // submission's priority: raise the ringed job to match (a
+            // no-op if the job already runs or was ringed hotter).
+            inner.solve.boost(is_job(key), priority);
+            inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
             return Ok(Ticket { rx, coalesced: true, _guard: guard });
         }
-        if !self.inner.admit() {
-            self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull(QueueFull { capacity: self.inner.capacity }));
-        }
-        match self.inner.submission.try_push(Job::Compile { key, circuit, pipeline }, priority) {
-            Ok(()) => {
-                inflight.insert(key, vec![(waiter_id, tx)]);
-                self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { rx, coalesced: false, _guard: guard })
-            }
-            Err(full) => {
-                // Only reachable when the ring is closed (draining):
-                // undo the admission and reject like a full queue.
-                self.inner.release();
-                self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull(full))
-            }
-        }
+        inner
+            .solve
+            .try_push(Job::Compile { key, circuit, pipeline }, priority)
+            .map_err(|full| inner.reject(full))?;
+        inflight.insert(key, vec![(waiter_id, tx)]);
+        inner.stage.lookup_misses.fetch_add(1, Ordering::Relaxed);
+        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Ticket { rx, coalesced: false, _guard: guard })
     }
 
     /// Submits a gated debug op (`sleep`/`panic`).
@@ -914,21 +817,9 @@ impl Service {
             DebugOp::Sleep { ms } => Job::Sleep { ms, tx },
             DebugOp::Panic => Job::Panic { tx },
         };
-        if !self.inner.admit() {
-            self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull(QueueFull { capacity: self.inner.capacity }));
-        }
-        match self.inner.submission.try_push(job, priority) {
-            Ok(()) => {
-                self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { rx, coalesced: false, _guard: None })
-            }
-            Err(full) => {
-                self.inner.release();
-                self.inner.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull(full))
-            }
-        }
+        self.inner.solve.try_push(job, priority).map_err(|full| self.inner.reject(full))?;
+        self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Ticket { rx, coalesced: false, _guard: None })
     }
 
     /// Metrics of a compiled circuit under the reply coupling
@@ -953,13 +844,9 @@ impl Service {
                 rejected_queue_full: c.rejected_queue_full.load(Ordering::Relaxed),
                 cancelled: c.cancelled.load(Ordering::Relaxed),
                 snapshots: c.snapshots.load(Ordering::Relaxed),
-                queue_depth: self.inner.in_system.load(Ordering::Relaxed),
+                queue_depth: self.inner.solve.len() as u64,
             },
             stages: StageCounters {
-                submission: ring_counters(
-                    self.inner.submission.ring_stats(),
-                    self.inner.submission.len(),
-                ),
                 solve: ring_counters(self.inner.solve.ring_stats(), self.inner.solve.len()),
                 completion: ring_counters(
                     self.inner.completions.ring_stats(),
@@ -969,6 +856,7 @@ impl Service {
                 lookup_misses: st.lookup_misses.load(Ordering::Relaxed),
                 solve_claimed: st.solve_claimed.load(Ordering::Relaxed),
                 delivered: st.delivered.load(Ordering::Relaxed),
+                ..StageCounters::default()
             },
             cache: self.inner.compiler.cache_stats(),
             store: self.inner.store.as_ref().map(|s| s.stats()),
@@ -987,11 +875,11 @@ impl Service {
         }
     }
 
-    /// Jobs in the system right now: admitted, not yet claimed by a
-    /// solve worker, warm-served, or cancelled (the same meaning the
-    /// pre-pipeline single queue's depth had).
+    /// Jobs admitted right now: in the solve ring, not yet claimed by a
+    /// solve worker or cancelled (the same meaning the pre-pipeline
+    /// single queue's depth had). Warm hits never count.
     pub fn queue_depth(&self) -> usize {
-        self.inner.in_system.load(Ordering::Relaxed) as usize
+        self.inner.solve.len()
     }
 
     /// Forces a store snapshot now (plain save, no GC).
@@ -1033,11 +921,10 @@ impl Service {
         self.inner.shutdown_requested.store(true, Ordering::Release);
     }
 
-    /// Graceful shutdown, stage by stage: stop admitting, drain the
-    /// submission ring through the lookup stage, drain the solve ring
-    /// through the workers, drain the completion ring through the
-    /// dispatcher, join the snapshot timer, then flush the store. Each
-    /// stage's input is closed only after the upstream stage has been
+    /// Graceful shutdown, stage by stage: stop admitting, drain the solve
+    /// ring through the workers, drain the completion ring through the
+    /// dispatcher, join the snapshot timer, then flush the store. The
+    /// completion ring is closed only after the solve workers have been
     /// joined, so a job in flight *anywhere* is either delivered or (if
     /// every waiter already left) cleanly cancelled — never stranded.
     /// Idempotent.
@@ -1046,10 +933,6 @@ impl Service {
             return;
         }
         self.request_shutdown();
-        self.inner.submission.close();
-        for h in self.lookup_workers.lock_recover().drain(..) {
-            let _ = h.join();
-        }
         self.inner.solve.close();
         for h in self.workers.lock_recover().drain(..) {
             let _ = h.join();

@@ -1,8 +1,8 @@
-//! Property tests of the staged pipeline's ring and stage semantics:
+//! Property tests of the service's ring and stage semantics:
 //!
-//! * the submission/solve ring ([`JobQueue`]) model-checked under
-//!   arbitrary push/pop/boost/cancel interleavings — priority-then-FIFO
-//!   order survives every sequence, and the transit counters balance;
+//! * the solve ring ([`JobQueue`]) model-checked under arbitrary
+//!   push/pop/boost/cancel interleavings — priority-then-FIFO order
+//!   survives every sequence, and the transit counters balance;
 //! * the completion ring ([`FifoRing`]) model-checked as a strict FIFO
 //!   with close-drop semantics;
 //! * the assembled service under random warm submit/coalesce/cancel
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use reqisc_compiler::{Compiler, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_service::{
-    DebugOp, FifoRing, JobQueue, Priority, Service, ServiceConfig, TryPop, DEFAULT_PRIORITY,
+    DebugOp, FifoRing, JobQueue, Priority, Service, ServiceConfig, DEFAULT_PRIORITY,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -120,19 +120,15 @@ proptest! {
                     }
                 }
                 // Pop: must surface the model's (priority desc, seq asc)
-                // maximum, with the priority it was queued (or boosted) at.
-                4 | 5 => match q.try_pop() {
-                    TryPop::Job(tag, at) => {
-                        prop_assert!(!model.is_empty(), "popped from an empty model");
-                        let best = model_best(&model);
-                        let e = model.remove(best);
-                        prop_assert_eq!(tag, e.tag, "pop order diverged from the model");
-                        prop_assert_eq!(at, e.priority, "claimed priority diverged");
+                // maximum, counting any boost. Only when the model is
+                // non-empty: `pop` blocks on an open empty queue by design.
+                4 | 5 => {
+                    if !model.is_empty() {
+                        let e = model.remove(model_best(&model));
+                        prop_assert_eq!(q.pop(), Some(e.tag), "pop order diverged from the model");
                         left += 1;
                     }
-                    TryPop::Empty => prop_assert!(model.is_empty(), "queue empty, model is not"),
-                    TryPop::Closed => prop_assert!(false, "queue reported closed before close()"),
-                },
+                }
                 // Boost: raise one queued entry (never lower it); the
                 // entry keeps its sequence number.
                 6 | 7 => {
@@ -164,22 +160,14 @@ proptest! {
             prop_assert_eq!(q.len(), model.len(), "depth diverged from the model");
         }
         // Drain: the survivors surface in exact priority-then-FIFO order,
-        // then the closed ring reports Closed, and the counters balance.
+        // then the closed ring reports `None`, and the counters balance.
         q.close();
-        loop {
-            match q.try_pop() {
-                TryPop::Job(tag, at) => {
-                    prop_assert!(!model.is_empty());
-                    let e = model.remove(model_best(&model));
-                    prop_assert_eq!(tag, e.tag, "drain order diverged from the model");
-                    prop_assert_eq!(at, e.priority);
-                    left += 1;
-                }
-                TryPop::Closed => break,
-                TryPop::Empty => prop_assert!(false, "closed queue must report Closed, not Empty"),
-            }
+        while !model.is_empty() {
+            let e = model.remove(model_best(&model));
+            prop_assert_eq!(q.pop(), Some(e.tag), "drain order diverged from the model");
+            left += 1;
         }
-        prop_assert!(model.is_empty(), "entries lost in the drain");
+        prop_assert_eq!(q.pop(), None, "closed + drained signals None");
         let rs = q.ring_stats();
         prop_assert_eq!(rs.enqueued, pushed);
         prop_assert_eq!(rs.dequeued, left, "every departure (pop or cancel) must be counted");
@@ -222,8 +210,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The assembled pipeline under random warm submit / coalesce /
-    /// cancel interleavings racing the live lookup stage: after a full
+    /// The assembled service under random warm submit / coalesce /
+    /// cancel interleavings racing the live dispatcher: after a full
     /// drain (shutdown), every kept ticket holds exactly one response
     /// (nothing lost, nothing double-delivered), and the admission
     /// accounting closes exactly — every non-coalesced submission is
@@ -259,8 +247,8 @@ proptest! {
                 coalesced_seen += 1;
             }
             if action == 0 {
-                // A client disconnecting immediately: races the lookup
-                // stage — either cancelled in-ring or served to nobody.
+                // A client disconnecting immediately: a warm hit was
+                // answered at submission, so it is served to nobody.
                 drop(t);
             } else {
                 kept.push(t);
@@ -298,11 +286,7 @@ proptest! {
         );
         prop_assert_eq!(st1.delivered - st0.delivered, d(|s| s.completed) + d(|s| s.failed));
         // Every ring drained and balanced.
-        for (name, rc) in [
-            ("submission", &st1.submission),
-            ("solve", &st1.solve),
-            ("completion", &st1.completion),
-        ] {
+        for (name, rc) in [("solve", &st1.solve), ("completion", &st1.completion)] {
             prop_assert_eq!(rc.depth, 0, "{} ring not drained", name);
             prop_assert_eq!(rc.enqueued, rc.dequeued, "{} ring unbalanced", name);
         }

@@ -1,18 +1,19 @@
-//! Stage-isolation and drain tests of the pipelined service core:
+//! Stage-isolation and drain tests of the service core:
 //!
 //! * **stall isolation, end to end** — a real `reqiscd` child process
 //!   with the `REQISC_DEBUG_SOLVE_DELAY_MS` knob slowing every cold
-//!   solve: warm requests must short-circuit in the lookup stage and
-//!   complete while cold jobs occupy the (single) solve worker, proven
-//!   by `done_seq` response ordering and the stage counters — never by
+//!   solve: warm requests must be answered at submission and complete
+//!   while cold jobs occupy the (single) solve worker, proven by
+//!   `done_seq` response ordering and the stage counters — never by
 //!   wall time;
 //! * **stall isolation, in process** — the same property through
 //!   `ServiceConfig::solve_delay_ms`, with before/after stage-counter
 //!   deltas;
-//! * **shutdown drain** — shutdown while jobs sit in every stage
-//!   (submission ring, solve ring, warm-served completion, a cancelled
-//!   orphan): everything is responded or cleanly cancelled, every ring
-//!   balances to empty, and the store snapshot still lands on disk.
+//! * **shutdown drain** — shutdown while jobs sit in every stage (a
+//!   parked worker, the solve ring, a warm-served completion, a
+//!   cancelled orphan): everything is responded or cleanly cancelled,
+//!   every ring balances to empty, and the store snapshot still lands on
+//!   disk.
 
 use reqisc_compiler::{Compiler, LoadOutcome, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
@@ -126,8 +127,8 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let seq_prime = done_seq(&prime);
 
     // Phase 2: two never-seen cold programs, then the warm re-request —
-    // all in one write, so the warm request genuinely queues behind the
-    // colds at the submission ring.
+    // all in one write, so the warm request is submitted behind the
+    // colds.
     let mut batch = String::new();
     batch.push_str("{\"id\":2,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 3.0e-1\\n\"}\n");
     batch.push_str("{\"id\":3,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 4.0e-1\\n\"}\n");
@@ -161,7 +162,7 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let stats_resp = read_response(&mut reader);
     let stats = StatsSnapshot::from_json(stats_resp.get("stats").expect("stats member"))
         .expect("stats parse");
-    assert_eq!(stats.stages.lookup_hits, 1, "exactly the one warm short-circuit");
+    assert_eq!(stats.stages.lookup_hits, 1, "exactly the one warm hit");
     assert_eq!(stats.stages.lookup_misses, 3, "prime + two colds crossed to the solve ring");
     assert_eq!(stats.stages.solve_claimed, 3, "zero warm jobs entered the solve stage");
     assert_eq!(stats.stages.delivered, 4);
@@ -209,7 +210,7 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
         warm_seqs.push(done.done_seq);
     }
     let mid = service.stats_snapshot();
-    assert_eq!(mid.stages.lookup_hits - s0.stages.lookup_hits, 4, "all four warm short-circuits");
+    assert_eq!(mid.stages.lookup_hits - s0.stages.lookup_hits, 4, "all four warm hits");
     assert!(
         mid.stages.solve_claimed - s0.stages.solve_claimed <= 2,
         "nothing beyond the two colds may ever be claimed"
@@ -231,10 +232,10 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
 }
 
 /// Shutdown with work in *every* stage: a parked solve worker, two cold
-/// jobs still ringed, a warm job short-circuited, and an orphan whose
-/// only ticket was dropped. Everything must be responded or cleanly
-/// cancelled, every ring must balance to empty, and the store snapshot
-/// must land — jobs never strand, results never vanish.
+/// jobs still ringed, a warm job answered at submission, and an orphan
+/// whose only ticket was dropped. Everything must be responded or
+/// cleanly cancelled, every ring must balance to empty, and the store
+/// snapshot must land — jobs never strand, results never vanish.
 #[test]
 fn shutdown_drains_jobs_across_all_stages() {
     let dir = scratch_dir("drain");
@@ -261,8 +262,8 @@ fn shutdown_drains_jobs_across_all_stages() {
     let cold1 = service.submit_compile(tiny(30), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("c1");
     let cold2 = service.submit_compile(tiny(31), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("c2");
     let warm = service.submit_compile(tiny(0), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("warm");
-    // The orphan: its only client disconnects while the job is ringed
-    // (the worker is parked, so it cannot have been claimed).
+    // The orphan: its only client disconnects while the job is in the
+    // solve ring (the worker is parked, so it cannot have been claimed).
     let orphan = service.submit_compile(tiny(32), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("o");
     drop(orphan);
 
@@ -287,17 +288,13 @@ fn shutdown_drains_jobs_across_all_stages() {
     assert_eq!(s.service.failed, 0);
     assert_eq!(s.service.queue_depth, 0);
     assert_eq!(s.stages.delivered, s.service.completed + s.service.failed);
-    for (name, rc) in [
-        ("submission", &s.stages.submission),
-        ("solve", &s.stages.solve),
-        ("completion", &s.stages.completion),
-    ] {
+    for (name, rc) in [("solve", &s.stages.solve), ("completion", &s.stages.completion)] {
         assert_eq!(rc.depth, 0, "{name} ring must drain to empty");
         assert_eq!(rc.enqueued, rc.dequeued, "{name} ring must balance");
     }
 
     // The shutdown snapshot landed: a second instance warm-starts from
-    // disk and serves the drained cold job from the lookup stage.
+    // disk and serves the drained cold job as a warm hit.
     let second = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },

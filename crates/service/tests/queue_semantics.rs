@@ -1,7 +1,7 @@
 //! Queue-semantics tests: in-flight coalescing (N identical jobs ⇒ one
-//! compile, N responses), backpressure rejection ordering, priority
-//! scheduling, graceful shutdown flushing the store, and a poisoned job
-//! not wedging the worker pool.
+//! compile, N responses), backpressure rejection ordering, warm hits
+//! bypassing admission, priority scheduling, graceful shutdown flushing
+//! the store, and a poisoned job not wedging the worker pool.
 //!
 //! Determinism on one worker: a debug `sleep` job parks the single
 //! worker first, so everything submitted behind it is ordered purely by
@@ -132,6 +132,92 @@ fn backpressure_rejects_late_submissions_and_recovers() {
     let s = service.stats_snapshot();
     assert_eq!(s.service.rejected_queue_full, 1);
     assert_eq!(s.service.failed, 0);
+    service.shutdown();
+}
+
+/// A warm hit takes no admission slot: with the only slot held by a
+/// cold job behind a parked worker, a second cold job is turned away but
+/// a resubmission of an already-compiled program is answered at once,
+/// ahead of the cold job.
+#[test]
+fn warm_hit_is_served_while_the_solve_ring_is_full() {
+    let service = Service::start_with_compiler(
+        small_compiler(),
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            debug_ops: true,
+            ..ServiceConfig::default()
+        },
+    );
+    let first = service
+        .submit_compile(tiny(40), Pipeline::Qiskit, DEFAULT_PRIORITY)
+        .expect("prime")
+        .wait()
+        .expect("prime compile");
+    assert_eq!(first.done_seq, 1);
+    let park = park_worker(&service, 600);
+    let cold = service.submit_compile(tiny(41), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("slot");
+    assert_eq!(service.queue_depth(), 1, "the cold job holds the only slot");
+    let turned_away = service.submit_compile(tiny(42), Pipeline::Qiskit, DEFAULT_PRIORITY);
+    assert!(
+        matches!(turned_away, Err(SubmitError::QueueFull(_))),
+        "a second cold job must reject: {turned_away:?}"
+    );
+    let warm = service
+        .submit_compile(tiny(40), Pipeline::Qiskit, DEFAULT_PRIORITY)
+        .expect("a warm hit needs no admission slot");
+    assert!(!warm.coalesced);
+    let warm = warm.wait().expect("warm hit");
+    assert_eq!(warm.done_seq, 2, "served ahead of the parked worker and the cold job");
+    assert_eq!(
+        warm.circuit.expect("circuit").content_hash(),
+        first.circuit.expect("circuit").content_hash()
+    );
+    park.wait().expect("park");
+    let cold = cold.wait().expect("cold compile");
+    assert!(warm.done_seq < cold.done_seq);
+    let s = service.stats_snapshot();
+    assert_eq!(s.service.rejected_queue_full, 1, "only the second cold job was turned away");
+    assert_eq!((s.stages.lookup_hits, s.stages.lookup_misses), (1, 2));
+    service.shutdown();
+}
+
+/// A burst of warm hits, none awaited before the next is submitted,
+/// never touches admission or the inflight map: the queue depth stays 0,
+/// nothing coalesces onto a hit, and every hit is its own delivery.
+#[test]
+fn warm_hit_burst_takes_no_slot_and_never_coalesces() {
+    let service = Service::start_with_compiler(
+        small_compiler(),
+        ServiceConfig { workers: 1, debug_ops: true, ..ServiceConfig::default() },
+    );
+    service
+        .submit_compile(tiny(43), Pipeline::Qiskit, DEFAULT_PRIORITY)
+        .expect("prime")
+        .wait()
+        .expect("prime compile");
+    let park = park_worker(&service, 150);
+    let s0 = service.stats_snapshot();
+    let burst: Vec<_> = (0..8)
+        .map(|_| {
+            let t = service
+                .submit_compile(tiny(43), Pipeline::Qiskit, DEFAULT_PRIORITY)
+                .expect("warm submit");
+            assert!(!t.coalesced, "nothing may coalesce onto a warm hit");
+            assert_eq!(service.queue_depth(), 0, "a warm hit takes no admission slot");
+            t
+        })
+        .collect();
+    let s1 = service.stats_snapshot();
+    assert_eq!(s1.stages.lookup_hits - s0.stages.lookup_hits, 8);
+    assert_eq!(s1.stages.lookup_misses, s0.stages.lookup_misses);
+    assert_eq!(s1.service.coalesced, s0.service.coalesced);
+    assert_eq!(s1.stages.solve.enqueued, s0.stages.solve.enqueued, "no hit entered the solve ring");
+    let mut seqs: Vec<u64> = burst.into_iter().map(|t| t.wait().expect("warm").done_seq).collect();
+    seqs.dedup();
+    assert_eq!(seqs.len(), 8, "every hit is delivered on its own");
+    park.wait().expect("park");
     service.shutdown();
 }
 

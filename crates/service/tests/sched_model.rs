@@ -7,7 +7,7 @@
 //! deterministic — the three rules that make a recorded failure
 //! schedule replayable.
 //!
-//! The tests pin the PR 5/7 conservation laws across **all** bounded
+//! The tests pin the service's conservation laws across **all** bounded
 //! interleavings of small configs, not just the ones a lucky
 //! wall-clock run happens to hit:
 //!
@@ -15,12 +15,14 @@
 //!   `queue_push_wakes_blocked_pop` is the seeded-violation target of
 //!   the CI `sched-check` smoke, which deletes `try_push`'s
 //!   `notify_one` and expects a deadlock report with a schedule);
-//! * lookup's claim-and-route transfer vs. last-waiter-out
-//!   cancellation: the job is found in exactly one ring, always
-//!   (`admitted == completed + cancelled`);
+//! * a solve worker's claim vs. last-waiter-out cancellation: the job
+//!   is claimed or cancelled, exactly once (`claimed + cancelled == 1`);
+//! * a miss is pushed and its waiter registered under one inflight
+//!   lock span, so the dispatcher always finds the waiter (and the
+//!   explorer catches the variant that drops the lock in between);
 //! * two coalesced waiters racing last-waiter-out cancel exactly once;
-//! * shutdown with in-flight solves drains every ring balanced
-//!   (`enqueued == dequeued`, `delivered == admitted`).
+//! * shutdown with in-flight solves and racing warm hits drains every
+//!   ring balanced (`enqueued == dequeued`, `delivered == posted`).
 
 #![cfg(feature = "sched-model")]
 
@@ -28,7 +30,7 @@ use reqisc_sched::thread::spawn;
 use reqisc_sched::{check, explore, replay, ModelConfig};
 use reqisc_service::sync::atomic::{AtomicU64, Ordering};
 use reqisc_service::sync::{LockRecover, Mutex};
-use reqisc_service::{FifoRing, JobQueue, TryPop, DEFAULT_PRIORITY};
+use reqisc_service::{FifoRing, JobQueue, DEFAULT_PRIORITY};
 use std::sync::Arc;
 
 /// `JobQueue::try_push` must wake a consumer blocked in `pop`. This is
@@ -62,110 +64,128 @@ fn ring_push_wakes_blocked_pop() {
     });
 }
 
-/// The lookup stage's claim-and-route transfer (`service.rs
-/// lookup_loop`) holds the inflight lock across `try_pop` + route, so
-/// last-waiter-out cancellation (`WaiterGuard::drop`), which removes
-/// ring entries under the same lock, always finds the job in exactly
-/// one ring: `submission.remove_first || solve.remove_first` succeeds
-/// in every interleaving and the admission ledger stays balanced.
+/// A solve worker's claim (`service.rs solve_loop`, which pops without
+/// the inflight lock) racing last-waiter-out cancellation
+/// (`WaiterGuard::drop`, which removes the job under it): in every
+/// interleaving the one job is either claimed or cancelled — never both,
+/// never neither — and the ring balances.
 #[test]
-fn lookup_claim_vs_cancel_conserves_the_job() {
-    check("lookup_claim_vs_cancel", ModelConfig::default(), || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
+fn solve_claim_vs_cancel_conserves_the_job() {
+    check("solve_claim_vs_cancel", ModelConfig::default(), || {
         let solve = Arc::new(JobQueue::<u32>::new(2));
         // `true` = the key is still in the inflight map (one waiter).
         let inflight = Arc::new(Mutex::new(true));
+        let claimed = Arc::new(AtomicU64::new(0));
         let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
+        solve.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
 
-        let (sub_l, solve_l, infl_l) = (submission.clone(), solve.clone(), inflight.clone());
-        let lookup = spawn(move || {
-            // Mirrors lookup_loop: the inflight lock spans pop + push.
-            let guard = infl_l.lock_recover();
-            if let TryPop::Job(job, priority) = sub_l.try_pop() {
-                solve_l.try_push(job, priority).expect("solve ring has room");
+        let (solve_w, claimed_w) = (solve.clone(), claimed.clone());
+        let worker = spawn(move || {
+            while solve_w.pop().is_some() {
+                claimed_w.fetch_add(1, Ordering::Relaxed);
             }
-            drop(guard);
         });
 
-        let (sub_c, solve_c, infl_c, cancelled_c) =
-            (submission.clone(), solve.clone(), inflight.clone(), cancelled.clone());
+        let (solve_c, infl_c, cancelled_c) = (solve.clone(), inflight.clone(), cancelled.clone());
         let cancel = spawn(move || {
             // Mirrors WaiterGuard::drop: remove the key, then pull the
-            // job out of whichever ring still holds it — same lock.
+            // job out of the ring — same lock.
             let mut guard = infl_c.lock_recover();
             if *guard {
                 *guard = false;
-                if sub_c.remove_first(|_| true) || solve_c.remove_first(|_| true) {
+                if solve_c.remove_first(|_| true) {
                     cancelled_c.fetch_add(1, Ordering::Relaxed);
                 }
             }
             drop(guard);
         });
 
-        lookup.join().expect("lookup ran to completion");
         cancel.join().expect("cancel ran to completion");
+        // Shutdown releases a worker left waiting on an emptied ring.
+        solve.close();
+        worker.join().expect("worker exited on close");
         assert_eq!(
-            cancelled.load(Ordering::Relaxed),
+            claimed.load(Ordering::Relaxed) + cancelled.load(Ordering::Relaxed),
             1,
-            "cancellation lost the in-flight job"
+            "the job must be claimed or cancelled, exactly once"
         );
-        assert!(submission.is_empty() && solve.is_empty(), "no ring retains the job");
+        let stats = solve.ring_stats();
+        assert_eq!(stats.enqueued, stats.dequeued, "the ring balances");
     });
 }
 
-/// The same scenario with the bug the lock order exists to prevent:
-/// dropping the inflight lock between the claim (`try_pop`) and the
-/// route (`try_push`) opens a window where cancellation finds the job
-/// in *neither* ring and the admission ledger leaks. The explorer
-/// must find that interleaving and hand back a deterministic,
-/// replayable schedule.
+/// One miss through `Service::submit_compile`, a solve worker and the
+/// dispatcher. `submit_compile` pushes the job and registers its waiter
+/// under one inflight lock span; the dispatcher collects the waiters
+/// under the same lock. With `register_under_the_push_lock == false` —
+/// the planted bug — the lock is dropped between push and registration:
+/// the job can be solved and dispatched to nobody, and the waiter
+/// registered afterwards never hears back.
+fn miss_through_dispatch(register_under_the_push_lock: bool) {
+    let solve = Arc::new(JobQueue::<u32>::new(2));
+    let completions = Arc::new(FifoRing::<u32>::new());
+    // The inflight map's waiter list for the one key (`None` = no entry).
+    let inflight: Arc<Mutex<Option<Vec<u64>>>> = Arc::new(Mutex::new(None));
+    let delivered = Arc::new(AtomicU64::new(0));
+
+    let (solve_s, infl_s) = (solve.clone(), inflight.clone());
+    let submit = spawn(move || {
+        let mut guard = infl_s.lock_recover();
+        solve_s.try_push(1, DEFAULT_PRIORITY).expect("solve ring has room");
+        if !register_under_the_push_lock {
+            drop(guard); // BUG: ringed but not registered, no lock held
+            guard = infl_s.lock_recover();
+        }
+        *guard = Some(vec![7]);
+        drop(guard);
+    });
+
+    let (solve_w, ring_w) = (solve.clone(), completions.clone());
+    let worker = spawn(move || {
+        if let Some(job) = solve_w.pop() {
+            assert!(ring_w.push_completion(job), "completion ring open while solving");
+        }
+    });
+
+    let (ring_d, infl_d, delivered_d) = (completions.clone(), inflight.clone(), delivered.clone());
+    let dispatcher = spawn(move || {
+        if ring_d.pop_completion().is_some() {
+            let waiters = infl_d.lock_recover().take().unwrap_or_default();
+            delivered_d.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+        }
+    });
+
+    submit.join().expect("submit ran to completion");
+    worker.join().expect("worker ran to completion");
+    dispatcher.join().expect("dispatcher ran to completion");
+    assert_eq!(
+        delivered.load(Ordering::Relaxed),
+        1,
+        "the completion was delivered to nobody: the ticket never completes"
+    );
+}
+
+/// The lock span of `submit_compile` holds: the dispatcher always finds
+/// the waiter of the job it delivers.
+#[test]
+fn miss_registers_its_waiter_before_delivery() {
+    check("miss_registers_before_delivery", ModelConfig::default(), || {
+        miss_through_dispatch(true)
+    });
+}
+
+/// The same scenario with the bug the lock span exists to prevent: the
+/// explorer must find the interleaving that delivers to nobody and hand
+/// back a deterministic, replayable schedule.
 #[test]
 fn explorer_catches_unlocked_transfer_race() {
-    let buggy = || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
-        let solve = Arc::new(JobQueue::<u32>::new(2));
-        let inflight = Arc::new(Mutex::new(true));
-        let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
-
-        let (sub_l, solve_l, infl_l) = (submission.clone(), solve.clone(), inflight.clone());
-        let lookup = spawn(move || {
-            let guard = infl_l.lock_recover();
-            let popped = sub_l.try_pop();
-            drop(guard); // BUG: transfer window with no lock held
-            if let TryPop::Job(job, priority) = popped {
-                solve_l.try_push(job, priority).expect("solve ring has room");
-            }
-        });
-
-        let (sub_c, solve_c, infl_c, cancelled_c) =
-            (submission.clone(), solve.clone(), inflight.clone(), cancelled.clone());
-        let cancel = spawn(move || {
-            let mut guard = infl_c.lock_recover();
-            if *guard {
-                *guard = false;
-                if sub_c.remove_first(|_| true) || solve_c.remove_first(|_| true) {
-                    cancelled_c.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            drop(guard);
-        });
-
-        lookup.join().expect("lookup ran to completion");
-        cancel.join().expect("cancel ran to completion");
-        assert_eq!(
-            cancelled.load(Ordering::Relaxed),
-            1,
-            "cancellation lost the in-flight job"
-        );
-    };
+    let buggy = || miss_through_dispatch(false);
 
     let report = explore(ModelConfig::default(), buggy);
     let failure = report.failure.expect("the unlocked transfer race must be found");
     assert!(
-        failure.message.contains("cancellation lost the in-flight job"),
-        "failure is the leaked admission slot, got: {}",
+        failure.message.contains("the completion was delivered to nobody"),
+        "failure is the undelivered ticket, got: {}",
         failure.message
     );
     assert!(!failure.trace.is_empty(), "failure carries the step trace");
@@ -184,21 +204,21 @@ fn explorer_catches_unlocked_transfer_race() {
 #[test]
 fn coalesced_waiters_cancel_exactly_once() {
     check("coalesced_waiters_last_out", ModelConfig::default(), || {
-        let submission = Arc::new(JobQueue::<u32>::new(2));
+        let solve = Arc::new(JobQueue::<u32>::new(2));
         // The inflight map's waiter list for the one shared key.
         let waiters = Arc::new(Mutex::new(vec![1u64, 2u64]));
         let cancelled = Arc::new(AtomicU64::new(0));
-        submission.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
+        solve.try_push(1, DEFAULT_PRIORITY).expect("queue has room");
 
         let handles: Vec<_> = [1u64, 2u64]
             .into_iter()
             .map(|me| {
-                let (sub, waiters, cancelled) =
-                    (submission.clone(), waiters.clone(), cancelled.clone());
+                let (ring, waiters, cancelled) =
+                    (solve.clone(), waiters.clone(), cancelled.clone());
                 spawn(move || {
                     let mut list = waiters.lock_recover();
                     list.retain(|id| *id != me);
-                    if list.is_empty() && sub.remove_first(|_| true) {
+                    if list.is_empty() && ring.remove_first(|_| true) {
                         cancelled.fetch_add(1, Ordering::Relaxed);
                     }
                     drop(list);
@@ -213,14 +233,15 @@ fn coalesced_waiters_cancel_exactly_once() {
             1,
             "exactly one waiter performs the cancellation"
         );
-        assert!(submission.is_empty(), "the job left the ring exactly once");
+        assert!(solve.is_empty(), "the job left the ring exactly once");
     });
 }
 
-/// Shutdown racing in-flight solves: the stages are closed in pipeline
-/// order while the lookup / solve / dispatch threads are mid-transfer.
-/// In every interleaving the rings drain balanced (`enqueued ==
-/// dequeued` on each) and every admitted job is delivered.
+/// Shutdown racing in-flight solves and a warm hit: the stages are
+/// closed in order while the solve / dispatch threads are mid-transfer
+/// and a submitter posts a hit straight to the completion ring. In every
+/// interleaving the rings drain balanced (`enqueued == dequeued` on
+/// each) and every admitted job and every accepted hit is delivered.
 #[test]
 fn shutdown_with_inflight_solve_drains_balanced() {
     // One preemption is enough to interleave the close() calls into
@@ -228,23 +249,21 @@ fn shutdown_with_inflight_solve_drains_balanced() {
     // well past what a test budget buys in extra coverage.
     let cfg = ModelConfig { max_preemptions: 1, ..ModelConfig::default() };
     check("shutdown_drains_balanced", cfg, || {
-        let submission = Arc::new(JobQueue::<u32>::new(4));
         let solve = Arc::new(JobQueue::<u32>::new(4));
         let completions = Arc::new(FifoRing::<u32>::new());
         let delivered = Arc::new(AtomicU64::new(0));
+        let hits = Arc::new(AtomicU64::new(0));
         const ADMITTED: u64 = 2;
         for job in 0..ADMITTED {
-            submission.try_push(job as u32, DEFAULT_PRIORITY).expect("queue has room");
+            solve.try_push(job as u32, DEFAULT_PRIORITY).expect("queue has room");
         }
 
-        let (sub, solve_in) = (submission.clone(), solve.clone());
-        let lookup = spawn(move || loop {
-            match sub.try_pop() {
-                TryPop::Job(job, priority) => {
-                    solve_in.try_push(job, priority).expect("solve ring has room");
-                }
-                TryPop::Closed => return,
-                TryPop::Empty => sub.wait_nonempty(),
+        // A warm hit racing shutdown: accepted only while the ring is
+        // open (`submit_compile` rejects it otherwise).
+        let (ring_h, hits_h) = (completions.clone(), hits.clone());
+        let submitter = spawn(move || {
+            if ring_h.push_completion(99) {
+                hits_h.fetch_add(1, Ordering::Relaxed);
             }
         });
 
@@ -262,21 +281,21 @@ fn shutdown_with_inflight_solve_drains_balanced() {
             }
         });
 
-        // Shutdown order from Service::shutdown: close each stage's
-        // input only after the producing stage has been joined.
-        submission.close();
-        lookup.join().expect("lookup exited on close");
+        // Shutdown order from Service::shutdown: close the completion
+        // ring only after the solve workers have been joined.
         solve.close();
         solver.join().expect("solver exited on close");
         completions.close();
         dispatcher.join().expect("dispatcher exited on close");
+        submitter.join().expect("submitter ran to completion");
 
-        assert_eq!(delivered.load(Ordering::Relaxed), ADMITTED, "delivered == admitted");
-        for (name, stats) in [
-            ("submission", submission.ring_stats()),
-            ("solve", solve.ring_stats()),
-            ("completions", completions.ring_stats()),
-        ] {
+        assert_eq!(
+            delivered.load(Ordering::Relaxed),
+            ADMITTED + hits.load(Ordering::Relaxed),
+            "delivered == admitted + accepted hits"
+        );
+        for (name, stats) in [("solve", solve.ring_stats()), ("completions", completions.ring_stats())]
+        {
             assert_eq!(
                 stats.enqueued, stats.dequeued,
                 "{name} ring drained balanced at shutdown"

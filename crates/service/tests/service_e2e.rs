@@ -414,6 +414,10 @@ fn protocol_errors_are_responses_not_failures() {
         "{\"id\":4,\"op\":\"sleep\",\"ms\":1}\n", // debug ops disabled here
         "{\"id\":5,\"op\":\"snapshot\"}\n",       // no store configured
         "{\"id\":6,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\n\"}\n",
+        "{\"id\":7,\"op\":\"bogus\"}\n",
+        "{\"id\":8,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"bench\":\"alu_v0\",\"priority\":12}\n",
+        "[9]\n",                          // JSON, but not an object
+        "{\"id\":-10,\"op\":\"stats\"}\n", // an object without a valid id
     );
     let mut out: Vec<u8> = Vec::new();
     serve_lines(&service, script.as_bytes(), &mut out).expect("serve");
@@ -423,7 +427,7 @@ fn protocol_errors_are_responses_not_failures() {
         .lines()
         .map(|l| Json::parse(l).expect("parses"))
         .collect();
-    assert_eq!(lines.len(), 7, "every line gets a response");
+    assert_eq!(lines.len(), 11, "every line gets a response");
     let code = |i: usize| lines[i].get("error").and_then(Json::as_str).unwrap_or("").to_string();
     assert_eq!(code(0), "parse_error");
     assert_eq!(code(1), "parse_error", "unknown pipeline is caught at parse");
@@ -434,6 +438,15 @@ fn protocol_errors_are_responses_not_failures() {
     // The good request still went through on the same connection.
     assert_eq!(lines[6].get("ok").and_then(Json::as_bool), Some(true));
     assert!(lines[6].get("fingerprint").is_some());
+    assert_eq!(code(7), "parse_error", "unknown op");
+    assert_eq!(code(8), "parse_error", "priority out of range");
+    assert_eq!(code(9), "parse_error");
+    assert_eq!(code(10), "parse_error");
+    // Every reply echoes its request's id, parse errors included; only a
+    // line without a usable id is answered with id 0.
+    let ids: Vec<Option<u64>> = lines.iter().map(|l| l.get("id").and_then(Json::as_u64)).collect();
+    let want: Vec<Option<u64>> = [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0].map(Some).to_vec();
+    assert_eq!(ids, want);
 }
 
 /// The cross-daemon shared-cache acceptance: instance A (no store, no
@@ -482,12 +495,12 @@ fn shared_segment_makes_a_second_service_warm_without_a_store() {
         stats2.stages.solve_claimed, 0,
         "a segment-warm workload must never duplicate a peer's solve"
     );
-    // A duplicate may coalesce with its still-in-flight original instead
-    // of being routed itself; either way no compile goes cold.
+    // Every compile is a warm hit (nothing coalesces onto a hit); either
+    // way no compile goes cold.
     assert_eq!(
         stats2.stages.lookup_hits + stats2.service.coalesced,
         8,
-        "all 8 compiles short-circuit warm or join a warm in-flight job"
+        "all 8 compiles are warm hits or join a warm in-flight job"
     );
     assert!(
         sh2.hits <= stats2.stages.lookup_hits,
