@@ -1,14 +1,20 @@
 //! Criterion benches for end-to-end compilation throughput (the latency
 //! dimension of Fig. 16), for one warm compile reply through the service,
-//! and for the design-choice ablations DESIGN.md calls out: synthesis
-//! threshold `m_th` and the near-identity mirroring threshold `r`.
+//! for a peer's first reply from the shared segment, and for the
+//! design-choice ablations DESIGN.md calls out: synthesis threshold
+//! `m_th` and the near-identity mirroring threshold `r`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reqisc_benchsuite::generators::{qaoa, ripple_add};
-use reqisc_compiler::{hierarchical_synthesis, Compiler, HsOptions, Pipeline};
+use reqisc_benchsuite::{suite, Scale};
+use reqisc_compiler::{
+    hierarchical_synthesis, probe_shared_program, publish_program, CompileCache, Compiler,
+    HsOptions, Pipeline, STORE_FORMAT_VERSION,
+};
 use reqisc_microarch::{solve_with_mirroring, Coupling};
 use reqisc_qmath::WeylCoord;
 use reqisc_service::{serve_lines, Service, ServiceConfig};
+use reqisc_shmem::layout::MIN_CAPACITY;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -50,6 +56,31 @@ fn bench_warm_reply(c: &mut Criterion) {
     service.shutdown();
 }
 
+fn bench_shared_first_reply(c: &mut Criterion) {
+    // A peer's first touch of a shared-segment entry: probe a published
+    // reqisc-eff output (alu_v2) into a fresh cache and read its reply
+    // record — decoding only, if the segment carries the record; one
+    // content hash and a KAK per distinct SU(4) gate if it does not.
+    let alu = suite(Scale::Demo).into_iter().find(|b| b.name == "alu_v2").expect("alu_v2");
+    let out = compiler().compile(&alu.circuit, Pipeline::ReqiscEff);
+    let (h, fp) = (alu.circuit.content_hash(), compiler().options_fingerprint());
+    let path = std::env::temp_dir().join(format!("reqisc-bench-shared-{}.seg", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let seg = reqisc_shmem::Segment::attach(&path, MIN_CAPACITY, STORE_FORMAT_VERSION)
+        .expect("attach segment");
+    publish_program(&seg, h, Pipeline::ReqiscEff, fp, &out);
+    c.bench_function("shared_first_reply", |b| {
+        b.iter(|| {
+            let cache = CompileCache::new();
+            let entry = probe_shared_program(&seg, &cache, h, Pipeline::ReqiscEff, fp)
+                .expect("segment hit");
+            black_box(entry.reply().metrics.duration)
+        })
+    });
+    drop(seg);
+    let _ = std::fs::remove_file(&path);
+}
+
 fn bench_mth_ablation(c: &mut Criterion) {
     let program = qaoa(6, 2, 1);
     let mut g = c.benchmark_group("ablation_m_th");
@@ -82,6 +113,7 @@ criterion_group!(
     pipeline,
     bench_pipelines,
     bench_warm_reply,
+    bench_shared_first_reply,
     bench_mth_ablation,
     bench_mirror_threshold
 );

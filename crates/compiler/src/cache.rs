@@ -7,8 +7,8 @@
 //! * **programs** — whole-pipeline results keyed by (circuit content
 //!   hash, pipeline, compiler-options fingerprint). A warm hit returns a
 //!   finished [`Program`] without touching the synthesis stack at all;
-//!   the entry also carries the output's reply record, priced once by
-//!   the first reply that needs it.
+//!   the entry also carries the output's reply record, priced once per
+//!   entry and carried through the shared segment with it.
 //! * **synthesis** — per-block [`synthesize_if_shorter`] results keyed by
 //!   (target-unitary content hash, width, block budget, search-options
 //!   fingerprint). Repeated 3Q subprograms — Toffoli/MAJ/UMA blocks
@@ -35,6 +35,10 @@ use std::sync::{Arc, OnceLock};
 
 use crate::pipelines::{metrics, Metrics, Pipeline};
 
+// Shared-segment records carry reply records priced under this coupling,
+// so changing the coupling or the record's fields without a
+// STORE_FORMAT_VERSION bump would let peers serve stale metrics.
+// lint:store-surface-begin
 /// The coupling compile replies are priced under: the evaluation's XY
 /// coupling at unit strength (§6.1.1). [`Program::reply`] prices with it,
 /// and so does the service's recomputing reference, `Service::metrics`.
@@ -53,13 +57,23 @@ pub struct ReplyRecord {
     pub metrics: Metrics,
 }
 
+impl ReplyRecord {
+    /// Prices `circuit`: one content hash and one [`metrics`] pass.
+    pub(crate) fn price(circuit: &Circuit) -> Self {
+        Self { fingerprint: circuit.content_hash(), metrics: metrics(circuit, &reply_coupling()) }
+    }
+}
+// lint:store-surface-end
+
 /// One whole-program pool entry: a compiled circuit and its reply record.
 ///
-/// The record is priced by the first [`Program::reply`] call, never when
-/// the entry is created, so compiles, lookups and warm starts that never
-/// reply never pay for it. It lives and dies with the entry: an LRU
-/// eviction or a store GC that drops the entry drops the record too.
-/// Derefs to the circuit.
+/// The record is priced at most once per entry, by the first
+/// [`Program::reply`] call, never when a compile, lookup or store warm
+/// start creates the entry. The service's solve worker prices each entry
+/// it compiles, before publishing it, and the shared segment carries the
+/// record, so an entry decoded from the segment arrives priced. The
+/// record lives and dies with the entry: an LRU eviction or a store GC
+/// that drops the entry drops the record too. Derefs to the circuit.
 #[derive(Debug)]
 pub struct Program {
     circuit: Circuit,
@@ -75,6 +89,12 @@ impl Program {
         Self { circuit, reply: OnceLock::new() }
     }
 
+    /// An entry for `circuit` whose reply record is already known: the
+    /// one a shared-segment record carries, priced by its publisher.
+    pub(crate) fn with_reply(circuit: Circuit, reply: ReplyRecord) -> Self {
+        Self { reply: OnceLock::from(reply), ..Self::new(circuit) }
+    }
+
     /// The compiled circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
@@ -83,10 +103,7 @@ impl Program {
     /// The reply record, priced on the first call (one content hash and
     /// one [`metrics`] pass) and read back on every later one.
     pub fn reply(&self) -> &ReplyRecord {
-        self.reply.get_or_init(|| ReplyRecord {
-            fingerprint: self.circuit.content_hash(),
-            metrics: metrics(&self.circuit, &reply_coupling()),
-        })
+        self.reply.get_or_init(|| ReplyRecord::price(&self.circuit))
     }
 
     /// The reply record if some reply has already priced it.
@@ -367,8 +384,13 @@ mod tests {
         cache.export_programs().into_iter().map(|(_, v, _)| v).collect()
     }
 
+    /// A record's fields, the duration as its bits.
+    fn bits(r: &ReplyRecord) -> (u128, usize, usize, u64) {
+        (r.fingerprint, r.metrics.count_2q, r.metrics.depth_2q, r.metrics.duration.to_bits())
+    }
+
     #[test]
-    fn only_a_reply_prices_the_record() {
+    fn a_record_is_priced_once_and_travels_with_the_segment() {
         let comp = bare_compiler(CompileCache::new());
         let (c, fp) = (program(4), comp.options_fingerprint());
         let out = comp.compile(&c, SU4);
@@ -379,41 +401,50 @@ mod tests {
         assert!(Arc::ptr_eq(&shared, &entry), "the Arc entry point returns the pool's entry");
         assert!(entry.priced().is_none(), "warm compiles and lookups do not price");
 
-        // Persist and share the unpriced pool, then warm fresh caches
-        // from each medium: nothing on those paths prices either.
+        // A store warm start leaves its entry unpriced: the store file's
+        // program codec carries the circuit only.
         let dir = scratch("store");
         CacheStore::new(&dir).save(comp.cache()).expect("save");
+        let from_store = CompileCache::new();
+        CacheStore::new(&dir).load_into(&from_store);
+        let stored = entries(&from_store);
+        assert_eq!(stored.len(), 1);
+        assert!(stored[0].priced().is_none(), "store seeding does not price");
+        assert_eq!(stored[0].circuit(), &out);
+
+        // Publishing prices the source entry, once: a second pass finds
+        // the record in place.
         let seg_path = scratch("seg");
         let seg = Segment::attach(&seg_path, MIN_CAPACITY, 7).expect("attach");
         assert_eq!(crate::sharing::publish_all(&seg, comp.cache()).published, 1);
+        let record = entry.priced().expect("publishing priced the entry");
+        assert_eq!(crate::sharing::publish_all(&seg, comp.cache()).duplicates, 1);
+        assert!(std::ptr::eq(entry.reply(), record), "replies read the published record");
 
+        // Segment seeds and probes return entries already priced, with
+        // the publisher's record.
         let key = (c.content_hash(), SU4, fp);
-        let from_store = CompileCache::new();
-        CacheStore::new(&dir).load_into(&from_store);
         let from_seg = CompileCache::new();
         assert_eq!(crate::sharing::seed_from_segment(&seg, &from_seg), 1);
         let probed = CompileCache::new();
         let hit = crate::sharing::probe_shared_program(&seg, &probed, key.0, key.1, key.2)
             .expect("segment hit");
-        for (path, cache) in [("store", &from_store), ("segment", &from_seg), ("probe", &probed)] {
+        assert!(Arc::ptr_eq(&hit, &entries(&probed)[0]), "a probe returns the seeded entry");
+        for (path, cache) in [("segment", &from_seg), ("probe", &probed)] {
             let seeded = entries(cache);
             assert_eq!(seeded.len(), 1, "{path}");
-            assert!(seeded[0].priced().is_none(), "{path} seeding does not price");
             assert_eq!(seeded[0].circuit(), &out, "{path}");
+            let carried = seeded[0].priced().unwrap_or_else(|| panic!("{path} arrives priced"));
+            assert_eq!(bits(carried), bits(record), "{path}");
         }
-        assert!(Arc::ptr_eq(&hit, &entries(&probed)[0]), "a probe returns the seeded entry");
 
-        // The first reply prices once; later ones read the same record,
-        // equal to recomputation to the bit.
-        let record = *entry.reply();
-        assert!(std::ptr::eq(entry.reply(), entry.priced().expect("priced")));
+        // The record equals recomputation to the bit, and later hits
+        // share it.
         let m = metrics(&out, &reply_coupling());
-        assert_eq!(record.fingerprint, out.content_hash());
-        assert_eq!((record.metrics.count_2q, record.metrics.depth_2q), (m.count_2q, m.depth_2q));
-        assert_eq!(record.metrics.duration.to_bits(), m.duration.to_bits());
+        assert_eq!(bits(record), (out.content_hash(), m.count_2q, m.depth_2q, m.duration.to_bits()));
         assert!(m.count_2q > 0, "the output has SU(4) gates to price");
         let again = comp.lookup_program(key.0, key.1, key.2).expect("entry");
-        assert_eq!(again.priced(), Some(&record), "later hits share the record");
+        assert!(std::ptr::eq(again.reply(), record), "later hits share the record");
         drop(seg);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&seg_path);

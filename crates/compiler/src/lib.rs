@@ -54,8 +54,8 @@ pub use pipelines::{
     Pipeline,
 };
 pub use sharing::{
-    probe_shared_program, publish_all, publish_program, seed_from_segment, seed_subprogram_pools,
-    ShareStats, POOL_PROGRAM, POOL_PULSE, POOL_SYNTHESIS,
+    probe_shared_program, publish_all, publish_program, publish_program_entry, seed_from_segment,
+    seed_subprogram_pools, ShareStats, POOL_PROGRAM, POOL_PULSE, POOL_SYNTHESIS,
 };
 pub use sabre::{
     expand_swaps_to_cx, route, routing_preserves_semantics, RouteOptions, Routed, Router,

@@ -6,15 +6,18 @@
 //! reusing the exact value codecs the persistent store uses
 //! (`write_circuit` / `BlockCircuit::encode_into` /
 //! `write_solved_class`), so a segment entry round-trips bit-for-bit
-//! the same artifacts as a store file. The key byte orders below are
+//! the same artifacts as a store file. A whole-program value also
+//! carries the entry's [`ReplyRecord`] after the circuit: the publisher
+//! prices it once, and a peer that serves the entry prices nothing. The
+//! key and value byte orders below are
 //! cross-process wire surface and sit in a `lint:store-surface` region:
 //! editing them without a `STORE_FORMAT_VERSION` bump + registry
 //! regeneration fails `reqisc-lint --deny-all`. Segments are attached
 //! with [`crate::store::STORE_FORMAT_VERSION`], so a codec bump
 //! invalidates stale segments exactly like it invalidates store files.
 
-use crate::cache::{CompileCache, Program, ProgramKey, SynthKey};
-use crate::pipelines::Pipeline;
+use crate::cache::{CompileCache, Program, ProgramKey, ReplyRecord, SynthKey};
+use crate::pipelines::{Metrics, Pipeline};
 use reqisc_microarch::cache::{read_solved_class, write_solved_class};
 use reqisc_qcircuit::{read_circuit, write_circuit, Circuit};
 use reqisc_qmath::{ByteReader, ByteWriter, WeylClassKey};
@@ -85,16 +88,31 @@ fn decode_pulse_key(bytes: &[u8]) -> Option<([i64; 3], WeylClassKey)> {
     r.is_exhausted().then_some((cp, class))
 }
 
-fn circuit_val_bytes(c: &Circuit) -> Vec<u8> {
+/// A whole-program value: the circuit, then its 40-byte reply record
+/// (fingerprint as u128, `count_2q` and `depth_2q` as u64, the
+/// duration's f64 bits). Every program writer encodes through here.
+fn program_val_bytes(circuit: &Circuit, reply: &ReplyRecord) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    write_circuit(&mut w, c);
+    write_circuit(&mut w, circuit);
+    w.put_u128(reply.fingerprint);
+    w.put_usize(reply.metrics.count_2q);
+    w.put_usize(reply.metrics.depth_2q);
+    w.put_f64(reply.metrics.duration);
     w.into_bytes()
 }
 
-fn decode_circuit_val(bytes: &[u8]) -> Option<Circuit> {
+fn decode_program_val(bytes: &[u8]) -> Option<Program> {
     let mut r = ByteReader::new(bytes);
-    let c = read_circuit(&mut r).ok()?;
-    r.is_exhausted().then_some(c)
+    let circuit = read_circuit(&mut r).ok()?;
+    let reply = ReplyRecord {
+        fingerprint: r.get_u128().ok()?,
+        metrics: Metrics {
+            count_2q: r.get_usize().ok()?,
+            depth_2q: r.get_usize().ok()?,
+            duration: r.get_f64().ok()?,
+        },
+    };
+    r.is_exhausted().then(|| Program::with_reply(circuit, reply))
 }
 
 fn synth_val_bytes(v: &Option<BlockCircuit>) -> Vec<u8> {
@@ -155,10 +173,10 @@ impl ShareStats {
 
 /// Probes the shared segment for a whole-program entry (the lookup
 /// tier between the local pool and a cold solve). A hit decodes the
-/// circuit and seeds it into the local pool — counter-free, exactly
-/// like a store warm start — so the next request for this key is a
-/// local hit. The returned entry is the one seeded, its reply record
-/// not yet priced.
+/// circuit and its reply record and seeds them into the local pool —
+/// counter-free, exactly like a store warm start — so the next request
+/// for this key is a local hit. The returned entry is the one seeded,
+/// its reply record already priced by the publisher.
 pub fn probe_shared_program(
     seg: &Segment,
     cache: &CompileCache,
@@ -168,14 +186,16 @@ pub fn probe_shared_program(
 ) -> Option<Arc<Program>> {
     let key_bytes = program_key_bytes(circuit, pipeline, options);
     let val = seg.probe(POOL_PROGRAM, &key_bytes)?;
-    let decoded = Arc::new(Program::new(decode_circuit_val(&val)?));
+    let decoded = Arc::new(decode_program_val(&val)?);
     let key = ProgramKey { circuit, pipeline, options };
     cache.seed_program(key, decoded.clone());
     Some(decoded)
 }
 
-/// Publishes one finished whole-program compilation (the solve stage's
-/// at-completion hook: every daemon on the box sees the hit instantly).
+/// Publishes one finished whole-program compilation given as a bare
+/// circuit, pricing its reply record first. Callers that hold the pool's
+/// entry use [`publish_program_entry`], which prices at most once per
+/// entry.
 pub fn publish_program(
     seg: &Segment,
     circuit: u128,
@@ -186,21 +206,36 @@ pub fn publish_program(
     seg.publish(
         POOL_PROGRAM,
         &program_key_bytes(circuit, pipeline, options),
-        &circuit_val_bytes(value),
+        &program_val_bytes(value, &ReplyRecord::price(value)),
+    )
+}
+
+/// Publishes one whole-program pool entry with its reply record, priced
+/// through the entry's memoized [`Program::reply`] (the solve stage's
+/// at-completion hook: every daemon on the box sees the hit instantly,
+/// and replies from it without pricing).
+pub fn publish_program_entry(
+    seg: &Segment,
+    circuit: u128,
+    pipeline: Pipeline,
+    options: u128,
+    entry: &Program,
+) -> PublishOutcome {
+    seg.publish(
+        POOL_PROGRAM,
+        &program_key_bytes(circuit, pipeline, options),
+        &program_val_bytes(entry, entry.reply()),
     )
 }
 
 /// Publishes every entry of all three pools into the segment (the
 /// snapshot/shutdown bulk hook; `Duplicate` outcomes are the common
-/// case for a warm pool and cost one probe each).
+/// case for a warm pool and cost one probe each, plus the pricing of a
+/// program entry no reply or publish has priced yet).
 pub fn publish_all(seg: &Segment, cache: &CompileCache) -> ShareStats {
     let mut stats = ShareStats::default();
     for (k, v, _used) in cache.export_programs() {
-        stats.absorb(seg.publish(
-            POOL_PROGRAM,
-            &program_key_bytes(k.circuit, k.pipeline, k.options),
-            &circuit_val_bytes(&v),
-        ));
+        stats.absorb(publish_program_entry(seg, k.circuit, k.pipeline, k.options, &v));
     }
     for (k, v, _used) in cache.export_synthesis() {
         stats.absorb(seg.publish(POOL_SYNTHESIS, &synth_key_bytes(&k), &synth_val_bytes(&v)));
@@ -212,7 +247,8 @@ pub fn publish_all(seg: &Segment, cache: &CompileCache) -> ShareStats {
 }
 
 /// Seeds every decodable segment entry into the local pools
-/// (counter-free warm start, like [`crate::store::CacheStore::load_into`]).
+/// (counter-free warm start, like [`crate::store::CacheStore::load_into`],
+/// except that whole-program entries arrive with their reply records).
 /// Returns the number of entries seeded; undecodable entries are
 /// skipped — a checksum-valid record that fails the typed decode can
 /// only come from a foreign build, and a skip is a future cache miss,
@@ -235,9 +271,9 @@ fn seed_filtered(seg: &Segment, cache: &CompileCache, include_programs: bool) ->
     seg.for_each(|pool, key, val, _stamp| {
         let ok = match pool {
             POOL_PROGRAM if include_programs => {
-                match (decode_program_key(key), decode_circuit_val(val)) {
+                match (decode_program_key(key), decode_program_val(val)) {
                     (Some(k), Some(v)) => {
-                        cache.seed_program(k, Arc::new(Program::new(v)));
+                        cache.seed_program(k, Arc::new(v));
                         true
                     }
                     _ => false,
@@ -294,6 +330,23 @@ mod tests {
         c
     }
 
+    /// An SU(4)-ISA output: its record prices a KAK per SU(4) gate, and
+    /// its 2Q count (3) and depth (2) differ.
+    fn su4_circuit() -> Circuit {
+        let can = Gate::Can(0, 1, reqisc_qmath::WeylCoord::new(0.4, 0.2, 0.1));
+        let mut c = Circuit::new(4);
+        c.push(Gate::Rz(2, 0.3));
+        c.push(Gate::Su4(0, 1, Box::new(can.matrix())));
+        c.push(Gate::Cx(2, 3));
+        c.push(Gate::Cx(1, 2));
+        c
+    }
+
+    /// A record's fields, the duration as its bits.
+    fn bits(r: &ReplyRecord) -> (u128, usize, usize, u64) {
+        (r.fingerprint, r.metrics.count_2q, r.metrics.depth_2q, r.metrics.duration.to_bits())
+    }
+
     #[test]
     fn program_entries_roundtrip_through_segment() {
         let (seg, path) = tmp_seg("program");
@@ -311,6 +364,8 @@ mod tests {
         let got = probe_shared_program(&seg, &cache, h, Pipeline::ReqiscEff, opts)
             .expect("published program must probe back");
         assert_eq!(got.content_hash(), h);
+        let carried = got.priced().expect("a probed entry arrives priced");
+        assert_eq!(bits(carried), bits(&ReplyRecord::price(&value)));
         // The probe seeded the local pool: a counter-free warm entry.
         let key = ProgramKey { circuit: h, pipeline: Pipeline::ReqiscEff, options: opts };
         assert!(cache.probe_program(&key).is_some());
@@ -345,8 +400,59 @@ mod tests {
 
         let fresh = CompileCache::new();
         assert_eq!(seed_from_segment(&seg, &fresh), 2);
-        assert!(fresh.probe_program(&pk).is_some());
+        let seeded = fresh.probe_program(&pk).expect("seeded program");
+        assert_eq!(seeded.priced(), value.priced(), "the publisher's record came along");
         assert_eq!(fresh.len(), 2);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn program_values_decode_to_a_miss_or_an_entry_never_a_panic() {
+        let (seg, path) = tmp_seg("fuzz");
+        let value = su4_circuit();
+        let (h, opts) = (value.content_hash(), 5u128);
+        assert_eq!(
+            publish_program(&seg, h, Pipeline::QiskitSu4, opts, &value),
+            PublishOutcome::Published
+        );
+        let bytes = seg
+            .probe(POOL_PROGRAM, &program_key_bytes(h, Pipeline::QiskitSu4, opts))
+            .expect("published value");
+        let record = ReplyRecord::price(&value);
+        assert_eq!((record.metrics.count_2q, record.metrics.depth_2q), (3, 2));
+
+        // Untouched, the value round-trips the circuit and the record bit
+        // for bit.
+        let program = decode_program_val(&bytes).expect("an untouched value decodes");
+        assert_eq!(program.circuit(), &value);
+        assert_eq!(bits(program.priced().expect("decoded priced")), bits(&record));
+        assert_eq!(bytes, program_val_bytes(&value, &record));
+        // The record is the value's last 40 bytes, little-endian.
+        let mut tail = record.fingerprint.to_le_bytes().to_vec();
+        tail.extend((record.metrics.count_2q as u64).to_le_bytes());
+        tail.extend((record.metrics.depth_2q as u64).to_le_bytes());
+        tail.extend(record.metrics.duration.to_bits().to_le_bytes());
+        assert_eq!(&bytes[bytes.len() - 40..], &tail[..]);
+
+        // Every truncation, one extra trailing byte, and every single-byte
+        // flip: a miss or an entry, whichever, but the decoder returns.
+        for len in 0..bytes.len() {
+            assert!(decode_program_val(&bytes[..len]).is_none(), "truncated to {len}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(decode_program_val(&longer).is_none(), "a trailing byte");
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= mask;
+                decoded += decode_program_val(&flipped).is_some() as usize;
+            }
+        }
+        // Flips in the record or in an angle still decode; flips in a
+        // length or a qubit index mostly do not.
+        assert!(decoded > 0 && decoded < 3 * bytes.len(), "{decoded} of {}", 3 * bytes.len());
         let _ = std::fs::remove_file(path);
     }
 }

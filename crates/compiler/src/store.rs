@@ -95,8 +95,12 @@ pub const STORE_MAGIC: [u8; 4] = *b"RQCS";
 /// `ByteReader::get_bytes` plus the shared-memory segment surface (the
 /// `reqisc-shmem` header/record layout and the `sharing` pool-tag +
 /// key/value codecs) — segments stamp this version into their header,
-/// so the bump retires any segment written before the surface existed.
-pub const STORE_FORMAT_VERSION: u32 = 3;
+/// so the bump retires any segment written before the surface existed;
+/// v4 appends the entry's 40-byte reply record to the segment's
+/// whole-program value and makes `reply_coupling` and `ReplyRecord`
+/// (`compiler/src/cache.rs`) store surface — the store file's program
+/// codec stays circuit-only.
+pub const STORE_FORMAT_VERSION: u32 = 4;
 
 /// Store file name inside the store directory.
 pub const STORE_FILE_NAME: &str = "reqisc-cache.bin";

@@ -177,27 +177,33 @@ fn main() {
     // responses before sending the next: a large `suite` must not
     // outrun the daemon's bounded queue (default capacity 256) — that
     // would turn the bulk path into guaranteed queue_full rejections.
+    // A socket error ends the session like an early EOF: the responses
+    // that did arrive are reported and the rest count as missing.
     const WINDOW: usize = 128;
     let mut reader = BufReader::new(&stream);
     let mut collected: Vec<String> = Vec::new();
-    let mut early_eof = false;
+    let mut sent = 0;
     for chunk in lines.chunks(WINDOW) {
-        {
-            let mut w = &stream;
-            for l in chunk {
-                writeln!(w, "{l}").expect("write request");
-            }
-            w.flush().expect("flush");
+        let mut w = &stream;
+        let written = chunk.iter().try_for_each(|l| writeln!(w, "{l}")).and_then(|()| w.flush());
+        if let Err(e) = &written {
+            eprintln!("connection lost while sending: {e}");
         }
-        for _ in 0..chunk.len() {
+        sent += chunk.len();
+        // Read the window's responses even after a failed send: the
+        // daemon may have answered some lines before it went away.
+        while collected.len() < sent {
             let mut line = String::new();
-            if reader.read_line(&mut line).expect("read response") == 0 {
-                early_eof = true;
-                break;
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => collected.push(line.trim_end().to_string()),
+                Err(e) => {
+                    eprintln!("connection lost while receiving: {e}");
+                    break;
+                }
             }
-            collected.push(line.trim_end().to_string());
         }
-        if early_eof {
+        if written.is_err() || collected.len() < sent {
             break;
         }
     }

@@ -19,15 +19,15 @@
 //! * `--solve-delay-ms MS` — park every solve worker for MS before each
 //!   cold compile it claims (stall-isolation drills; default: the
 //!   `REQISC_DEBUG_SOLVE_DELAY_MS` environment knob, else off);
-//! * `--queue-capacity N` — bounded solve-ring size: cold compiles
-//!   beyond it are answered `queue_full`; warm hits never need a slot
-//!   (default 256);
+//! * `--queue-capacity N` — bounded solve-ring size (N ≥ 1): cold
+//!   compiles beyond it are answered `queue_full`; warm hits never need
+//!   a slot (default 256);
 //! * `--snapshot-secs S` — periodic store snapshot interval (default 30;
 //!   0 disables the timer — the store still flushes on shutdown);
 //! * `--gc-idle-gens N` — snapshots become compacting: entries idle for
 //!   more than N store generations are dropped (default: GC off);
 //! * `--pool-shards N` / `--pool-capacity N` — bound the in-memory memo
-//!   pools (LRU eviction; default generous/off);
+//!   pools (N ≥ 1; LRU eviction; default generous/off);
 //! * `--shm-path PATH` — attach the shared-memory cache segment at PATH
 //!   (default: the `REQISC_SHM_PATH` environment knob; no shared tier
 //!   when both unset);
@@ -95,7 +95,7 @@ fn parse_args() -> Args {
                     Some(parse_num(&val("--solve-delay-ms"), "--solve-delay-ms"))
             }
             "--queue-capacity" => {
-                args.config.queue_capacity = parse_num(&val("--queue-capacity"), "--queue-capacity")
+                args.config.queue_capacity = parse_size(&val("--queue-capacity"), "--queue-capacity")
             }
             "--snapshot-secs" => {
                 let s: u64 = parse_num(&val("--snapshot-secs"), "--snapshot-secs");
@@ -111,9 +111,9 @@ fn parse_args() -> Args {
                 args.config.shm_capacity_bytes =
                     parse_num(&val("--shm-capacity-bytes"), "--shm-capacity-bytes")
             }
-            "--pool-shards" => pool_shards = parse_num(&val("--pool-shards"), "--pool-shards"),
+            "--pool-shards" => pool_shards = parse_size(&val("--pool-shards"), "--pool-shards"),
             "--pool-capacity" => {
-                pool_capacity = Some(parse_num(&val("--pool-capacity"), "--pool-capacity"))
+                pool_capacity = Some(parse_size(&val("--pool-capacity"), "--pool-capacity"))
             }
             "--debug-ops" => args.config.debug_ops = true,
             "--help" | "-h" => usage(),
@@ -132,6 +132,17 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
         eprintln!("{flag}: invalid value '{s}'");
         usage()
     })
+}
+
+/// A queue or pool dimension: zero is a usage error, not a shape.
+fn parse_size(s: &str, flag: &str) -> usize {
+    match parse_num(s, flag) {
+        0 => {
+            eprintln!("{flag}: must be at least 1");
+            usage()
+        }
+        n => n,
+    }
 }
 
 fn main() {

@@ -431,18 +431,24 @@ impl Inner {
                         // warm hits are unaffected by design).
                         std::thread::sleep(delay);
                     }
+                    // The entry's reply record is priced here, inside the
+                    // panic isolation, once per entry: the reply and the
+                    // segment record below both read it.
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        self.compiler.compile_program(&circuit, pipeline)
+                        let program = self.compiler.compile_program(&circuit, pipeline);
+                        program.reply();
+                        program
                     }));
                     let outcome = match out {
                         Ok(c) => {
                             // Publish at completion: every daemon on the
                             // box sees this solve as a warm hit from now
-                            // on. A `Duplicate` means a peer solved the
-                            // same key concurrently — their entry is
+                            // on, and replies from the record without
+                            // pricing. A `Duplicate` means a peer solved
+                            // the same key concurrently — their entry is
                             // byte-identical, so losing the race is free.
                             if let Some(seg) = &self.shared {
-                                self.shared_stats.absorb(sharing::publish_program(
+                                self.shared_stats.absorb(sharing::publish_program_entry(
                                     seg,
                                     key.circuit,
                                     key.pipeline,

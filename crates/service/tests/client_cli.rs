@@ -1,13 +1,18 @@
-//! `reqisc-client`'s exit codes, driven through the built binary against
-//! an in-process daemon: a numeric flag whose value does not parse is a
-//! usage error (exit 2) instead of a silently skipped assertion.
+//! The command-line tools' exit codes, driven through the built binaries.
+//! `reqisc-client` against an in-process daemon: a numeric flag whose
+//! value does not parse is a usage error (exit 2) instead of a silently
+//! skipped assertion, and a connection the daemon drops is a failure
+//! (exit 1), not a panic. `reqiscd`: a zero queue or pool size is a
+//! usage error (exit 2), not a panic at startup.
 
 #![cfg(unix)]
 
 use reqisc_compiler::Compiler;
 use reqisc_service::{serve_unix, Service, ServiceConfig};
+use std::io::BufRead;
+use std::os::unix::net::UnixListener;
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Requests shutdown when dropped, so a failing assertion inside the
 /// server's scope ends the accept loop instead of hanging the test.
@@ -68,4 +73,59 @@ fn malformed_numeric_flags_are_usage_errors() {
     let stats = service.stats_snapshot().service;
     service.shutdown();
     assert_eq!(stats.submitted, 1, "only the well-formed submit reached the queue");
+}
+
+#[test]
+fn a_dropped_connection_is_a_failure_not_a_panic() {
+    let sock = std::env::temp_dir().join(format!("reqisc-client-drop-{}.sock", std::process::id()));
+    for _ in 0..3 {
+        let _ = std::fs::remove_file(&sock);
+        let listener = UnixListener::bind(&sock).expect("bind");
+        // A peer that reads one request of the suite and hangs up with
+        // the rest unread.
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut line = String::new();
+            std::io::BufReader::new(&stream).read_line(&mut line).expect("read one request");
+            assert!(line.contains("\"op\":\"compile\""), "{line}");
+        });
+        let out = Command::new(env!("CARGO_BIN_EXE_reqisc-client"))
+            .arg("--socket")
+            .arg(&sock)
+            .arg("suite")
+            .output()
+            .expect("run reqisc-client");
+        peer.join().expect("peer thread");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("missing responses"), "{stderr}");
+    }
+    let _ = std::fs::remove_file(&sock);
+}
+
+#[test]
+fn zero_queue_and_pool_sizes_are_usage_errors() {
+    let reqiscd = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_reqiscd"))
+            .arg("--stdio")
+            .args(args)
+            .env_remove(reqisc_env::CACHE_DIR.name)
+            .env_remove(reqisc_env::SHM_PATH.name)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run reqiscd");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for (args, flag) in [
+        (&["--queue-capacity", "0"][..], "--queue-capacity"),
+        (&["--pool-capacity", "0"], "--pool-capacity"),
+        (&["--pool-shards", "0", "--pool-capacity", "4"], "--pool-shards"),
+    ] {
+        let (code, stderr) = reqiscd(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} names its flag: {stderr}");
+    }
+    // The smallest accepted shape serves its (empty) session.
+    let (code, stderr) = reqiscd(&["--queue-capacity", "1", "--pool-shards", "1", "--pool-capacity", "1"]);
+    assert_eq!(code, Some(0), "{stderr}");
 }

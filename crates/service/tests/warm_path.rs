@@ -82,11 +82,15 @@ fn cold_pass(service: &Service, jobs: &[(Arc<Circuit>, Pipeline)]) -> Vec<u128> 
 }
 
 /// Parks the single solve worker on a sleep job and waits until it has
-/// claimed it.
+/// claimed it. The wait is on the claim counter, not on an empty solve
+/// ring: the worker counts a claim just after the pop that empties the
+/// ring, and a snapshot taken in between would see the park's claim
+/// land inside the measured window.
 fn park_worker(service: &Service, ms: u64) -> Ticket {
+    let claimed = service.stats_snapshot().stages.solve_claimed;
     let t = service.submit_debug(DebugOp::Sleep { ms }, DEFAULT_PRIORITY).expect("park");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while service.queue_depth() > 0 {
+    while service.stats_snapshot().stages.solve_claimed == claimed {
         assert!(Instant::now() < deadline, "worker never claimed the park job");
         std::thread::yield_now();
     }
