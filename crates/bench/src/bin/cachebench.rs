@@ -4,31 +4,32 @@
 //! * **serial cold** — the cache-bypassing reference path;
 //! * **batch cold** — [`Compiler::compile_batch`] with a cold shared
 //!   in-memory cache;
-//! * **disk warm** — a *fresh* compiler warm-started from the persistent
-//!   [`CacheStore`] (what a new process / CI job pays);
+//! * **disk warm** — a *fresh* compiler warm-started from the shared
+//!   segment file (what a new process / CI job pays);
 //! * **memory warm** — a rerun of the same batch in the same process.
 //!
-//! Prints one CSV row of wall-clocks and ratios plus the cache and store
-//! counters.
+//! Prints one CSV row of wall-clocks and ratios plus the cache and
+//! segment counters.
 //!
 //! Environment knobs:
 //!
 //! * `REQISC_SCALE=paper` — Table-1-sized programs;
 //! * `REQISC_BENCH_N=<k>` — cap the program count (default: whole suite);
 //! * `REQISC_THREADS=<t>` — pin the worker count (default: hardware);
-//! * `REQISC_CACHE_DIR=<dir>` — share the persistent store in `<dir>`
-//!   across processes (default: a private temp dir, deleted at exit);
+//! * `REQISC_SHM_PATH=<file>` — share the segment at `<file>` across
+//!   processes (default: a private temp file, deleted at exit);
 //! * `REQISC_SKIP_SERIAL=1` — skip the (slow) serial reference column;
-//! * `REQISC_REQUIRE_DISK_WARM_X=<f>` — **assert** the store existed,
-//!   loaded, and the disk-warm batch beat the cold batch by ≥ `f`×;
+//! * `REQISC_REQUIRE_DISK_WARM_X=<f>` — **assert** the segment already
+//!   held entries from an earlier run and the disk-warm batch beat the
+//!   cold batch by ≥ `f`×;
 //! * `REQISC_REQUIRE_PROGRAM_HIT_PCT=<p>` — **assert** the disk-warm
 //!   batch's program-pool hit rate is ≥ `p`% (CI runs the bench twice
-//!   against one `REQISC_CACHE_DIR` with both assertions on the second
+//!   against one `REQISC_SHM_PATH` with both assertions on the second
 //!   run, so a persistence regression fails loudly).
 
-use reqisc_bench::{env, env_cache_dir};
+use reqisc_bench::{attach_segment, env};
 use reqisc_benchsuite::{scale_from_env, suite, Benchmark};
-use reqisc_compiler::{CacheStore, Compiler, LoadOutcome, Pipeline};
+use reqisc_compiler::{publish_all, seed_from_segment, Compiler, Pipeline};
 use reqisc_qcircuit::Circuit;
 use std::time::Instant;
 
@@ -38,7 +39,7 @@ fn main() {
     let skip_serial = env::SKIP_SERIAL.flag();
     let require_disk_warm_x = env::REQUIRE_DISK_WARM_X.f64();
     let require_hit_pct = env::REQUIRE_PROGRAM_HIT_PCT.f64();
-    let shared_dir = env_cache_dir();
+    let shared_path = env::SHM_PATH.path();
     let programs: Vec<Benchmark> = suite(scale_from_env())
         .into_iter()
         .filter(|b| b.circuit.lowered_to_cx().count_2q() <= 5000)
@@ -72,45 +73,34 @@ fn main() {
         assert_eq!(serial_out, &cold_out, "batch diverged from the serial reference");
     }
 
-    // 3. Persist, then disk-warm a *fresh* compiler from the store (what
-    // the next process pays). With REQISC_CACHE_DIR the store is loaded
-    // before this process's results are merged back, so a second run
-    // measures true cross-process warmth.
-    let tmp_dir = shared_dir.is_none().then(|| {
-        std::env::temp_dir().join(format!("reqisc-cachebench-{}", std::process::id()))
+    // 3. Persist, then disk-warm a *fresh* compiler from the segment
+    // (what the next process pays). With REQISC_SHM_PATH the segment is
+    // read before this process's results are published into it, so a
+    // second run measures true cross-process warmth.
+    let tmp_path = shared_path.is_none().then(|| {
+        std::env::temp_dir().join(format!("reqisc-cachebench-{}.seg", std::process::id()))
     });
-    let dir = shared_dir.clone().or_else(|| tmp_dir.clone()).expect("some dir");
-    let store = CacheStore::new(&dir);
+    let path = shared_path.clone().or_else(|| tmp_path.clone()).expect("some path");
+    let segment = attach_segment(&path).expect("attach the segment");
     let warm = Compiler::new();
     // Cross-process mode: warm from whatever earlier runs left. The
-    // *pre-existing* outcome is what the CI assertion checks — it proves
-    // a previous process's file really warmed this one.
-    let preexisting = if shared_dir.is_some() {
-        store.load_into(warm.cache())
+    // *pre-existing* entries are what the CI assertion checks — they
+    // prove a previous process's file really warmed this one.
+    let preexisting = if shared_path.is_some() {
+        let seeded = seed_from_segment(&segment, warm.cache());
+        eprintln!("# segment: {} ({seeded} entries seeded)", path.display());
+        seeded
     } else {
-        LoadOutcome::Missing
+        0
     };
-    match &preexisting {
-        LoadOutcome::Missing if shared_dir.is_some() => {
-            eprintln!("# store: {} missing (cold first run)", store.path().display())
-        }
-        LoadOutcome::Missing => {}
-        LoadOutcome::Loaded { programs, synthesis, pulses } => eprintln!(
-            "# store: loaded {programs} programs, {synthesis} synthesis, {pulses} pulses"
-        ),
-        LoadOutcome::Rejected { reason } => eprintln!("# store: REJECTED ({reason})"),
-    }
-    if !matches!(preexisting, LoadOutcome::Loaded { .. }) {
-        // Nothing usable on disk yet (first run, or a rejected file that
-        // the save below supersedes): persist this process's cold results
-        // and reload them, so the next phase measures genuine disk-warmth
-        // instead of silently redoing a full cold batch.
-        store.save(batch.cache()).expect("store save");
-        let reloaded = store.load_into(warm.cache());
-        assert!(
-            matches!(reloaded, LoadOutcome::Loaded { .. }),
-            "self-saved store failed to load: {reloaded:?}"
-        );
+    if preexisting == 0 {
+        // Nothing on file yet (first run, or a segment reinitialized
+        // after a format change): publish this process's cold results
+        // and seed from them, so the next phase measures genuine
+        // disk-warmth instead of silently redoing a full cold batch.
+        publish_all(&segment, batch.cache());
+        let seeded = seed_from_segment(&segment, warm.cache());
+        assert!(seeded > 0, "the self-published segment seeded nothing");
     }
     let t2 = Instant::now();
     let disk_out = warm.compile_batch(&jobs, threads);
@@ -124,13 +114,15 @@ fn main() {
     let t_warm = t3.elapsed().as_secs_f64();
     assert_eq!(cold_out, warm_out, "memory-warm rerun diverged");
 
-    // 5. Merge this run's results back into the shared store (pointless
-    // for the private temp dir, which is deleted right after).
-    if shared_dir.is_some() {
-        store.save(warm.cache()).expect("store save");
+    // 5. Publish this run's results back into the shared segment
+    // (pointless for the private temp file, which is deleted right after).
+    if shared_path.is_some() {
+        publish_all(&segment, warm.cache());
     }
-    if let Some(tmp) = &tmp_dir {
-        let _ = std::fs::remove_dir_all(tmp);
+    let seg_stats = segment.stats();
+    drop(segment);
+    if let Some(tmp) = &tmp_path {
+        let _ = std::fs::remove_file(tmp);
     }
 
     let fmt_opt = |v: Option<f64>| v.map(|t| format!("{t:.2}")).unwrap_or_else(|| "-".into());
@@ -148,13 +140,20 @@ fn main() {
     println!("# disk-warm programs: {}", s.programs);
     println!("# disk-warm synthesis: {}", s.synthesis);
     println!("# disk-warm total: {}", s.total());
-    println!("# store: {}", store.stats());
+    println!(
+        "# segment: {} entries, {} of {} bytes used, generation {}, {} full rejects",
+        seg_stats.entries,
+        seg_stats.bytes_used,
+        seg_stats.capacity,
+        seg_stats.generation,
+        seg_stats.full_rejects
+    );
     println!("# cold-batch programs: {}", batch.cache_stats().programs);
 
     if let Some(factor) = require_disk_warm_x {
         assert!(
-            matches!(preexisting, LoadOutcome::Loaded { .. }),
-            "REQISC_REQUIRE_DISK_WARM_X set but no pre-existing store loaded: {preexisting:?}"
+            preexisting > 0,
+            "REQISC_REQUIRE_DISK_WARM_X set but the segment held nothing from an earlier run"
         );
         let speedup = t_cold / t_disk.max(1e-9);
         assert!(

@@ -7,7 +7,7 @@
 //! SU(4)). Prints #2Q per stage and the routing-overhead multiples; the
 //! geometric means reproduce the dashed lines of the figure.
 
-use reqisc_bench::{env_cache_save, env_cache_store, geo_mean};
+use reqisc_bench::{env_publish, env_segment, geo_mean};
 use reqisc_benchsuite::{mini_suite, Benchmark};
 use reqisc_compiler::{
     expand_swaps_to_cx, route, Compiler, Pipeline, RouteOptions, Router, Topology,
@@ -22,7 +22,7 @@ fn topo_for(kind: &str, n: usize) -> Topology {
 
 fn main() {
     let compiler = Compiler::new();
-    let store = env_cache_store(&compiler);
+    let segment = env_segment(&compiler);
     let programs: Vec<Benchmark> = mini_suite();
     // Warm the program pool for both logical pipelines in one parallel
     // batch; the per-topology loops below then compile from cache.
@@ -87,5 +87,5 @@ fn main() {
         );
         println!();
     }
-    env_cache_save(store.as_ref(), &compiler);
+    env_publish(segment.as_ref(), &compiler);
 }

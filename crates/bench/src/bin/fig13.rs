@@ -9,7 +9,7 @@
 //! sharing the compilation cache; repeated Toffoli/adder blocks across
 //! programs synthesize once. Final cache counters print as comments.
 
-use reqisc_bench::{env_cache_save, env_cache_store};
+use reqisc_bench::{env_publish, env_segment};
 use reqisc_benchsuite::{scale_from_env, suite, Benchmark};
 use reqisc_compiler::{distinct_su4_count, Compiler, Pipeline};
 use reqisc_qcircuit::Circuit;
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 fn main() {
     let compiler = Compiler::new();
-    let store = env_cache_store(&compiler);
+    let segment = env_segment(&compiler);
     println!("program,n2q_original,distinct_eff,n2q_eff,distinct_full,n2q_full");
     // The paper caps this figure at #2Q ≤ 5000.
     let programs: Vec<Benchmark> = suite(scale_from_env())
@@ -68,5 +68,5 @@ fn main() {
     let s = compiler.cache_stats();
     println!("# cache programs: {}", s.programs);
     println!("# cache synthesis: {}", s.synthesis);
-    env_cache_save(store.as_ref(), &compiler);
+    env_publish(segment.as_ref(), &compiler);
 }

@@ -6,13 +6,13 @@
 //! BQSKit-SU(4) competitive on count but with exploding distinct-SU(4)
 //! numbers; NC loses part of Full's reduction.
 
-use reqisc_bench::{env_cache_save, env_cache_store, metric, overall_reduction, run_benchmarks_batch, Record};
+use reqisc_bench::{env_publish, env_segment, metric, overall_reduction, run_benchmarks_batch, Record};
 use reqisc_benchsuite::mini_suite;
 use reqisc_compiler::{distinct_su4_count, Compiler, Pipeline};
 
 fn main() {
     let compiler = Compiler::new();
-    let store = env_cache_store(&compiler);
+    let segment = env_segment(&compiler);
     let pipelines = [
         Pipeline::QiskitSu4,
         Pipeline::TketSu4,
@@ -47,5 +47,5 @@ fn main() {
     for p in ["qiskit-su4", "tket-su4", "bqskit-su4", "reqisc-nc", "reqisc-full"] {
         println!("#   {p}: {:.2}", overall_reduction(&records, p, metric::count_2q));
     }
-    env_cache_save(store.as_ref(), &compiler);
+    env_publish(segment.as_ref(), &compiler);
 }

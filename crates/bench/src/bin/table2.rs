@@ -10,7 +10,7 @@
 //! Eff, overall duration reduction ≈ 60–75%.
 
 use reqisc_bench::{
-    category_reductions, env_cache_save, env_cache_store, metric, overall_reduction,
+    category_reductions, env_publish, env_segment, metric, overall_reduction,
     run_benchmarks_batch, Record,
 };
 use reqisc_benchsuite::{scale_from_env, suite, ALL_CATEGORIES};
@@ -19,7 +19,7 @@ use reqisc_compiler::{Compiler, Pipeline};
 fn main() {
     let scale = scale_from_env();
     let compiler = Compiler::new();
-    let store = env_cache_store(&compiler);
+    let segment = env_segment(&compiler);
     let pipelines = [
         Pipeline::Qiskit,
         Pipeline::Tket,
@@ -62,5 +62,5 @@ fn main() {
         println!();
         println!();
     }
-    env_cache_save(store.as_ref(), &compiler);
+    env_publish(segment.as_ref(), &compiler);
 }

@@ -10,64 +10,71 @@
 //! Set `REQISC_SCALE=paper` for Table-1-sized inputs (slow).
 
 use reqisc_benchsuite::{Benchmark, Category};
-use reqisc_compiler::{metrics, CacheStore, Compiler, LoadOutcome, Metrics, Pipeline};
+use reqisc_compiler::{
+    metrics, publish_all, seed_from_segment, Compiler, Metrics, Pipeline, STORE_FORMAT_VERSION,
+};
 use reqisc_microarch::Coupling;
 use reqisc_qcircuit::Circuit;
+use reqisc_shmem::Segment;
 use std::collections::BTreeMap;
 
 /// The `REQISC_*` environment knobs shared by every bench binary. Each
 /// knob is declared exactly once in the [`reqisc_env`] registry (with its
 /// doc line — enforced by the `reqisc-lint` `env-registry` rule); this
-/// module re-exports the ones the bench binaries read plus the cache-dir
-/// convenience that delegates to the service's exact semantics.
+/// module re-exports the ones the bench binaries read.
 pub mod env {
     pub use reqisc_env::{
-        BENCH_N, CACHE_DIR, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET, REQUIRE_DISK_WARM_X,
+        BENCH_N, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET, REQUIRE_DISK_WARM_X,
         REQUIRE_GENERIC_BUDGET, REQUIRE_PROGRAM_HIT_PCT, REQUIRE_SLIVER_BUDGET,
-        REQUIRE_ZERO_REJECT_EVALS, SCALE, SKIP_SERIAL, THREADS, TRIALS,
+        REQUIRE_ZERO_REJECT_EVALS, SCALE, SHM_CAPACITY_BYTES, SHM_PATH, SKIP_SERIAL, THREADS,
+        TRIALS,
     };
+}
 
-    /// Reads the cache-dir knob with the service's exact semantics
-    /// (unset or empty = no persistent store).
-    pub fn env_cache_dir() -> Option<std::path::PathBuf> {
-        reqisc_service::cache_dir_from_env()
+/// Attaches the segment file at `path` with the service's capacity
+/// default (`REQISC_SHM_CAPACITY_BYTES`, else 64 MiB, for a new file).
+/// A file that is not a segment of this build is reinitialized.
+///
+/// # Errors
+///
+/// The attach error, e.g. an unwritable path.
+pub fn attach_segment(path: &std::path::Path) -> Result<Segment, reqisc_shmem::ShmError> {
+    let capacity = env::SHM_CAPACITY_BYTES.u64_or(reqisc_service::DEFAULT_SHM_CAPACITY_BYTES);
+    Segment::attach(path, capacity, STORE_FORMAT_VERSION)
+}
+
+/// Attaches the shared segment named by `REQISC_SHM_PATH` (if set) and
+/// warm-starts `compiler` from it. Every figure binary calls this right
+/// after building its compiler: with the knob set, a rerun — or a
+/// different figure sharing the file — skips everything an earlier
+/// process already compiled. Returns the segment so the binary can
+/// [`env_publish`] its own results back at exit; `None` when the knob is
+/// unset (purely in-memory run, the default) or the attach fails.
+pub fn env_segment(compiler: &Compiler) -> Option<Segment> {
+    let path = env::SHM_PATH.path()?;
+    match attach_segment(&path) {
+        Ok(seg) => {
+            let seeded = seed_from_segment(&seg, compiler.cache());
+            eprintln!("# segment: {} ({seeded} entries seeded)", path.display());
+            Some(seg)
+        }
+        Err(e) => {
+            eprintln!("# segment: {} unusable ({e}), in-memory run", path.display());
+            None
+        }
     }
 }
 
-pub use env::env_cache_dir;
-
-/// Opens the persistent compile store named by `REQISC_CACHE_DIR` (if
-/// set) and warm-starts `compiler` from it. Every bench binary calls this
-/// right after building its compiler: with the env var set, a rerun —
-/// or a different figure sharing the directory — skips everything an
-/// earlier process already compiled. Returns the store handle so the
-/// binary can [`env_cache_save`] its own results back at exit; `None`
-/// when the env var is unset (purely in-memory run, the default).
-pub fn env_cache_store(compiler: &Compiler) -> Option<CacheStore> {
-    let store = CacheStore::new(env_cache_dir()?);
-    match store.load_into(compiler.cache()) {
-        LoadOutcome::Missing => eprintln!("# cache store: {} (empty, cold start)", store.path().display()),
-        LoadOutcome::Loaded { programs, synthesis, pulses } => eprintln!(
-            "# cache store: {} ({programs} programs, {synthesis} synthesis, {pulses} pulses loaded)",
-            store.path().display()
-        ),
-        LoadOutcome::Rejected { reason } => {
-            eprintln!("# cache store: {} REJECTED ({reason}), cold start", store.path().display())
-        }
-    }
-    Some(store)
-}
-
-/// Persists `compiler`'s pools back to the store opened by
-/// [`env_cache_store`] (no-op when the env var was unset). Save failures
-/// are reported, not fatal — a read-only cache dir must never fail a
-/// figure run.
-pub fn env_cache_save(store: Option<&CacheStore>, compiler: &Compiler) {
-    if let Some(store) = store {
-        match store.save(compiler.cache()) {
-            Ok(n) => eprintln!("# cache store: saved {n} entries to {}", store.path().display()),
-            Err(e) => eprintln!("# cache store: save failed ({e})"),
-        }
+/// Publishes `compiler`'s pools into the segment opened by
+/// [`env_segment`] (no-op when there is none): one bulk pass, one
+/// generation of the segment's GC clock.
+pub fn env_publish(segment: Option<&Segment>, compiler: &Compiler) {
+    if let Some(seg) = segment {
+        let s = publish_all(seg, compiler.cache());
+        eprintln!(
+            "# segment: {} published, {} already present, {} rejected (full)",
+            s.published, s.duplicates, s.full_rejects
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! The compilation service layer's cache: content-addressed memo tables
 //! shared by every worker of a [`crate::pipelines::Compiler`] batch run.
 //!
-//! Three pools, all built on the sharded read-mostly map of
+//! Two pools, both built on the sharded read-mostly map of
 //! [`reqisc_microarch::cache`]:
 //!
 //! * **programs** — whole-pipeline results keyed by (circuit content
@@ -15,18 +15,13 @@
 //!   appear hundreds of times across a benchsuite — synthesize once.
 //!   Failures (`None`) are cached too: proving "no shorter realization"
 //!   is the *most* expensive outcome.
-//! * **pulses** — the [`PulseCache`] solver hook, keyed by (coupling,
-//!   SU(4) class at the 1e-5 grouping tolerance of
-//!   [`reqisc_qmath::SU4_CLASS_TOL`]).
 //!
-//! Key-design note: program and synthesis keys use *exact* content
-//! hashes (deterministic pipelines reproduce inputs bit-for-bit, and an
-//! exact key can never alias two different computations), while the
-//! pulse pool groups by quantized Weyl class because instruction
-//! identity — not bit identity — is the paper's §5.3.1 calibration
-//! contract.
+//! Both keys are *exact* content hashes: deterministic pipelines
+//! reproduce inputs bit-for-bit, and an exact key can never alias two
+//! different computations. The pools live in memory; the shared segment
+//! ([`crate::sharing`]) is their durable tier.
 
-use reqisc_microarch::cache::{CacheStats, PulseCache, ShardedMap, SolverStats};
+use reqisc_microarch::cache::{CacheStats, ShardedMap};
 use reqisc_microarch::Coupling;
 use reqisc_qcircuit::Circuit;
 use reqisc_qmath::{CMat, Fnv128};
@@ -68,12 +63,13 @@ impl ReplyRecord {
 /// One whole-program pool entry: a compiled circuit and its reply record.
 ///
 /// The record is priced at most once per entry, by the first
-/// [`Program::reply`] call, never when a compile, lookup or store warm
-/// start creates the entry. The service's solve worker prices each entry
-/// it compiles, before publishing it, and the shared segment carries the
-/// record, so an entry decoded from the segment arrives priced. The
-/// record lives and dies with the entry: an LRU eviction or a store GC
-/// that drops the entry drops the record too. Derefs to the circuit.
+/// [`Program::reply`] call, never when a compile or lookup creates the
+/// entry. The service's solve worker prices each entry it compiles,
+/// before publishing it, and the shared segment carries the record, so
+/// an entry decoded from the segment arrives priced. The record lives
+/// and dies with the entry: an LRU eviction drops it from the pool, and
+/// a segment compaction that drops the entry drops its record too.
+/// Derefs to the circuit.
 #[derive(Debug)]
 pub struct Program {
     circuit: Circuit,
@@ -153,27 +149,18 @@ pub struct CompileCacheStats {
     pub programs: CacheStats,
     /// Block-synthesis pool.
     pub synthesis: CacheStats,
-    /// Pulse-solution pool.
-    pub pulses: CacheStats,
-    /// Cold-path EA-solver counters behind the pulse pool's misses (the
-    /// boundary-curve solver's deterministic cost profile, aggregated).
-    pub solver: SolverStats,
 }
 
 impl CompileCacheStats {
-    /// Sum over all pools.
+    /// Sum over both pools.
     pub fn total(&self) -> CacheStats {
-        self.programs.merged(&self.synthesis).merged(&self.pulses)
+        self.programs.merged(&self.synthesis)
     }
 }
 
 impl std::fmt::Display for CompileCacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "programs: {}\nsynthesis: {}\npulses: {}\nsolver: {}",
-            self.programs, self.synthesis, self.pulses, self.solver
-        )
+        write!(f, "programs: {}\nsynthesis: {}", self.programs, self.synthesis)
     }
 }
 
@@ -185,7 +172,6 @@ impl std::fmt::Display for CompileCacheStats {
 pub struct CompileCache {
     programs: ShardedMap<ProgramKey, Arc<Program>>,
     synthesis: ShardedMap<SynthKey, Arc<Option<BlockCircuit>>>,
-    pulses: PulseCache,
 }
 
 impl CompileCache {
@@ -195,7 +181,7 @@ impl CompileCache {
     }
 
     /// An empty cache with an explicit shard count and per-shard entry
-    /// capacity applied to all three pools — the LRU-eviction knob. The
+    /// capacity applied to both pools — the LRU-eviction knob. The
     /// default shape ([`CompileCache::new`]) is deliberately generous
     /// (16 × 1024 entries per pool, effectively unbounded for the demo
     /// suite); a bounded shape evicts least-recently-used entries once a
@@ -209,7 +195,6 @@ impl CompileCache {
         Self {
             programs: ShardedMap::with_shape(shards, shard_capacity),
             synthesis: ShardedMap::with_shape(shards, shard_capacity),
-            pulses: PulseCache::with_shape(shards, shard_capacity),
         }
     }
 
@@ -261,13 +246,7 @@ impl CompileCache {
         })
     }
 
-    /// The microarchitecture solver hook: memoized pulse solutions per
-    /// (coupling, SU(4) class).
-    pub fn pulses(&self) -> &PulseCache {
-        &self.pulses
-    }
-
-    /// Exports the whole-program pool for a persistent-store save; the
+    /// Exports the whole-program pool for a bulk publish pass; the
     /// trailing flag is `true` for entries a live lookup or insert touched
     /// (`false` = bulk-seeded and never served — GC-aging candidates).
     pub(crate) fn export_programs(&self) -> Vec<(ProgramKey, Arc<Program>, bool)> {
@@ -276,22 +255,12 @@ impl CompileCache {
         out
     }
 
-    /// Exports the block-synthesis pool for a persistent-store save (same
+    /// Exports the block-synthesis pool for a bulk publish pass (same
     /// used-flag contract as [`CompileCache::export_programs`]).
     pub(crate) fn export_synthesis(&self) -> Vec<(SynthKey, Arc<Option<BlockCircuit>>, bool)> {
         let mut out = Vec::new();
         self.synthesis.for_each_with_used(|k, v, used| out.push((*k, v.clone(), used)));
         out
-    }
-
-    /// Removes one whole-program entry (the store GC's in-memory purge).
-    pub(crate) fn remove_program(&self, key: &ProgramKey) -> bool {
-        self.programs.remove(key)
-    }
-
-    /// Removes one block-synthesis entry (the store GC's in-memory purge).
-    pub(crate) fn remove_synthesis(&self, key: &SynthKey) -> bool {
-        self.synthesis.remove(key)
     }
 
     /// Seeds one whole-program entry (counter-free warm start — see
@@ -300,24 +269,26 @@ impl CompileCache {
         self.programs.seed(key, out);
     }
 
+    /// Seeds one whole-program entry fetched from the shared segment to
+    /// answer a lookup: counter-free, but marked used, so a bulk pass
+    /// re-stamps it (see [`reqisc_microarch::cache::ShardedMap::seed_served`]).
+    pub(crate) fn seed_served_program(&self, key: ProgramKey, out: Arc<Program>) {
+        self.programs.seed_served(key, out);
+    }
+
     /// Seeds one block-synthesis entry (counter-free warm start).
     pub(crate) fn seed_synthesis(&self, key: SynthKey, v: Arc<Option<BlockCircuit>>) {
         self.synthesis.seed(key, v);
     }
 
-    /// Counter snapshot across all pools.
+    /// Counter snapshot across both pools.
     pub fn stats(&self) -> CompileCacheStats {
-        CompileCacheStats {
-            programs: self.programs.stats(),
-            synthesis: self.synthesis.stats(),
-            pulses: self.pulses.stats(),
-            solver: self.pulses.solver_stats(),
-        }
+        CompileCacheStats { programs: self.programs.stats(), synthesis: self.synthesis.stats() }
     }
 
-    /// Resident entries across all pools.
+    /// Resident entries across both pools.
     pub fn len(&self) -> usize {
-        self.programs.len() + self.synthesis.len() + self.pulses.len()
+        self.programs.len() + self.synthesis.len()
     }
 
     /// True when nothing is memoized yet.
@@ -325,11 +296,10 @@ impl CompileCache {
         self.len() == 0
     }
 
-    /// Drops all memoized entries in every pool (counters survive).
+    /// Drops all memoized entries in both pools (counters survive).
     pub fn clear(&self) {
         self.programs.clear();
         self.synthesis.clear();
-        self.pulses.clear();
     }
 }
 
@@ -347,10 +317,10 @@ pub(crate) fn hs_options_fingerprint(hs: &crate::hierarchical::HsOptions) -> u12
 mod tests {
     use super::*;
     use crate::pipelines::Compiler;
-    use crate::store::CacheStore;
+    use crate::sharing::{probe_shared_program, publish_all, seed_from_segment};
     use reqisc_qcircuit::Gate;
     use reqisc_shmem::layout::MIN_CAPACITY;
-    use reqisc_shmem::Segment;
+    use reqisc_shmem::{compact_file, Segment};
     use reqisc_synthesis::TemplateLibrary;
     use std::path::PathBuf;
 
@@ -374,7 +344,6 @@ mod tests {
 
     fn scratch(tag: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("reqisc-reply-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
         let _ = std::fs::remove_file(&p);
         p
     }
@@ -401,34 +370,22 @@ mod tests {
         assert!(Arc::ptr_eq(&shared, &entry), "the Arc entry point returns the pool's entry");
         assert!(entry.priced().is_none(), "warm compiles and lookups do not price");
 
-        // A store warm start leaves its entry unpriced: the store file's
-        // program codec carries the circuit only.
-        let dir = scratch("store");
-        CacheStore::new(&dir).save(comp.cache()).expect("save");
-        let from_store = CompileCache::new();
-        CacheStore::new(&dir).load_into(&from_store);
-        let stored = entries(&from_store);
-        assert_eq!(stored.len(), 1);
-        assert!(stored[0].priced().is_none(), "store seeding does not price");
-        assert_eq!(stored[0].circuit(), &out);
-
         // Publishing prices the source entry, once: a second pass finds
         // the record in place.
         let seg_path = scratch("seg");
         let seg = Segment::attach(&seg_path, MIN_CAPACITY, 7).expect("attach");
-        assert_eq!(crate::sharing::publish_all(&seg, comp.cache()).published, 1);
+        assert_eq!(publish_all(&seg, comp.cache()).published, 1);
         let record = entry.priced().expect("publishing priced the entry");
-        assert_eq!(crate::sharing::publish_all(&seg, comp.cache()).duplicates, 1);
+        assert_eq!(publish_all(&seg, comp.cache()).duplicates, 1);
         assert!(std::ptr::eq(entry.reply(), record), "replies read the published record");
 
         // Segment seeds and probes return entries already priced, with
         // the publisher's record.
         let key = (c.content_hash(), SU4, fp);
         let from_seg = CompileCache::new();
-        assert_eq!(crate::sharing::seed_from_segment(&seg, &from_seg), 1);
+        assert_eq!(seed_from_segment(&seg, &from_seg), 1);
         let probed = CompileCache::new();
-        let hit = crate::sharing::probe_shared_program(&seg, &probed, key.0, key.1, key.2)
-            .expect("segment hit");
+        let hit = probe_shared_program(&seg, &probed, key.0, key.1, key.2).expect("segment hit");
         assert!(Arc::ptr_eq(&hit, &entries(&probed)[0]), "a probe returns the seeded entry");
         for (path, cache) in [("segment", &from_seg), ("probe", &probed)] {
             let seeded = entries(cache);
@@ -446,7 +403,6 @@ mod tests {
         let again = comp.lookup_program(key.0, key.1, key.2).expect("entry");
         assert!(std::ptr::eq(again.reply(), record), "later hits share the record");
         drop(seg);
-        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&seg_path);
     }
 
@@ -464,34 +420,38 @@ mod tests {
         let back = comp.compile_program(&program(2), SU4);
         assert!(back.priced().is_none(), "a recompiled entry starts unpriced");
 
-        // GC: a store-loaded entry that this process never looks up ages
-        // out on a compacting save, record and all; a looked-up one stays.
+        // GC: an entry that no process references ages out of the
+        // segment on an offline compaction, record and all; a looked-up
+        // one stays, with the record its publisher priced.
         let first = bare_compiler(CompileCache::new());
         let (idle, used) = (program(2), program(3));
-        first.compile(&idle, SU4);
-        first.compile(&used, SU4);
-        let dir = scratch("gc");
-        let store = CacheStore::new(&dir);
-        store.save(first.cache()).expect("save");
+        let (idle_out, used_out) = (first.compile(&idle, SU4), first.compile(&used, SU4));
+        let path = scratch("gc");
+        let seg = Segment::attach(&path, MIN_CAPACITY, 7).expect("attach");
+        assert_eq!(publish_all(&seg, first.cache()).published, 2);
         let second = bare_compiler(CompileCache::new());
-        store.load_into(second.cache());
+        assert_eq!(seed_from_segment(&seg, second.cache()), 2);
         let fp = second.options_fingerprint();
-        let kept = second.lookup_program(used.content_hash(), SU4, fp).expect("loaded");
-        kept.reply();
-        let idle_entry = entries(second.cache())
-            .into_iter()
-            .find(|e| !Arc::ptr_eq(e, &kept))
-            .expect("the idle entry");
-        idle_entry.reply();
-        let gone = Arc::downgrade(&idle_entry);
-        drop(idle_entry);
-        let outcome = store.compact(second.cache(), 0).expect("compact");
-        assert_eq!((outcome.kept, outcome.dropped), (1, 1));
-        assert!(gone.upgrade().is_none(), "the collected entry took its record with it");
-        assert!(second.lookup_program(idle.content_hash(), SU4, fp).is_none());
-        let survivor = second.lookup_program(used.content_hash(), SU4, fp).expect("kept");
-        assert!(Arc::ptr_eq(&survivor, &kept) && survivor.priced().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        let kept = second.lookup_program(used.content_hash(), SU4, fp).expect("seeded");
+        publish_all(&seg, second.cache());
+        drop(seg);
+        let report = compact_file(&path, MIN_CAPACITY, 7, 0).expect("compact");
+        assert_eq!((report.kept, report.dropped), (1, 1));
+        let third = bare_compiler(CompileCache::new());
+        let seg = Segment::attach(&path, MIN_CAPACITY, 7).expect("reattach");
+        assert_eq!(seed_from_segment(&seg, third.cache()), 1);
+        let survivor = third.lookup_program(used.content_hash(), SU4, fp).expect("kept");
+        assert_eq!(survivor.circuit(), &used_out);
+        assert_eq!(bits(survivor.priced().expect("kept with its record")), bits(kept.reply()));
+        assert!(
+            third.lookup_program(idle.content_hash(), SU4, fp).is_none(),
+            "the collected entry took its record with it"
+        );
+        let again = third.compile_program(&idle, SU4);
+        assert_eq!(again.circuit(), &idle_out, "a collected entry recompiles identically");
+        assert!(again.priced().is_none(), "a recompiled entry starts unpriced");
+        drop(seg);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

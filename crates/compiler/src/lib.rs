@@ -32,13 +32,12 @@ pub mod pauli_frontend;
 pub mod pipelines;
 pub mod sabre;
 pub mod sharing;
-pub mod store;
 pub mod template_pass;
 pub mod topology;
 pub mod variational;
 
 pub use cache::{reply_coupling, CompileCache, CompileCacheStats, Program, ReplyRecord};
-pub use reqisc_microarch::cache::{CacheStats, SolverStats};
+pub use reqisc_microarch::cache::CacheStats;
 pub use cnot_opt::{merge_pauli_rotations, qiskit_like, resynthesize_to_cx, tket_like};
 pub use compact::{compact, gates_commute, CompactOptions};
 pub use fuse::fuse_2q;
@@ -48,14 +47,13 @@ pub use hierarchical::{
 };
 pub use pauli_frontend::{compile_pauli_program, emit_pauli_rotation, Axis, PauliRotation};
 pub use partition::{compactness, partition_3q, reassemble, Block, PartitionOptions};
-pub use store::{CacheStore, CompactOutcome, LoadOutcome, StoreStats, STORE_FORMAT_VERSION};
 pub use pipelines::{
     distinct_su4_count, distinct_su4_count_with_tol, gate_duration, metrics, Compiler, Metrics,
     Pipeline,
 };
 pub use sharing::{
     probe_shared_program, publish_all, publish_program, publish_program_entry, seed_from_segment,
-    seed_subprogram_pools, ShareStats, POOL_PROGRAM, POOL_PULSE, POOL_SYNTHESIS,
+    seed_subprogram_pools, ShareStats, POOL_PROGRAM, POOL_SYNTHESIS, STORE_FORMAT_VERSION,
 };
 pub use sabre::{
     expand_swaps_to_cx, route, routing_preserves_semantics, RouteOptions, Routed, Router,

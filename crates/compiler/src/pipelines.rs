@@ -78,7 +78,7 @@ impl Pipeline {
         Pipeline::ALL.iter().copied().find(|p| p.name() == name)
     }
 
-    /// Stable on-disk tag for the persistent store's program keys.
+    /// Stable on-disk tag for the shared segment's program keys.
     /// Append-only: new variants take fresh numbers, existing values are
     /// frozen (a renumber must bump the store format version).
     pub(crate) fn store_tag(&self) -> u8 {
@@ -95,7 +95,7 @@ impl Pipeline {
     }
 
     /// Inverse of [`Pipeline::store_tag`]; `None` for unknown tags (a
-    /// store file written by a newer build).
+    /// segment written by a newer build).
     pub(crate) fn from_store_tag(tag: u8) -> Option<Pipeline> {
         Pipeline::ALL.iter().copied().find(|p| p.store_tag() == tag)
     }
@@ -143,7 +143,7 @@ impl Compiler {
 
     /// Builds a compiler around an existing template library — the cheap
     /// constructor for callers that need many compilers with *fresh
-    /// caches* (store tests, multi-tenant fronts) without re-synthesizing
+    /// caches* (persistence tests, multi-tenant fronts) without re-synthesizing
     /// the library each time.
     pub fn new_with_library(library: TemplateLibrary) -> Self {
         Self::new_with_library_and_cache(library, CompileCache::new())
@@ -195,14 +195,6 @@ impl Compiler {
         let key =
             crate::cache::ProgramKey { circuit: circuit_hash, pipeline, options: options_fp };
         self.cache.probe_program(&key)
-    }
-
-    /// Cold-path solver counters behind the pulse pool: how much
-    /// boundary-curve work the EA solver did across every class miss this
-    /// compiler served. Deterministic (no wall clocks), so benches and CI
-    /// can assert budgets on it directly.
-    pub fn solver_stats(&self) -> reqisc_microarch::SolverStats {
-        self.cache.pulses().solver_stats()
     }
 
     /// Runs one pipeline on a program, memoizing through the shared

@@ -1,37 +1,60 @@
 //! Shared-segment bridge: moves individual pool entries between a
-//! [`CompileCache`] and a [`reqisc_shmem::Segment`].
+//! [`CompileCache`] and a [`reqisc_shmem::Segment`], the one durable
+//! tier of compiled outputs.
 //!
 //! The segment stores raw `(pool tag, key bytes, value bytes)` records;
-//! this module owns the typed entry codecs for the three memo pools,
-//! reusing the exact value codecs the persistent store uses
-//! (`write_circuit` / `BlockCircuit::encode_into` /
-//! `write_solved_class`), so a segment entry round-trips bit-for-bit
-//! the same artifacts as a store file. A whole-program value also
-//! carries the entry's [`ReplyRecord`] after the circuit: the publisher
-//! prices it once, and a peer that serves the entry prices nothing. The
-//! key and value byte orders below are
-//! cross-process wire surface and sit in a `lint:store-surface` region:
-//! editing them without a `STORE_FORMAT_VERSION` bump + registry
-//! regeneration fails `reqisc-lint --deny-all`. Segments are attached
-//! with [`crate::store::STORE_FORMAT_VERSION`], so a codec bump
-//! invalidates stale segments exactly like it invalidates store files.
+//! this module owns the typed entry codecs for the two memo pools (the
+//! circuit codec `write_circuit` and `BlockCircuit::encode_into`). A
+//! whole-program value also carries the entry's [`ReplyRecord`] after
+//! the circuit: the publisher prices it once, and a peer — or a later
+//! process warm-starting from the file — serves the entry without
+//! pricing. The key and value byte orders below are cross-process and
+//! on-disk wire surface and sit in a `lint:store-surface` region, with
+//! [`STORE_FORMAT_VERSION`]: editing them without a version bump +
+//! registry regeneration fails `reqisc-lint --deny-all`. Segments are
+//! attached with that version, so a codec bump retires stale segments.
+//!
+//! ## Generations
+//!
+//! The segment's generation clock is the GC clock. Each [`publish_all`]
+//! pass is one generation: it advances the clock, then re-stamps every
+//! entry its process referenced (served or computed, not merely seeded),
+//! so an entry a daemon only ever hits in its local pool stays as fresh
+//! as one the segment answers. Unreferenced entries keep their stamps
+//! and age; `reqisc_shmem::compact_file` (offline, `reqiscd
+//! --compact-now`) drops those idle for more than its window. Dropping
+//! changes cost, never results: pipelines are deterministic, so a
+//! dropped entry recompiles bit-identically.
 
 use crate::cache::{CompileCache, Program, ProgramKey, ReplyRecord, SynthKey};
 use crate::pipelines::{Metrics, Pipeline};
-use reqisc_microarch::cache::{read_solved_class, write_solved_class};
 use reqisc_qcircuit::{read_circuit, write_circuit, Circuit};
-use reqisc_qmath::{ByteReader, ByteWriter, WeylClassKey};
+use reqisc_qmath::{ByteReader, ByteWriter};
 use reqisc_shmem::{PublishOutcome, Segment};
 use reqisc_synthesis::BlockCircuit;
 use std::sync::Arc;
 
 // lint:store-surface-begin
+/// Format version of every persisted byte. Bump on **any** change to
+/// the segment layout, the pool tags, the key/value codecs, fingerprint
+/// definitions, or canonicalization tolerances baked into the keys.
+///
+/// History: v1 = the first store file (no generations); v2 adds the
+/// file generation and per-entry last-referenced stamps that GC ages
+/// on; v3 adds `ByteReader::get_bytes` plus the shared-memory segment
+/// surface (the `reqisc-shmem` header/record layout and the pool-tag +
+/// key/value codecs below) — segments stamp this version into their
+/// header; v4 appends the entry's 40-byte reply record to the
+/// whole-program value and makes `reply_coupling` and `ReplyRecord`
+/// (`compiler/src/cache.rs`) surface; v5 deletes the store file and the
+/// pulse pool (pool tag 3 and the solved-class and KAK codecs), leaving
+/// the segment as the one durable tier.
+pub const STORE_FORMAT_VERSION: u32 = 5;
+
 /// Segment pool tag of whole-program entries.
 pub const POOL_PROGRAM: u8 = 1;
 /// Segment pool tag of block-synthesis entries.
 pub const POOL_SYNTHESIS: u8 = 2;
-/// Segment pool tag of pulse-class entries.
-pub const POOL_PULSE: u8 = 3;
 
 fn program_key_bytes(circuit: u128, pipeline: Pipeline, options: u128) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -47,17 +70,6 @@ fn synth_key_bytes(k: &SynthKey) -> Vec<u8> {
     w.put_usize(k.num_qubits);
     w.put_usize(k.budget);
     w.put_u128(k.options);
-    w.into_bytes()
-}
-
-fn pulse_key_bytes(coupling: [i64; 3], class: WeylClassKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    for c in coupling {
-        w.put_i64(c);
-    }
-    for c in class.0 {
-        w.put_i64(c);
-    }
     w.into_bytes()
 }
 
@@ -79,13 +91,6 @@ fn decode_program_key(bytes: &[u8]) -> Option<ProgramKey> {
     let options = r.get_u128().ok()?;
     r.is_exhausted()
         .then_some(ProgramKey { circuit, pipeline, options })
-}
-
-fn decode_pulse_key(bytes: &[u8]) -> Option<([i64; 3], WeylClassKey)> {
-    let mut r = ByteReader::new(bytes);
-    let cp = [r.get_i64().ok()?, r.get_i64().ok()?, r.get_i64().ok()?];
-    let class = WeylClassKey([r.get_i64().ok()?, r.get_i64().ok()?, r.get_i64().ok()?]);
-    r.is_exhausted().then_some((cp, class))
 }
 
 /// A whole-program value: the circuit, then its 40-byte reply record
@@ -136,18 +141,6 @@ fn decode_synth_val(bytes: &[u8]) -> Option<Option<BlockCircuit>> {
     };
     r.is_exhausted().then_some(v)
 }
-
-fn pulse_val_bytes(v: &reqisc_microarch::cache::SolvedClass) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_solved_class(&mut w, v);
-    w.into_bytes()
-}
-
-fn decode_pulse_val(bytes: &[u8]) -> Option<reqisc_microarch::cache::SolvedClass> {
-    let mut r = ByteReader::new(bytes);
-    let v = read_solved_class(&mut r).ok()?;
-    r.is_exhausted().then_some(v)
-}
 // lint:store-surface-end
 
 /// Outcome tallies of one bulk publish pass.
@@ -174,9 +167,10 @@ impl ShareStats {
 /// Probes the shared segment for a whole-program entry (the lookup
 /// tier between the local pool and a cold solve). A hit decodes the
 /// circuit and its reply record and seeds them into the local pool —
-/// counter-free, exactly like a store warm start — so the next request
-/// for this key is a local hit. The returned entry is the one seeded,
-/// its reply record already priced by the publisher.
+/// counter-free, like [`seed_from_segment`], but marked used, since it
+/// answers a request — so the next request for this key is a local hit
+/// and the next bulk pass re-stamps it. The returned entry is the one
+/// seeded, its reply record already priced by the publisher.
 pub fn probe_shared_program(
     seg: &Segment,
     cache: &CompileCache,
@@ -188,7 +182,7 @@ pub fn probe_shared_program(
     let val = seg.probe(POOL_PROGRAM, &key_bytes)?;
     let decoded = Arc::new(decode_program_val(&val)?);
     let key = ProgramKey { circuit, pipeline, options };
-    cache.seed_program(key, decoded.clone());
+    cache.seed_served_program(key, decoded.clone());
     Some(decoded)
 }
 
@@ -228,40 +222,62 @@ pub fn publish_program_entry(
     )
 }
 
-/// Publishes every entry of all three pools into the segment (the
-/// snapshot/shutdown bulk hook; `Duplicate` outcomes are the common
-/// case for a warm pool and cost one probe each, plus the pricing of a
-/// program entry no reply or publish has priced yet).
+/// One bulk pass, one generation (see the module docs): advances the
+/// segment's clock, then publishes every entry of both pools. An entry
+/// this process referenced that the segment already holds is re-stamped
+/// with the new generation instead; an unreferenced one keeps its stamp
+/// and ages, and a newly appended one starts at the new generation. The
+/// passes are the service's snapshot tick, its `snapshot` op and its
+/// shutdown, and a bench binary's exit. `Duplicate` outcomes are the
+/// common case for a warm pool and cost one probe each, plus the pricing
+/// of a program entry no reply or publish has priced yet.
 pub fn publish_all(seg: &Segment, cache: &CompileCache) -> ShareStats {
+    seg.bump_generation();
     let mut stats = ShareStats::default();
-    for (k, v, _used) in cache.export_programs() {
-        stats.absorb(publish_program_entry(seg, k.circuit, k.pipeline, k.options, &v));
+    for (k, v, used) in cache.export_programs() {
+        let key = program_key_bytes(k.circuit, k.pipeline, k.options);
+        stats.absorb(publish_or_touch(seg, POOL_PROGRAM, &key, used, || {
+            program_val_bytes(&v, v.reply())
+        }));
     }
-    for (k, v, _used) in cache.export_synthesis() {
-        stats.absorb(seg.publish(POOL_SYNTHESIS, &synth_key_bytes(&k), &synth_val_bytes(&v)));
-    }
-    for ((cp, class), v, _used) in cache.pulses().export_classes() {
-        stats.absorb(seg.publish(POOL_PULSE, &pulse_key_bytes(cp, class), &pulse_val_bytes(&v)));
+    for (k, v, used) in cache.export_synthesis() {
+        let key = synth_key_bytes(&k);
+        stats.absorb(publish_or_touch(seg, POOL_SYNTHESIS, &key, used, || synth_val_bytes(&v)));
     }
     stats
 }
 
+/// One entry of a bulk pass: a referenced entry already in the segment
+/// is re-stamped, anything else is published (a `Duplicate` leaves the
+/// stamp alone).
+fn publish_or_touch(
+    seg: &Segment,
+    pool: u8,
+    key: &[u8],
+    used: bool,
+    val: impl FnOnce() -> Vec<u8>,
+) -> PublishOutcome {
+    if used && seg.touch(pool, key) {
+        return PublishOutcome::Duplicate;
+    }
+    seg.publish(pool, key, &val())
+}
+
 /// Seeds every decodable segment entry into the local pools
-/// (counter-free warm start, like [`crate::store::CacheStore::load_into`],
-/// except that whole-program entries arrive with their reply records).
-/// Returns the number of entries seeded; undecodable entries are
-/// skipped — a checksum-valid record that fails the typed decode can
-/// only come from a foreign build, and a skip is a future cache miss,
-/// never an error.
+/// (counter-free warm start; whole-program entries arrive with their
+/// reply records). Returns the number of entries seeded; undecodable
+/// entries are skipped — a checksum-valid record that fails the typed
+/// decode can only come from a foreign build, and a skip is a future
+/// cache miss, never an error.
 pub fn seed_from_segment(seg: &Segment, cache: &CompileCache) -> usize {
     seed_filtered(seg, cache, true)
 }
 
-/// Seeds only the synthesis and pulse pools from the segment. This is
-/// the *service* startup hook: sub-program entries are consulted deep
-/// inside a cold solve where nothing probes the segment, so they must
-/// be local to help — while whole-program entries stay segment-only so
-/// the service's submission probe answers (and counts) them.
+/// Seeds only the synthesis pool from the segment. This is the
+/// *service* startup hook: sub-program entries are consulted deep inside
+/// a cold solve where nothing probes the segment, so they must be local
+/// to help — while whole-program entries stay segment-only so the
+/// service's submission probe answers (and counts) them.
 pub fn seed_subprogram_pools(seg: &Segment, cache: &CompileCache) -> usize {
     seed_filtered(seg, cache, false)
 }
@@ -279,17 +295,9 @@ fn seed_filtered(seg: &Segment, cache: &CompileCache, include_programs: bool) ->
                     _ => false,
                 }
             }
-            POOL_PROGRAM => false,
             POOL_SYNTHESIS => match (decode_synth_key(key), decode_synth_val(val)) {
                 (Some(k), Some(v)) => {
                     cache.seed_synthesis(k, Arc::new(v));
-                    true
-                }
-                _ => false,
-            },
-            POOL_PULSE => match (decode_pulse_key(key), decode_pulse_val(val)) {
-                (Some((cp, class)), Some(v)) => {
-                    cache.pulses().seed_class(cp, class, Arc::new(v));
                     true
                 }
                 _ => false,

@@ -59,8 +59,8 @@ impl EnvKnob {
         self.var().map(|v| !v.is_empty() && v != "0").unwrap_or(false)
     }
 
-    /// Path knob: `None` when unset **or empty** (an empty cache-dir
-    /// means "no persistent store", not "the current directory").
+    /// Path knob: `None` when unset **or empty** (an empty segment path
+    /// means "no segment", not "the current directory").
     pub fn path(&self) -> Option<PathBuf> {
         let v = std::env::var_os(self.name)?;
         if v.is_empty() {
@@ -70,17 +70,11 @@ impl EnvKnob {
     }
 }
 
-/// Persistent compile-store directory shared by the daemon, the bench
-/// binaries, and CI (unset or empty = in-memory only).
-pub const CACHE_DIR: EnvKnob = EnvKnob {
-    name: "REQISC_CACHE_DIR",
-    doc: "Persistent compile-store directory (daemon + every bench binary); unset/empty = in-memory only",
-};
-
-/// Shared-memory cache segment path (the cross-daemon warm tier).
+/// Shared-memory cache segment path: the one durable tier, shared by
+/// the daemons, the bench binaries, and CI.
 pub const SHM_PATH: EnvKnob = EnvKnob {
     name: "REQISC_SHM_PATH",
-    doc: "Shared-memory cache segment file attached by reqiscd (unset/empty = no shared tier)",
+    doc: "Shared cache segment file, the durable tier (reqiscd + every bench binary); unset/empty = in-memory only",
 };
 
 /// Capacity used when the shared segment is (re)created.
@@ -134,7 +128,7 @@ pub const SKIP_SERIAL: EnvKnob = EnvKnob {
 /// CI assertion: minimum disk-warm speedup over cold.
 pub const REQUIRE_DISK_WARM_X: EnvKnob = EnvKnob {
     name: "REQISC_REQUIRE_DISK_WARM_X",
-    doc: "cachebench assertion: store must pre-exist and disk-warm must be >= this x over cold",
+    doc: "cachebench assertion: the segment must hold an earlier run's entries and disk-warm must be >= this x over cold",
 };
 
 /// CI assertion: minimum disk-warm program-pool hit percentage.
@@ -169,7 +163,6 @@ pub const REQUIRE_ZERO_REJECT_EVALS: EnvKnob = EnvKnob {
 
 /// Every declared knob, in the order the README table presents them.
 pub const ALL: &[&EnvKnob] = &[
-    &CACHE_DIR,
     &SHM_PATH,
     &SHM_CAPACITY_BYTES,
     &SCALE,
@@ -253,14 +246,14 @@ mod tests {
         assert_eq!(BENCH_N.usize_or(3), 3);
         std::env::set_var(REQUIRE_DISK_WARM_X.name, "2.5");
         assert_eq!(REQUIRE_DISK_WARM_X.f64(), Some(2.5));
-        std::env::set_var(CACHE_DIR.name, "");
-        assert_eq!(CACHE_DIR.path(), None, "empty path knob means no store");
-        std::env::set_var(CACHE_DIR.name, "/tmp/x");
-        assert_eq!(CACHE_DIR.path(), Some(std::path::PathBuf::from("/tmp/x")));
-        std::env::remove_var(CACHE_DIR.name);
+        std::env::set_var(SHM_PATH.name, "");
+        assert_eq!(SHM_PATH.path(), None, "empty path knob means no segment");
+        std::env::set_var(SHM_PATH.name, "/tmp/x");
+        assert_eq!(SHM_PATH.path(), Some(std::path::PathBuf::from("/tmp/x")));
+        std::env::remove_var(SHM_PATH.name);
         std::env::remove_var(BENCH_N.name);
         std::env::remove_var(SKIP_SERIAL.name);
         std::env::remove_var(REQUIRE_DISK_WARM_X.name);
-        assert_eq!(CACHE_DIR.path(), None);
+        assert_eq!(SHM_PATH.path(), None);
     }
 }

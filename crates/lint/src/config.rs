@@ -57,8 +57,9 @@ pub struct Config {
     /// Condvar receiver name → the lock class its guard belongs to
     /// (blocking-in-critical-section).
     pub condvar_classes: HashMap<String, String>,
-    /// Function names that are blocking entry points (solvers, store
-    /// snapshots) wherever they are called (blocking-in-critical-section).
+    /// Function names that are blocking entry points (solvers, bulk
+    /// passes into the segment) wherever they are called
+    /// (blocking-in-critical-section).
     pub blocking_calls: HashSet<String>,
 }
 
@@ -270,14 +271,14 @@ mod tests {
             "# comment\n\
              skip-dir crates/vendor\n\
              registry-file crates/lint/store_surface.lock\n\
-             version-const crates/compiler/src/store.rs STORE_FORMAT_VERSION\n\
+             version-const crates/compiler/src/sharing.rs STORE_FORMAT_VERSION\n\
              surface-file crates/qmath/src/bytes.rs\n\
-             surface-region crates/compiler/src/store.rs\n\
+             surface-region crates/compiler/src/sharing.rs\n\
              surface-const crates/qmath/src/kak.rs KAK_FACE_SNAP_TOL\n\
              lock-class inflight inflight\n\
              lock-class stdout -\n\
              lock-order inflight queue\n\
-             lock-order queue store_lock\n\
+             lock-order queue cache_shard\n\
              call-ignore get insert len\n\
              panic-scope crates/service/src\n\
              panic-entry serve_lines handle_line\n\
@@ -298,11 +299,11 @@ mod tests {
         assert_eq!(c.lock_class_of("stdout"), None);
         assert_eq!(c.lock_class_of("mystery"), None);
         assert!(c.order_allows("inflight", "queue"));
-        assert!(c.order_allows("inflight", "store_lock"), "order is transitive");
+        assert!(c.order_allows("inflight", "cache_shard"), "order is transitive");
         assert!(!c.order_allows("queue", "inflight"));
         assert!(c.call_ignore.contains("len"));
         assert!(c.in_panic_scope("crates/service/src/server.rs"));
-        assert!(!c.in_panic_scope("crates/compiler/src/store.rs"));
+        assert!(!c.in_panic_scope("crates/compiler/src/sharing.rs"));
         assert!(c.panic_entries.contains("serve_lines"));
         assert_eq!(c.env_registry.as_deref(), Some("crates/envreg/src/lib.rs"));
         assert!(c.in_sync_shim_scope("crates/service/src/queue.rs"));

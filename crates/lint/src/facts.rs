@@ -1082,10 +1082,10 @@ mod tests {
     #[test]
     fn env_literals_exact_only() {
         let f = file(
-            "fn a() { std::env::var(\"REQISC_CACHE_DIR\"); let m = \"REQISC_X set but ignored\"; }",
+            "fn a() { std::env::var(\"REQISC_SCALE\"); let m = \"REQISC_X set but ignored\"; }",
         );
         assert_eq!(f.env_lits.len(), 1);
-        assert_eq!(f.env_lits[0].text, "REQISC_CACHE_DIR");
+        assert_eq!(f.env_lits[0].text, "REQISC_SCALE");
     }
 
     #[test]

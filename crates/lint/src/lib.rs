@@ -6,7 +6,7 @@
 //! workspace `.rs` file, extracts per-file facts, and runs ten
 //! repo-specific cross-file rules:
 //!
-//! * **store-format** — the persistent-store codec surface (byte codecs,
+//! * **store-format** — the shared segment's codec surface (byte codecs,
 //!   record layout, class-snap tolerances) is fingerprinted into a
 //!   committed registry keyed by `STORE_FORMAT_VERSION`; changing the
 //!   surface without bumping the version fails.
@@ -266,7 +266,7 @@ impl StoreRegistry {
         let mut out = String::new();
         out.push_str("# reqisc-lint store-format registry. Regenerate with:\n");
         out.push_str("#   cargo run -p reqisc-lint -- --update-store-registry\n");
-        out.push_str("# after bumping STORE_FORMAT_VERSION in compiler/src/store.rs.\n");
+        out.push_str("# after bumping STORE_FORMAT_VERSION in compiler/src/sharing.rs.\n");
         out.push_str(&format!("version {}\n", self.version));
         for (p, fp) in &self.surfaces {
             out.push_str(&format!("surface {p} {fp}\n"));

@@ -14,12 +14,12 @@ use std::process::ExitCode;
 const EXPLAIN: &[(&str, &str)] = &[
     (
         "store-format",
-        "The persistent-store codec surface (surface-file token streams, \
+        "The shared segment's codec surface (surface-file token streams, \
          lint:store-surface-begin/end regions, registered constants) is fingerprinted into \
          crates/lint/store_surface.lock keyed by STORE_FORMAT_VERSION. Changing any of it \
          without bumping the version and regenerating the registry \
-         (--update-store-registry) is denied: a silent surface change corrupts on-disk \
-         caches for every deployed daemon.",
+         (--update-store-registry) is denied: a silent surface change corrupts the \
+         segment files of every deployed daemon.",
     ),
     (
         "lock-order",
@@ -82,7 +82,7 @@ const EXPLAIN: &[(&str, &str)] = &[
         "A held-locks dataflow over the call graph: while a lock class marked \
          `non-blocking-lock` (the inflight map, the pipeline rings) is held, file/socket \
          I/O, waits on a different (or unmapped) condvar class, and `blocking-call` entry \
-         points (solvers, store snapshots) are denied — directly or through any chain of \
+         points (solvers, bulk passes into the segment) are denied — directly or through any chain of \
          uniquely-resolved calls.",
     ),
 ];

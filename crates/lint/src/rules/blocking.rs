@@ -6,8 +6,8 @@
 //! holder that blocks stalls the whole service). The rule runs a
 //! held-locks dataflow over the shared call graph: each function's
 //! *blocking summary* — built-in blocking I/O sites (`std::fs`,
-//! `std::net`, …), `blocking-call` entry points (solvers, store
-//! snapshots), and condvar waits — is propagated bottom-up through
+//! `std::net`, …), `blocking-call` entry points (solvers, bulk passes
+//! into the segment), and condvar waits — is propagated bottom-up through
 //! uniquely-resolved calls, then every classed lock-hold window is
 //! checked against both its direct events and the summaries of the
 //! functions it calls while holding the lock.
@@ -148,7 +148,7 @@ pub fn check(ws: &Workspace, cfg: &Config, out: &mut Vec<Diagnostic>) {
                         call.line,
                         format!(
                             "calls blocking entry `{}` while holding non-blocking lock class \
-                             `{held}`: solver/store work under this lock serializes the whole \
+                             `{held}`: solver/segment work under this lock serializes the whole \
                              service",
                             call.name
                         ),

@@ -1,4 +1,4 @@
-//! **store-format**: the persistent-store codec surface must not change
+//! **store-format**: the shared segment's codec surface must not change
 //! without a `STORE_FORMAT_VERSION` bump.
 //!
 //! The surface is: whole-file normalized token streams (`surface-file`),

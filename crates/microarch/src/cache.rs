@@ -13,9 +13,8 @@
 //! classes rarely contend.
 
 use crate::coupling::Coupling;
-use crate::duration::Image;
-use crate::scheme::{solve_pulse_profiled, PulseSolution, SolveError, Subscheme};
-use crate::solver::{evolve, EaSolveProfile, PulseParams};
+use crate::scheme::{solve_pulse, PulseSolution, SolveError};
+use crate::solver::evolve;
 use reqisc_qmath::weyl::WeylCoord;
 use reqisc_qmath::{kak_decompose, CMat, Kak, WeylClassKey, SU4_CLASS_TOL};
 use std::collections::hash_map::DefaultHasher;
@@ -119,137 +118,13 @@ impl Counters {
     }
 }
 
-/// Aggregated cold-path solver counters of one [`PulseCache`] — every
-/// class miss runs the boundary-curve EA solver, and its deterministic
-/// [`EaSolveProfile`] is accumulated here. This is what the compile
-/// pipeline surfaces alongside the pool hit/miss counters, so "where do
-/// cold compiles spend their time" is answerable from `stats` output
-/// without a profiler (and assertable in CI without wall clocks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Cold class solves attempted (cache misses reaching the solver).
-    pub solves: u64,
-    /// Solves whose pulse could not be found (propagated as errors).
-    pub failures: u64,
-    /// Cheap invariant-trace evaluations (the grid solver's "seeds").
-    pub evals: u64,
-    /// Full Weyl-residual verifications (one KAK each).
-    pub verifies: u64,
-    /// Matched-eigenphase curve points located.
-    pub curve_points: u64,
-    /// Local polish starts (Newton or Nelder–Mead).
-    pub newton_starts: u64,
-    /// Local polish iterations.
-    pub newton_iters: u64,
-    /// Boundary-family roots (pure-detuning + pure-amplitude).
-    pub boundary_roots: u64,
-    /// Interior curve-walk roots.
-    pub interior_roots: u64,
-    /// Subscheme attempts rejected for free by the conserved-eigenphase
-    /// precheck.
-    pub early_rejects: u64,
-    /// Attempts that took the degenerate (tangential-root) path.
-    pub degenerate_targets: u64,
-}
-
-impl SolverStats {
-    /// Component-wise sum — for aggregating caches.
-    pub fn merged(&self, other: &SolverStats) -> SolverStats {
-        SolverStats {
-            solves: self.solves + other.solves,
-            failures: self.failures + other.failures,
-            evals: self.evals + other.evals,
-            verifies: self.verifies + other.verifies,
-            curve_points: self.curve_points + other.curve_points,
-            newton_starts: self.newton_starts + other.newton_starts,
-            newton_iters: self.newton_iters + other.newton_iters,
-            boundary_roots: self.boundary_roots + other.boundary_roots,
-            interior_roots: self.interior_roots + other.interior_roots,
-            early_rejects: self.early_rejects + other.early_rejects,
-            degenerate_targets: self.degenerate_targets + other.degenerate_targets,
-        }
-    }
-}
-
-impl std::fmt::Display for SolverStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} solves ({} failed), {} evals, {} verifies, {} newton starts / {} iters, \
-             {} boundary + {} interior roots, {} early rejects",
-            self.solves,
-            self.failures,
-            self.evals,
-            self.verifies,
-            self.newton_starts,
-            self.newton_iters,
-            self.boundary_roots,
-            self.interior_roots,
-            self.early_rejects
-        )
-    }
-}
-
-/// Atomic accumulator behind [`SolverStats`] (relaxed ordering is fine:
-/// the counters are statistics, not synchronization).
-#[derive(Debug, Default)]
-struct SolverCounters {
-    solves: AtomicU64,
-    failures: AtomicU64,
-    evals: AtomicU64,
-    verifies: AtomicU64,
-    curve_points: AtomicU64,
-    newton_starts: AtomicU64,
-    newton_iters: AtomicU64,
-    boundary_roots: AtomicU64,
-    interior_roots: AtomicU64,
-    early_rejects: AtomicU64,
-    degenerate_targets: AtomicU64,
-}
-
-impl SolverCounters {
-    fn record(&self, profile: &EaSolveProfile, failed: bool) {
-        use Ordering::Relaxed;
-        self.solves.fetch_add(1, Relaxed);
-        if failed {
-            self.failures.fetch_add(1, Relaxed);
-        }
-        self.evals.fetch_add(profile.evals, Relaxed);
-        self.verifies.fetch_add(profile.verifies, Relaxed);
-        self.curve_points.fetch_add(profile.curve_points, Relaxed);
-        self.newton_starts.fetch_add(profile.newton_starts, Relaxed);
-        self.newton_iters.fetch_add(profile.newton_iters, Relaxed);
-        self.boundary_roots
-            .fetch_add(profile.delta_family_roots + profile.omega_family_roots, Relaxed);
-        self.interior_roots.fetch_add(profile.interior_roots, Relaxed);
-        self.early_rejects.fetch_add(profile.early_rejects, Relaxed);
-        self.degenerate_targets.fetch_add(profile.degenerate_targets, Relaxed);
-    }
-
-    fn snapshot(&self) -> SolverStats {
-        use Ordering::Relaxed;
-        SolverStats {
-            solves: self.solves.load(Relaxed),
-            failures: self.failures.load(Relaxed),
-            evals: self.evals.load(Relaxed),
-            verifies: self.verifies.load(Relaxed),
-            curve_points: self.curve_points.load(Relaxed),
-            newton_starts: self.newton_starts.load(Relaxed),
-            newton_iters: self.newton_iters.load(Relaxed),
-            boundary_roots: self.boundary_roots.load(Relaxed),
-            interior_roots: self.interior_roots.load(Relaxed),
-            early_rejects: self.early_rejects.load(Relaxed),
-            degenerate_targets: self.degenerate_targets.load(Relaxed),
-        }
-    }
-}
-
 /// One resident entry: the value plus its last-use tick. The tick is
 /// atomic so the read-lock-only lookup path can bump it — recency
 /// tracking must not turn every hit into a write-lock acquisition.
 /// `0` is reserved for "never used since seeding": bulk-loaded entries
 /// stay distinguishable from live ones, which is what both the LRU
-/// victim choice (coldest first) and the store's GC liveness test key on.
+/// victim choice (coldest first) and a bulk publish pass's re-stamp of
+/// referenced entries key on.
 #[derive(Debug)]
 struct Slot<V> {
     value: V,
@@ -366,7 +241,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     /// Seeds `key → value` without touching the hit/miss/insert counters —
-    /// the warm-start path used when a persistent store is loaded into a
+    /// the warm-start path used when the shared segment is loaded into a
     /// fresh cache. Counter-free seeding keeps [`CacheStats::is_consistent`]
     /// (`inserts ≤ misses`) true, and keeps hit rates meaningful: a
     /// disk-warmed entry served later still counts as a *hit* against zero
@@ -376,32 +251,32 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     /// victims and report `used = false` to
     /// [`ShardedMap::for_each_with_used`] until a lookup touches them.
     pub fn seed(&self, key: K, value: V) {
+        self.seed_at(key, value, 0);
+    }
+
+    /// [`ShardedMap::seed`] for an entry fetched from another tier to
+    /// answer a lookup (a shared-segment hit): still counter-free and
+    /// never evicting, but marked used and most recently used, like the
+    /// hit it answers.
+    pub fn seed_served(&self, key: K, value: V) {
+        self.seed_at(key, value, self.next_tick());
+    }
+
+    fn seed_at(&self, key: K, value: V, last_used: u64) {
         let mut shard = self.shard_of(&key).write().expect("cache shard poisoned");
         if shard.len() >= self.shard_capacity && !shard.contains_key(&key) {
             return;
         }
-        shard.insert(key, Slot { value, last_used: AtomicU64::new(0) });
-    }
-
-    /// Removes `key` if resident, returning whether it was. No counter is
-    /// touched: removal is a lifecycle operation (store GC), not a lookup,
-    /// and not a capacity eviction.
-    pub fn remove(&self, key: &K) -> bool {
-        self.shard_of(key).write().expect("cache shard poisoned").remove(key).is_some()
+        shard.insert(key, Slot { value, last_used: AtomicU64::new(last_used) });
     }
 
     /// Visits every resident entry (per-shard read locks; entries seeded
-    /// or inserted concurrently may or may not be visited). The export
-    /// path of the persistent store.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        self.for_each_with_used(|k, v, _| f(k, v));
-    }
-
-    /// [`ShardedMap::for_each`] plus each entry's *used* flag: `true` when
-    /// a live lookup or insert has touched the entry, `false` for entries
-    /// that were only bulk-seeded (e.g. loaded from the persistent store)
-    /// and never served. The store's GC uses this to age out entries no
-    /// process references anymore.
+    /// or inserted concurrently may or may not be visited) with its
+    /// *used* flag: `true` when a live lookup or insert has touched the
+    /// entry, `false` for entries that were only bulk-seeded (e.g. from
+    /// the shared segment) and never served. A bulk publish pass re-stamps
+    /// the used ones in the segment, so entries no process references
+    /// anymore are the ones that age out.
     pub fn for_each_with_used(&self, mut f: impl FnMut(&K, &V, bool)) {
         for s in &self.shards {
             for (k, slot) in s.read().expect("cache shard poisoned").iter() {
@@ -483,7 +358,6 @@ struct PulseKey {
 #[derive(Debug, Default)]
 pub struct PulseCache {
     map: ShardedMap<PulseKey, Arc<SolvedClass>>,
-    solver: SolverCounters,
 }
 
 impl PulseCache {
@@ -499,10 +373,7 @@ impl PulseCache {
     ///
     /// Panics if `shards` or `shard_capacity` is zero.
     pub fn with_shape(shards: usize, shard_capacity: usize) -> Self {
-        Self {
-            map: ShardedMap::with_shape(shards, shard_capacity),
-            solver: SolverCounters::default(),
-        }
+        Self { map: ShardedMap::with_shape(shards, shard_capacity) }
     }
 
     fn key(cp: &Coupling, w: &WeylCoord) -> PulseKey {
@@ -522,9 +393,7 @@ impl PulseCache {
         if let Some(entry) = self.map.get(&key) {
             return Ok(entry);
         }
-        let (solved, profile) = solve_pulse_profiled(cp, w);
-        self.solver.record(&profile, solved.is_err());
-        let pulse = solved?;
+        let pulse = solve_pulse(cp, w)?;
         let evo = evolve(cp, &pulse.params, pulse.tau);
         let evo_kak =
             kak_decompose(&evo).map_err(|e| SolveError { message: e.to_string() })?;
@@ -602,39 +471,9 @@ impl PulseCache {
         })
     }
 
-    /// Exports every memoized class as `((coupling class key, Weyl class
-    /// key), solution, used)` — the pulse pool's half of a
-    /// persistent-store save. The trailing flag is `true` for entries a
-    /// live solve touched (see [`ShardedMap::for_each_with_used`]).
-    pub fn export_classes(&self) -> Vec<(([i64; 3], WeylClassKey), Arc<SolvedClass>, bool)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        self.map.for_each_with_used(|k, v, used| out.push(((k.coupling, k.class), v.clone(), used)));
-        out
-    }
-
-    /// Removes one class solution by explicit key parts, returning whether
-    /// it was resident. The store GC's in-memory purge hook.
-    pub fn remove_class(&self, coupling: [i64; 3], class: WeylClassKey) -> bool {
-        self.map.remove(&PulseKey { coupling, class })
-    }
-
-    /// Seeds one class solution under explicit key parts (counter-free —
-    /// see [`ShardedMap::seed`]). The store's load path; keys must have
-    /// been produced by [`Coupling::class_key`] / [`WeylCoord::class_key`]
-    /// at [`SU4_CLASS_TOL`], which the save path guarantees.
-    pub fn seed_class(&self, coupling: [i64; 3], class: WeylClassKey, entry: Arc<SolvedClass>) {
-        self.map.seed(PulseKey { coupling, class }, entry);
-    }
-
     /// Counter snapshot of the class memo table.
     pub fn stats(&self) -> CacheStats {
         self.map.stats()
-    }
-
-    /// Aggregated cold-path solver counters (every miss-triggered solve's
-    /// deterministic [`EaSolveProfile`], summed).
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.snapshot()
     }
 
     /// Drops every memoized class (counters survive).
@@ -652,69 +491,6 @@ impl PulseCache {
         self.map.is_empty()
     }
 }
-
-/// Encodes a [`SolvedClass`] for the persistent compile store: the pulse
-/// program fields in declaration order, then the evolution KAK. Field
-/// order and tag values are frozen (see `reqisc_qmath::bytes`); changes
-/// require a store format-version bump — the region below is
-/// fingerprinted into `crates/lint/store_surface.lock` by the
-/// `reqisc-lint` store-format rule, which denies edits made without the
-/// bump.
-// lint:store-surface-begin
-pub fn write_solved_class(w: &mut reqisc_qmath::ByteWriter, s: &SolvedClass) {
-    let p = &s.pulse;
-    w.put_f64(p.tau);
-    w.put_f64(p.params.omega1);
-    w.put_f64(p.params.omega2);
-    w.put_f64(p.params.delta);
-    w.put_u8(match p.subscheme {
-        Subscheme::Nd => 0,
-        Subscheme::EaPlus => 1,
-        Subscheme::EaMinus => 2,
-    });
-    w.put_u8(match p.image {
-        Image::Direct => 0,
-        Image::Mirrored => 1,
-    });
-    reqisc_qmath::bytes::write_weyl(w, &p.target);
-    w.put_f64(p.residual);
-    reqisc_qmath::bytes::write_kak(w, &s.evo_kak);
-}
-
-/// Decodes a [`SolvedClass`].
-///
-/// # Errors
-///
-/// [`reqisc_qmath::CodecError`] on truncation or invalid enum tags.
-pub fn read_solved_class(
-    r: &mut reqisc_qmath::ByteReader<'_>,
-) -> Result<SolvedClass, reqisc_qmath::CodecError> {
-    let tau = r.get_f64()?;
-    let params = PulseParams {
-        omega1: r.get_f64()?,
-        omega2: r.get_f64()?,
-        delta: r.get_f64()?,
-    };
-    let subscheme = match r.get_u8()? {
-        0 => Subscheme::Nd,
-        1 => Subscheme::EaPlus,
-        2 => Subscheme::EaMinus,
-        t => return Err(reqisc_qmath::CodecError::new(format!("unknown subscheme tag {t}"))),
-    };
-    let image = match r.get_u8()? {
-        0 => Image::Direct,
-        1 => Image::Mirrored,
-        t => return Err(reqisc_qmath::CodecError::new(format!("unknown image tag {t}"))),
-    };
-    let target = reqisc_qmath::bytes::read_weyl(r)?;
-    let residual = r.get_f64()?;
-    let evo_kak = reqisc_qmath::bytes::read_kak(r)?;
-    Ok(SolvedClass {
-        pulse: PulseSolution { tau, params, subscheme, image, target, residual },
-        evo_kak,
-    })
-}
-// lint:store-surface-end
 
 #[cfg(test)]
 mod tests {
@@ -790,12 +566,15 @@ mod tests {
         });
         assert_eq!(used.get(&2), Some(&true), "hit seed reports used");
         assert_eq!(used.get(&3), Some(&true), "live insert reports used");
-        // Removal is counter-free.
-        let before = m.stats();
-        assert!(m.remove(&3));
-        assert!(!m.remove(&3));
-        assert_eq!(m.stats(), before);
-        assert_eq!(m.len(), 2);
+        // A served seed counts nothing but reports used, and the LRU
+        // evicts a never-used seed before it.
+        let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 2);
+        m.seed(1, 10);
+        m.seed_served(2, 20);
+        m.insert(3, 30);
+        assert_eq!(m.stats(), CacheStats { hits: 0, misses: 0, inserts: 1, evictions: 1 });
+        assert_eq!(m.get(&2), Some(20), "the served seed outranks the unused one");
+        assert_eq!(m.get(&1), None);
     }
 
     #[test]
@@ -829,48 +608,6 @@ mod tests {
         cache.solve(&Coupling::xx(1.0), &w).expect("solve");
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn solved_class_codec_roundtrips_and_reseeds() {
-        let cache = PulseCache::new();
-        let cp = Coupling::xy(1.0);
-        cache.solve(&cp, &WeylCoord::cnot()).expect("solve");
-        // iSWAP is drive-free under XY — a cheap second class with a
-        // different subscheme/KAK shape for the codec to exercise.
-        cache.solve(&cp, &WeylCoord::iswap()).expect("solve");
-        let exported = cache.export_classes();
-        assert_eq!(exported.len(), 2);
-        assert!(exported.iter().all(|(_, _, used)| *used), "live solves must mark entries used");
-        // Round-trip every class through the codec into a fresh cache.
-        let warm = PulseCache::new();
-        for (key, entry, _) in &exported {
-            let mut w = reqisc_qmath::ByteWriter::new();
-            write_solved_class(&mut w, entry);
-            let bytes = w.into_bytes();
-            let mut r = reqisc_qmath::ByteReader::new(&bytes);
-            let back = read_solved_class(&mut r).expect("roundtrip");
-            assert!(r.is_exhausted());
-            assert_eq!(back.pulse.tau.to_bits(), entry.pulse.tau.to_bits());
-            assert_eq!(back.pulse.subscheme, entry.pulse.subscheme);
-            assert!(back.evo_kak.reconstruct().approx_eq(&entry.evo_kak.reconstruct(), 0.0));
-            warm.seed_class(key.0, key.1, Arc::new(back));
-            // Truncations fail cleanly.
-            for cut in (0..bytes.len()).step_by(17) {
-                assert!(read_solved_class(&mut reqisc_qmath::ByteReader::new(&bytes[..cut]))
-                    .is_err());
-            }
-        }
-        // Seeding is counter-free and the seeded entries serve as hits.
-        let s = warm.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (0, 0, 0));
-        assert_eq!(warm.len(), 2);
-        let a = warm.solve(&cp, &WeylCoord::cnot()).expect("warm solve");
-        assert_eq!(warm.stats().hits, 1, "seeded entry must hit");
-        // The reloaded realization is still exact.
-        let r = warm.realize(&cp, &qg::cnot()).expect("realize");
-        assert!(r.reconstruct(&cp).approx_eq(&qg::cnot(), 1e-6));
-        assert!(a.pulse.residual < 1e-7);
     }
 
     #[test]

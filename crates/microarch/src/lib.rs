@@ -36,7 +36,6 @@ pub use duration::{
     conventional_cnot_duration, conventional_duration_xy, duration_in_g, optimal_duration,
     Duration, FrontierTimes, Image,
 };
-pub use cache::SolverStats;
 pub use scheme::{
     realize_gate, solve_pulse, solve_pulse_profiled, solve_with_mirroring, GateRealization,
     MirroredSolution, PulseSolution, SolveError, Subscheme, DEFAULT_MIRROR_THRESHOLD,

@@ -1,24 +1,23 @@
-//! Bounds-checked little-endian binary codec for the persistent cache
-//! store.
+//! Bounds-checked little-endian binary codec for the shared cache
+//! segment.
 //!
-//! The on-disk cache format (see `reqisc-compiler`'s `store` module) is a
-//! flat byte stream assembled from these primitives. Two invariants every
-//! codec in the workspace must keep:
+//! Segment records (see `reqisc-compiler`'s `sharing` module) carry
+//! flat byte streams assembled from these primitives. Two invariants
+//! every codec in the workspace must keep:
 //!
 //! * **Determinism** — encoding the same value twice yields the same
 //!   bytes (f64s are written as raw IEEE-754 bits, `-0.0` included: the
-//!   store round-trips values *exactly*, canonicalization is the cache
+//!   segment round-trips values *exactly*, canonicalization is the cache
 //!   key's job, not the codec's).
 //! * **Total decoding** — a [`ByteReader`] never panics on malformed
 //!   input; every read is bounds-checked and returns [`CodecError`] so a
-//!   truncated or corrupted store file degrades to a clean cold start.
+//!   truncated or corrupted record degrades to a cache miss.
 //!
 //! Layout changes to any codec built on these primitives must bump the
-//! store's format version (decoders are not expected to skip unknown
+//! store format version (decoders are not expected to skip unknown
 //! fields).
 
 use crate::c64::C64;
-use crate::kak::Kak;
 use crate::mat::CMat;
 use crate::weyl::WeylCoord;
 
@@ -270,33 +269,10 @@ pub fn read_weyl(r: &mut ByteReader<'_>) -> Result<WeylCoord, CodecError> {
     Ok(WeylCoord::new(r.get_f64()?, r.get_f64()?, r.get_f64()?))
 }
 
-/// Encodes a KAK decomposition (phase, four local gates, coordinates).
-pub fn write_kak(w: &mut ByteWriter, k: &Kak) {
-    write_c64(w, k.phase);
-    write_cmat(w, &k.a1);
-    write_cmat(w, &k.a2);
-    write_weyl(w, &k.coords);
-    write_cmat(w, &k.b1);
-    write_cmat(w, &k.b2);
-}
-
-/// Decodes a KAK decomposition.
-pub fn read_kak(r: &mut ByteReader<'_>) -> Result<Kak, CodecError> {
-    Ok(Kak {
-        phase: read_c64(r)?,
-        a1: read_cmat(r)?,
-        a2: read_cmat(r)?,
-        coords: read_weyl(r)?,
-        b1: read_cmat(r)?,
-        b2: read_cmat(r)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gates;
-    use crate::kak::kak_decompose;
 
     #[test]
     fn primitive_roundtrip() {
@@ -366,16 +342,5 @@ mod tests {
         w.put_usize(1 << 40);
         let bytes = w.into_bytes();
         assert!(read_cmat(&mut ByteReader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn kak_roundtrip_reconstructs_identically() {
-        let k = kak_decompose(&gates::cnot()).expect("kak");
-        let mut w = ByteWriter::new();
-        write_kak(&mut w, &k);
-        let bytes = w.into_bytes();
-        let back = read_kak(&mut ByteReader::new(&bytes)).expect("roundtrip");
-        assert!(back.reconstruct().approx_eq(&k.reconstruct(), 0.0), "bit-exact reconstruction");
-        assert_eq!(back.coords.x.to_bits(), k.coords.x.to_bits());
     }
 }

@@ -6,18 +6,18 @@
 //! commands:
 //!   submit --pipeline P (--bench NAME | --qasm-file FILE) [--priority N]
 //!   suite [--take N] [--pipelines a,b,...]      submit demo-suite programs
-//!   stats [--require-program-hit-pct X] [--require-zero-rejected]
-//!         [--require-shared-hits N] [--require-zero-solves]
+//!   stats [--require-program-hit-pct X] [--require-shared-hits N]
+//!         [--require-zero-solves]
 //!   snapshot
-//!   compact [--max-idle-gens N]
 //!   shutdown
 //! ```
 //!
 //! Prints every response line to stdout; exits 1 when any response is
 //! not ok or an assertion flag fails, and 2 on a usage error — including
-//! a numeric flag whose value does not parse, so a typo can never turn an
-//! assertion off. The connect loop retries for `--connect-timeout-secs`
-//! (default 10) so a just-spawned daemon can finish binding its socket.
+//! a numeric flag whose value does not parse or is out of range, so a
+//! typo can never turn an assertion off. The connect loop retries for
+//! `--connect-timeout-secs` (default 10) so a just-spawned daemon can
+//! finish binding its socket.
 
 #[cfg(unix)]
 fn main() {
@@ -31,9 +31,8 @@ fn main() {
             "usage: reqisc-client [--socket PATH] [--connect-timeout-secs S] \
              (submit --pipeline P (--bench NAME | --qasm-file F) [--priority N] \
              | suite [--take N] [--pipelines a,b] \
-             | stats [--require-program-hit-pct X] [--require-zero-rejected] \
-             [--require-shared-hits N] [--require-zero-solves] \
-             | snapshot | compact [--max-idle-gens N] | shutdown)"
+             | stats [--require-program-hit-pct X] [--require-shared-hits N] \
+             [--require-zero-solves] | snapshot | shutdown)"
         );
         std::process::exit(2);
     }
@@ -80,7 +79,6 @@ fn main() {
 
     // Build the request lines.
     let mut require_hit_pct: Option<f64> = None;
-    let mut require_zero_rejected = false;
     let mut require_shared_hits: Option<u64> = None;
     let mut require_zero_solves = false;
     let mut lines: Vec<String> = Vec::new();
@@ -142,24 +140,21 @@ fn main() {
                 }
                 pct
             });
-            require_zero_rejected = has("--require-zero-rejected");
             require_shared_hits = int_flag("--require-shared-hits");
             require_zero_solves = has("--require-zero-solves");
             lines.push(format!("{{\"id\":{},\"op\":\"stats\"}}", id()));
         }
         "snapshot" => lines.push(format!("{{\"id\":{},\"op\":\"snapshot\"}}", id())),
-        "compact" => {
-            let gens = int_flag("--max-idle-gens")
-                .map(|g| format!(",\"max_idle_gens\":{g}"))
-                .unwrap_or_default();
-            lines.push(format!("{{\"id\":{},\"op\":\"compact\"{}}}", id(), gens));
-        }
         "shutdown" => lines.push(format!("{{\"id\":{},\"op\":\"shutdown\"}}", id())),
         _ => usage(),
     }
 
-    // Connect (with retry — the daemon may still be binding).
-    let deadline = std::time::Instant::now() + connect_timeout;
+    // Connect (with retry — the daemon may still be binding). A timeout
+    // whose deadline the clock cannot represent is a usage error.
+    let deadline = std::time::Instant::now().checked_add(connect_timeout).unwrap_or_else(|| {
+        eprintln!("--connect-timeout-secs {} is out of range", connect_timeout.as_secs());
+        usage()
+    });
     let stream = loop {
         match UnixStream::connect(&socket) {
             Ok(s) => break s,
@@ -277,24 +272,6 @@ fn main() {
                                  workload duplicated a peer's solve"
                             );
                             failures += 1;
-                        }
-                    }
-                    if require_zero_rejected {
-                        match s.store {
-                            Some(st) if st.rejected == 0 => {
-                                eprintln!("# assertion passed: zero rejected store loads");
-                            }
-                            Some(st) => {
-                                eprintln!(
-                                    "ASSERTION FAILED: {} rejected store loads",
-                                    st.rejected
-                                );
-                                failures += 1;
-                            }
-                            None => {
-                                eprintln!("ASSERTION FAILED: service has no store");
-                                failures += 1;
-                            }
                         }
                     }
                 }

@@ -1,9 +1,9 @@
 //! `reqiscd` — the resident compile-service daemon.
 //!
 //! ```text
-//! reqiscd --socket /tmp/reqiscd.sock --cache-dir ~/.cache/reqisc
-//! reqiscd --stdio                      # serve one stdin/stdout session
-//! reqiscd --compact-now --cache-dir D  # one GC pass over D, then exit
+//! reqiscd --socket /tmp/reqiscd.sock --shm-path /dev/shm/reqisc.seg
+//! reqiscd --stdio                       # serve one stdin/stdout session
+//! reqiscd --compact-now --shm-path SEG  # one offline GC pass, then exit
 //! ```
 //!
 //! Flags (all optional):
@@ -13,8 +13,6 @@
 //!   `/tmp/reqiscd.sock`);
 //! * `--stdio` — serve exactly one session on stdin/stdout (tests, CI,
 //!   `socat`-style supervision);
-//! * `--cache-dir DIR` — persistent store directory (default: the
-//!   `REQISC_CACHE_DIR` environment variable; no store when both unset);
 //! * `--workers N` — solve worker pool size (0 = hardware parallelism);
 //! * `--solve-delay-ms MS` — park every solve worker for MS before each
 //!   cold compile it claims (stall-isolation drills; default: the
@@ -22,24 +20,23 @@
 //! * `--queue-capacity N` — bounded solve-ring size (N ≥ 1): cold
 //!   compiles beyond it are answered `queue_full`; warm hits never need
 //!   a slot (default 256);
-//! * `--snapshot-secs S` — periodic store snapshot interval (default 30;
-//!   0 disables the timer — the store still flushes on shutdown);
-//! * `--gc-idle-gens N` — snapshots become compacting: entries idle for
-//!   more than N store generations are dropped (default: GC off);
+//! * `--snapshot-secs S` — period of the bulk pass into the segment, one
+//!   generation of its GC clock each (default 30; 0 disables the timer —
+//!   shutdown still runs a last pass);
 //! * `--pool-shards N` / `--pool-capacity N` — bound the in-memory memo
 //!   pools (N ≥ 1; LRU eviction; default generous/off);
-//! * `--shm-path PATH` — attach the shared-memory cache segment at PATH
-//!   (default: the `REQISC_SHM_PATH` environment knob; no shared tier
-//!   when both unset);
+//! * `--shm-path PATH` — attach the shared-memory cache segment at PATH,
+//!   the durable tier (default: the `REQISC_SHM_PATH` environment knob;
+//!   in memory only when both unset);
 //! * `--shm-capacity-bytes N` — capacity if the segment does not exist
 //!   yet (default: `REQISC_SHM_CAPACITY_BYTES`, else 64 MiB);
-//! * `--compact-now` — run one compaction over `--cache-dir` with
-//!   `--gc-idle-gens` (default 2 in this mode) — and over the
-//!   `--shm-path` segment, if one is configured and no daemon is
-//!   attached — then exit;
+//! * `--compact-now` — compact the `--shm-path` segment offline (every
+//!   daemon detached), dropping entries idle for more than
+//!   `--gc-idle-gens N` generations (default 2), then exit; a missing
+//!   segment is an error (exit 1) and is not created;
 //! * `--debug-ops` — accept the `sleep`/`panic` debug ops.
 
-use reqisc_service::{cache_dir_from_env, serve_lines, Service, ServiceConfig};
+use reqisc_service::{serve_lines, Service, ServiceConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -47,14 +44,15 @@ struct Args {
     socket: PathBuf,
     stdio: bool,
     compact_now: bool,
+    gc_idle_gens: Option<u64>,
     config: ServiceConfig,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: reqiscd [--socket PATH | --stdio | --compact-now] [--cache-dir DIR] \
+        "usage: reqiscd [--socket PATH | --stdio | --compact-now [--gc-idle-gens N]] \
          [--workers N] [--solve-delay-ms MS] [--queue-capacity N] \
-         [--snapshot-secs S] [--gc-idle-gens N] [--pool-shards N] [--pool-capacity N] \
+         [--snapshot-secs S] [--pool-shards N] [--pool-capacity N] \
          [--shm-path PATH] [--shm-capacity-bytes N] [--debug-ops]"
     );
     std::process::exit(2);
@@ -65,8 +63,8 @@ fn parse_args() -> Args {
         socket: PathBuf::from("/tmp/reqiscd.sock"),
         stdio: false,
         compact_now: false,
+        gc_idle_gens: None,
         config: ServiceConfig {
-            cache_dir: cache_dir_from_env(),
             snapshot_interval: Some(Duration::from_secs(30)),
             shm_path: reqisc_env::SHM_PATH.path(),
             shm_capacity_bytes: reqisc_env::SHM_CAPACITY_BYTES
@@ -88,7 +86,6 @@ fn parse_args() -> Args {
             "--socket" => args.socket = PathBuf::from(val("--socket")),
             "--stdio" => args.stdio = true,
             "--compact-now" => args.compact_now = true,
-            "--cache-dir" => args.config.cache_dir = Some(PathBuf::from(val("--cache-dir"))),
             "--workers" => args.config.workers = parse_num(&val("--workers"), "--workers"),
             "--solve-delay-ms" => {
                 args.config.solve_delay_ms =
@@ -103,8 +100,7 @@ fn parse_args() -> Args {
                     (s > 0).then(|| Duration::from_secs(s));
             }
             "--gc-idle-gens" => {
-                args.config.gc_max_idle_gens =
-                    Some(parse_num(&val("--gc-idle-gens"), "--gc-idle-gens"));
+                args.gc_idle_gens = Some(parse_num(&val("--gc-idle-gens"), "--gc-idle-gens"));
             }
             "--shm-path" => args.config.shm_path = Some(PathBuf::from(val("--shm-path"))),
             "--shm-capacity-bytes" => {
@@ -124,6 +120,10 @@ fn parse_args() -> Args {
         }
     }
     args.config.pool_shape = pool_capacity.map(|cap| (pool_shards, cap));
+    if args.gc_idle_gens.is_some() && !args.compact_now {
+        eprintln!("--gc-idle-gens only sets --compact-now's threshold: GC is offline");
+        usage()
+    }
     args
 }
 
@@ -149,68 +149,37 @@ fn main() {
     let args = parse_args();
 
     if args.compact_now {
-        if args.config.cache_dir.is_none() && args.config.shm_path.is_none() {
-            eprintln!(
-                "--compact-now needs --cache-dir (or REQISC_CACHE_DIR) \
-                 and/or --shm-path (or REQISC_SHM_PATH)"
-            );
+        let Some(shm) = args.config.shm_path.clone() else {
+            eprintln!("--compact-now needs --shm-path (or REQISC_SHM_PATH)");
             std::process::exit(2);
-        }
-        // One offline GC pass: nothing is live (no resident cache), so
-        // only the idle-generation threshold decides what survives. The
-        // default of 2 keeps everything referenced in the last two
-        // saves — pass --gc-idle-gens 0 to keep nothing.
-        let max_idle = args.config.gc_max_idle_gens.unwrap_or(2);
-        if let Some(dir) = args.config.cache_dir.clone() {
-            let store = reqisc_compiler::CacheStore::new(&dir);
-            let cache = reqisc_compiler::CompileCache::new();
-            match store.compact(&cache, max_idle) {
-                Ok(o) => {
-                    println!(
-                        "compacted {} (generation {}): kept {}, dropped {}",
-                        store.path().display(),
-                        o.generation,
-                        o.kept,
-                        o.dropped
-                    );
-                }
-                Err(e) => {
-                    eprintln!("compaction failed: {e}");
-                    std::process::exit(1);
-                }
+        };
+        // One offline GC pass: it needs every daemon detached (Busy
+        // otherwise), and only the idle-generation threshold decides what
+        // survives. The default of 2 keeps everything referenced in the
+        // last two bulk passes; --gc-idle-gens 0 keeps only the last.
+        match reqisc_shmem::compact_file(
+            &shm,
+            args.config.shm_capacity_bytes,
+            reqisc_compiler::STORE_FORMAT_VERSION,
+            args.gc_idle_gens.unwrap_or(2),
+        ) {
+            Ok(r) => {
+                println!(
+                    "compacted segment {}: kept {}, dropped {}",
+                    shm.display(),
+                    r.kept,
+                    r.dropped
+                );
             }
-        }
-        // The shared segment compacts under the same idle-generation
-        // threshold; it requires exclusive access (every daemon
-        // detached) and reports Busy otherwise.
-        if let Some(shm) = args.config.shm_path.clone() {
-            match reqisc_shmem::compact_file(
-                &shm,
-                args.config.shm_capacity_bytes,
-                reqisc_compiler::STORE_FORMAT_VERSION,
-                max_idle,
-            ) {
-                Ok(r) => {
-                    println!(
-                        "compacted segment {}: kept {}, dropped {}",
-                        shm.display(),
-                        r.kept,
-                        r.dropped
-                    );
-                }
-                Err(e) => {
-                    eprintln!("segment compaction failed: {e}");
-                    std::process::exit(1);
-                }
+            Err(e) => {
+                eprintln!("segment compaction of {} failed: {e}", shm.display());
+                std::process::exit(1);
             }
         }
         return;
     }
 
     let service = Service::start(args.config.clone());
-    if let Some(outcome) = service.startup_load() {
-        eprintln!("# reqiscd: store load: {outcome:?}");
-    }
     if args.stdio {
         let stdin = std::io::stdin();
         // `StdoutLock` is not `Send` (the responder thread owns the

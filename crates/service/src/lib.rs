@@ -6,9 +6,8 @@
 //! Unix domain socket (or stdio), parses QASM / resolves benchsuite
 //! program names, and drives everything through the shared
 //! content-addressed [`reqisc_compiler::CompileCache`] engine — so the
-//! ~1000× warm-cache wins of the persistent store reach interactive
-//! callers without paying process startup, template-library synthesis,
-//! and store cold-load per invocation.
+//! ~1000× warm-cache wins reach interactive callers without paying
+//! process startup and template-library synthesis per invocation.
 //!
 //! The subsystem owns:
 //!
@@ -26,11 +25,11 @@
 //!   cost one compile and N responses ([`service`]);
 //! * a **solve worker pool** sized like [`reqisc_compiler::Compiler`]'s
 //!   `block_threads` (0 = hardware parallelism);
-//! * **cache lifecycle management**: store load at startup, periodic and
-//!   on-shutdown snapshots, and GC/compaction
-//!   ([`reqisc_compiler::CacheStore::compact`]) that ages out entries no
-//!   process references anymore;
-//! * a **stats** endpoint returning every cache/store/queue counter as
+//! * **one durable tier**: the crash-safe shared segment
+//!   ([`reqisc_shmem`]), which solve workers publish into, periodic and
+//!   on-shutdown bulk passes re-stamp (one generation each), and an
+//!   offline `reqiscd --compact-now` garbage-collects;
+//! * a **stats** endpoint returning every cache/segment/queue counter as
 //!   JSON ([`protocol::StatsSnapshot`]).
 //!
 //! ## Quick start (in-process, stdio transport)
@@ -65,19 +64,6 @@ pub use server::{serve_lines, ServeOutcome};
 #[cfg(unix)]
 pub use server::serve_unix;
 pub use service::{
-    DebugOp, JobDone, JobResult, Service, ServiceConfig, SnapshotReport, SubmitError, Ticket,
+    DebugOp, JobDone, JobResult, Service, ServiceConfig, SubmitError, Ticket,
     DEFAULT_SHM_CAPACITY_BYTES,
 };
-
-/// The cache-directory environment variable every consumer of the
-/// persistent store honours (`reqiscd --cache-dir` defaults to it, and
-/// the bench binaries read it through `reqisc_bench`'s delegating
-/// helper) — declared once in the [`reqisc_env`] registry; this is the
-/// service-local alias.
-pub const CACHE_DIR_ENV: &str = reqisc_env::CACHE_DIR.name;
-
-/// Reads [`CACHE_DIR_ENV`] through the registry knob: `None` when unset
-/// or empty.
-pub fn cache_dir_from_env() -> Option<std::path::PathBuf> {
-    reqisc_env::CACHE_DIR.path()
-}

@@ -10,13 +10,15 @@
 //! {"id":2,"op":"compile","pipeline":"reqisc-full","bench":"alu_v0"}
 //! {"id":3,"op":"stats"}
 //! {"id":4,"op":"snapshot"}
-//! {"id":5,"op":"compact","max_idle_gens":2}
-//! {"id":6,"op":"shutdown"}
+//! {"id":5,"op":"shutdown"}
 //! ```
 //!
 //! `compile` takes exactly one of `qasm` (QASM-lite source, see
 //! `reqisc_qcircuit::qasm`) or `bench` (a demo-suite program name);
-//! `priority` is optional (0–9, default 5, higher first). Two debug ops,
+//! `priority` is optional (0–9, default 5, higher first). `snapshot` runs
+//! one bulk pass into the shared segment (one generation of its GC
+//! clock); garbage collection itself is offline (`reqiscd
+//! --compact-now`). Two debug ops,
 //! `sleep` (`{"ms":N}`) and `panic`, exist behind the daemon's
 //! `--debug-ops` flag so tests can pin queue semantics deterministically.
 //!
@@ -27,11 +29,13 @@
 //! ```text
 //! {"id":1,"ok":true,"op":"compile","fingerprint":"6b86…","count_2q":1,"depth_2q":1,"duration_g":2.22,"coalesced":false,"done_seq":1}
 //! {"id":3,"ok":true,"op":"stats","stats":{…}}
+//! {"id":4,"ok":true,"op":"snapshot","published":12,"duplicates":140,"full_rejects":0}
 //! {"id":9,"ok":false,"error":"queue_full","detail":"queue full (capacity 256)"}
 //! ```
 //!
 //! Error `error` codes are machine-matchable: `queue_full`, `bad_request`,
-//! `parse_error`, `compile_failed`, `no_store`, `io`. A `parse_error`
+//! `parse_error`, `compile_failed`, `no_store` (a `snapshot` on a service
+//! without a shared segment). A `parse_error`
 //! echoes the line's `id` whenever the line is a JSON object with a valid
 //! one; only a line that is not JSON (or carries no usable id) is
 //! answered with id 0. `queue_full` only ever answers a compile that
@@ -40,7 +44,7 @@
 
 use crate::json::Json;
 use crate::queue::{Priority, DEFAULT_PRIORITY, MAX_PRIORITY};
-use reqisc_compiler::{CacheStats, CompileCacheStats, Metrics, Pipeline, SolverStats, StoreStats};
+use reqisc_compiler::{CacheStats, CompileCacheStats, Metrics, Pipeline};
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,17 +76,11 @@ pub enum RequestBody {
         /// Queue priority (0–9, higher first).
         priority: Priority,
     },
-    /// Counter snapshot (service + cache + store) as JSON.
+    /// Counter snapshot (service + cache + segment) as JSON.
     Stats,
-    /// Persist the cache pools to the store now.
+    /// Run one bulk pass of the cache pools into the shared segment now.
     Snapshot,
-    /// Snapshot + GC: drop entries idle for more than `max_idle_gens`
-    /// store generations (`None` = the service's configured default).
-    Compact {
-        /// Idle-generation threshold override.
-        max_idle_gens: Option<u64>,
-    },
-    /// Graceful shutdown: drain the queue, flush the store, exit.
+    /// Graceful shutdown: drain the queue, run the last bulk pass, exit.
     Shutdown,
     /// Debug (gated): hold a worker for `ms` milliseconds.
     DebugSleep {
@@ -136,12 +134,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "stats" => RequestBody::Stats,
         "snapshot" => RequestBody::Snapshot,
-        "compact" => RequestBody::Compact {
-            max_idle_gens: match v.get("max_idle_gens") {
-                None => None,
-                Some(g) => Some(g.as_u64().ok_or("compact: 'max_idle_gens' must be an integer")?),
-            },
-        },
         "shutdown" => RequestBody::Shutdown,
         "sleep" => RequestBody::DebugSleep {
             ms: v.get("ms").and_then(Json::as_u64).ok_or("sleep: missing 'ms'")?,
@@ -203,7 +195,7 @@ pub fn error_response(id: u64, code: &str, detail: impl Into<String>) -> Json {
 }
 
 /// Point-in-time service-level counters (the queue/coalescing half of a
-/// [`StatsSnapshot`]; cache and store counters ride alongside).
+/// [`StatsSnapshot`]; cache and segment counters ride alongside).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceCounters {
     /// Jobs admitted (queued or coalesced).
@@ -219,7 +211,8 @@ pub struct ServiceCounters {
     /// Queued jobs dropped because every waiter disconnected before a
     /// worker claimed them (the compile never ran).
     pub cancelled: u64,
-    /// Store snapshots (plain saves and compactions) taken.
+    /// Bulk passes into the shared segment (snapshot ticks, `snapshot`
+    /// requests, shutdown).
     pub snapshots: u64,
     /// Jobs queued right now (gauge, not a counter).
     pub queue_depth: u64,
@@ -304,43 +297,8 @@ pub struct StatsSnapshot {
     pub stages: StageCounters,
     /// Compile-cache pool counters.
     pub cache: CompileCacheStats,
-    /// Store counters (`None` when the service runs without a store).
-    pub store: Option<StoreStats>,
     /// Shared-segment counters (`None` when no segment is attached).
     pub shared: Option<SharedCounters>,
-}
-
-fn solver_stats_json(s: &SolverStats) -> Json {
-    Json::obj(vec![
-        ("solves", Json::num_u64(s.solves)),
-        ("failures", Json::num_u64(s.failures)),
-        ("evals", Json::num_u64(s.evals)),
-        ("verifies", Json::num_u64(s.verifies)),
-        ("curve_points", Json::num_u64(s.curve_points)),
-        ("newton_starts", Json::num_u64(s.newton_starts)),
-        ("newton_iters", Json::num_u64(s.newton_iters)),
-        ("boundary_roots", Json::num_u64(s.boundary_roots)),
-        ("interior_roots", Json::num_u64(s.interior_roots)),
-        ("early_rejects", Json::num_u64(s.early_rejects)),
-        ("degenerate_targets", Json::num_u64(s.degenerate_targets)),
-    ])
-}
-
-fn solver_stats_from(v: &Json) -> Result<SolverStats, String> {
-    let f = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("missing counter '{k}'"));
-    Ok(SolverStats {
-        solves: f("solves")?,
-        failures: f("failures")?,
-        evals: f("evals")?,
-        verifies: f("verifies")?,
-        curve_points: f("curve_points")?,
-        newton_starts: f("newton_starts")?,
-        newton_iters: f("newton_iters")?,
-        boundary_roots: f("boundary_roots")?,
-        interior_roots: f("interior_roots")?,
-        early_rejects: f("early_rejects")?,
-        degenerate_targets: f("degenerate_targets")?,
-    })
 }
 
 fn ring_counters_json(r: &RingCounters) -> Json {
@@ -433,23 +391,9 @@ impl StatsSnapshot {
                 Json::obj(vec![
                     ("programs", cache_stats_json(&self.cache.programs)),
                     ("synthesis", cache_stats_json(&self.cache.synthesis)),
-                    ("pulses", cache_stats_json(&self.cache.pulses)),
-                    ("solver", solver_stats_json(&self.cache.solver)),
                 ]),
             ),
         ];
-        if let Some(st) = &self.store {
-            members.push((
-                "store",
-                Json::obj(vec![
-                    ("loaded_entries", Json::num_u64(st.loaded_entries)),
-                    ("saved_entries", Json::num_u64(st.saved_entries)),
-                    ("rejected", Json::num_u64(st.rejected)),
-                    ("compactions", Json::num_u64(st.compactions)),
-                    ("gc_dropped", Json::num_u64(st.gc_dropped)),
-                ]),
-            ));
-        }
         if let Some(sh) = &self.shared {
             members.push((
                 "shared",
@@ -492,23 +436,6 @@ impl StatsSnapshot {
         let cache = CompileCacheStats {
             programs: cache_stats_from(cv.get("programs").ok_or("missing 'programs'")?)?,
             synthesis: cache_stats_from(cv.get("synthesis").ok_or("missing 'synthesis'")?)?,
-            pulses: cache_stats_from(cv.get("pulses").ok_or("missing 'pulses'")?)?,
-            solver: solver_stats_from(cv.get("solver").ok_or("missing 'solver'")?)?,
-        };
-        let store = match v.get("store") {
-            None => None,
-            Some(st) => {
-                let f = |k: &str| {
-                    st.get(k).and_then(Json::as_u64).ok_or(format!("missing counter '{k}'"))
-                };
-                Some(StoreStats {
-                    loaded_entries: f("loaded_entries")?,
-                    saved_entries: f("saved_entries")?,
-                    rejected: f("rejected")?,
-                    compactions: f("compactions")?,
-                    gc_dropped: f("gc_dropped")?,
-                })
-            }
         };
         let shared = match v.get("shared") {
             None => None,
@@ -527,7 +454,7 @@ impl StatsSnapshot {
                 })
             }
         };
-        Ok(StatsSnapshot { service, stages, cache, store, shared })
+        Ok(StatsSnapshot { service, stages, cache, shared })
     }
 }
 
@@ -567,6 +494,7 @@ mod tests {
             r#"{"op":"stats"}"#,                                        // no id
             r#"{"id":1}"#,                                              // no op
             r#"{"id":1,"op":"noop"}"#,                                  // unknown op
+            r#"{"id":1,"op":"compact","max_idle_gens":2}"#,             // GC is offline
             r#"{"id":1,"op":"compile","pipeline":"nope","bench":"x"}"#, // bad pipeline
             r#"{"id":1,"op":"compile","pipeline":"qiskit"}"#,           // no source
             r#"{"id":1,"op":"compile","pipeline":"qiskit","bench":"x","qasm":"y"}"#, // both
@@ -601,28 +529,7 @@ mod tests {
             cache: CompileCacheStats {
                 programs: CacheStats { hits: 5, misses: 3, inserts: 3, evictions: 1 },
                 synthesis: CacheStats { hits: 50, misses: 30, inserts: 30, evictions: 0 },
-                pulses: CacheStats { hits: 7, misses: 2, inserts: 2, evictions: 0 },
-                solver: SolverStats {
-                    solves: 2,
-                    failures: 0,
-                    evals: 900,
-                    verifies: 12,
-                    curve_points: 40,
-                    newton_starts: 6,
-                    newton_iters: 55,
-                    boundary_roots: 1,
-                    interior_roots: 1,
-                    early_rejects: 3,
-                    degenerate_targets: 1,
-                },
             },
-            store: Some(StoreStats {
-                loaded_entries: 100,
-                saved_entries: 120,
-                rejected: 0,
-                compactions: 2,
-                gc_dropped: 17,
-            }),
             shared: Some(SharedCounters {
                 hits: 11,
                 published: 6,
@@ -637,9 +544,9 @@ mod tests {
         let back = StatsSnapshot::from_json(&Json::parse(&j.emit()).expect("emit parses"))
             .expect("from_json");
         assert_eq!(back, snap, "every counter must survive the wire");
-        // Store-less / segment-less snapshots round-trip too.
-        let no_store = StatsSnapshot { store: None, shared: None, ..snap };
-        let back = StatsSnapshot::from_json(&no_store.to_json()).expect("from_json");
-        assert_eq!(back, no_store);
+        // Segment-less snapshots round-trip too.
+        let no_segment = StatsSnapshot { shared: None, ..snap };
+        let back = StatsSnapshot::from_json(&no_segment.to_json()).expect("from_json");
+        assert_eq!(back, no_segment);
     }
 }

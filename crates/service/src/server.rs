@@ -8,7 +8,7 @@
 //! (caller's thread) parses and *submits* each line without waiting —
 //! this is what lets identical pipelined requests coalesce — while a
 //! scoped responder thread resolves the pending replies in order.
-//! Deferred ops (`stats`, `snapshot`, `compact`) are evaluated by the
+//! Deferred ops (`stats`, `snapshot`) are evaluated by the
 //! responder *when their turn comes*, i.e. after every earlier request
 //! on the connection has completed — which makes `…compiles, stats`
 //! scripts read deterministic counters.
@@ -18,7 +18,7 @@ use crate::protocol::{
 };
 use crate::json::Json;
 use crate::queue::DEFAULT_PRIORITY;
-use crate::service::{DebugOp, JobDone, Service, SnapshotReport, SubmitError, Ticket};
+use crate::service::{DebugOp, JobDone, Service, SubmitError, Ticket};
 use crate::sync::LockRecover;
 use std::io::{BufRead, Write};
 
@@ -45,10 +45,8 @@ enum Pending {
     Debug { id: u64, op: &'static str, ticket: Ticket },
     /// Deferred stats evaluation.
     Stats { id: u64 },
-    /// Deferred plain snapshot.
+    /// Deferred bulk pass into the segment.
     Snapshot { id: u64 },
-    /// Deferred compacting snapshot.
-    Compact { id: u64, max_idle_gens: Option<u64> },
 }
 
 /// Hard cap on one request line. Bounds what an untrusted client can
@@ -198,7 +196,6 @@ fn handle_line(service: &Service, line: &str) -> Pending {
         }
         RequestBody::Stats => Pending::Stats { id },
         RequestBody::Snapshot => Pending::Snapshot { id },
-        RequestBody::Compact { max_idle_gens } => Pending::Compact { id, max_idle_gens },
         RequestBody::Shutdown => Pending::Shutdown { id },
         RequestBody::DebugSleep { ms } => {
             match service.submit_debug(DebugOp::Sleep { ms }, DEFAULT_PRIORITY) {
@@ -222,29 +219,17 @@ fn submit_error_response(id: u64, e: SubmitError) -> Json {
     }
 }
 
-fn snapshot_response(id: u64, op: &str, r: std::io::Result<SnapshotReport>) -> Json {
-    match r {
-        Ok(SnapshotReport::NoStore) => {
-            error_response(id, "no_store", "service is running without a cache dir")
-        }
-        Ok(SnapshotReport::Saved { entries }) => {
-            let mut j = ok_response(id, op);
-            if let Json::Obj(members) = &mut j {
-                members.push(("saved_entries".into(), Json::num_u64(entries as u64)));
-            }
-            j
-        }
-        Ok(SnapshotReport::Compacted(o)) => {
-            let mut j = ok_response(id, op);
-            if let Json::Obj(members) = &mut j {
-                members.push(("kept".into(), Json::num_u64(o.kept as u64)));
-                members.push(("dropped".into(), Json::num_u64(o.dropped as u64)));
-                members.push(("generation".into(), Json::num_u64(o.generation)));
-            }
-            j
-        }
-        Err(e) => error_response(id, "io", e.to_string()),
+fn snapshot_response(id: u64, pass: Option<reqisc_compiler::ShareStats>) -> Json {
+    let Some(s) = pass else {
+        return error_response(id, "no_store", "service is running without a shared segment");
+    };
+    let mut j = ok_response(id, "snapshot");
+    if let Json::Obj(members) = &mut j {
+        members.push(("published".into(), Json::num_u64(s.published)));
+        members.push(("duplicates".into(), Json::num_u64(s.duplicates)));
+        members.push(("full_rejects".into(), Json::num_u64(s.full_rejects)));
     }
+    j
 }
 
 fn respond_loop(
@@ -283,10 +268,7 @@ fn respond_loop(
                 }
                 j
             }
-            Pending::Snapshot { id } => snapshot_response(id, "snapshot", service.snapshot_now()),
-            Pending::Compact { id, max_idle_gens } => {
-                snapshot_response(id, "compact", service.compact_now(max_idle_gens))
-            }
+            Pending::Snapshot { id } => snapshot_response(id, service.snapshot_now()),
         };
         writeln!(writer, "{}", response.emit())?;
         writer.flush()?;
@@ -319,7 +301,7 @@ pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::
     // Cloned handles of every accepted connection: on shutdown the
     // accept loop force-closes them so a connection thread parked in a
     // blocking read wakes with EOF — otherwise one idle client would
-    // keep the scope join (and the final store flush) waiting forever.
+    // keep the scope join (and the final bulk pass) waiting forever.
     let conns: crate::sync::Mutex<Vec<std::os::unix::net::UnixStream>> =
         crate::sync::Mutex::new(Vec::new());
     let result = std::thread::scope(|scope| loop {

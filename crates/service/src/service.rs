@@ -22,7 +22,7 @@
 //! slot, creates no in-flight entry and never touches the solve stage, so
 //! a warm response can never queue behind a cold solve. Only misses enter
 //! the solve ring, where the expensive workers run the pipeline (filling
-//! the synthesis/pulse pools that make the *next* miss of the same blocks
+//! the synthesis pool that makes the *next* miss of the same blocks
 //! cheaper). A single dispatcher drains the completion ring in FIFO
 //! order, assigns the global `done_seq` at delivery time, and wakes the
 //! waiters — which makes completion order exactly delivery order,
@@ -66,6 +66,16 @@
 //! job in the solve worker: the dispatcher delivers an error to every
 //! attached waiter, the `failed` counter ticks, and the worker survives
 //! to take the next job.
+//!
+//! ## Persistence
+//!
+//! The shared segment (`shm_path`) is the one durable tier. Solve workers
+//! publish each compiled program as it completes; a bulk pass
+//! ([`sharing::publish_all`]) on every snapshot tick, `snapshot` op and
+//! shutdown carries the synthesis pool across, and each pass is one
+//! generation of the segment's GC clock. A restarted service seeds its
+//! synthesis pool from the segment and answers whole programs through the
+//! submission probe. GC is offline: `reqiscd --compact-now`.
 
 use crate::protocol::{
     CompileSource, RingCounters, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
@@ -75,8 +85,7 @@ use crate::ring::FifoRing;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use reqisc_compiler::{
-    sharing, CacheStore, CompactOutcome, CompileCache, Compiler, LoadOutcome, Pipeline, Program,
-    STORE_FORMAT_VERSION,
+    sharing, CompileCache, Compiler, Pipeline, Program, ShareStats, STORE_FORMAT_VERSION,
 };
 use reqisc_shmem::Segment;
 use reqisc_qcircuit::{parse_bounded, Circuit, ParseLimits};
@@ -98,15 +107,10 @@ pub struct ServiceConfig {
     /// solve ring; submissions beyond it reject immediately (warm hits
     /// never need a slot).
     pub queue_capacity: usize,
-    /// Persistent store directory (`None` = in-memory only). The store
-    /// is loaded before the first worker starts and flushed on shutdown.
-    pub cache_dir: Option<PathBuf>,
-    /// Periodic snapshot interval (`None` = on-shutdown only).
+    /// Period of the bulk pass into the shared segment (`None` = on
+    /// shutdown and `snapshot` requests only). Each pass is one
+    /// generation of the segment's GC clock.
     pub snapshot_interval: Option<Duration>,
-    /// When set, periodic snapshots (and explicit `compact` requests
-    /// without their own threshold) GC entries idle for more than this
-    /// many store generations. `None` = snapshots never drop anything.
-    pub gc_max_idle_gens: Option<u64>,
     /// Memo-pool shape override `(shards, per-shard capacity)` — the LRU
     /// eviction knob. `None` = the default generous shape (effectively
     /// unbounded; evictions stay 0).
@@ -126,10 +130,11 @@ pub struct ServiceConfig {
     /// falls back to the `REQISC_DEBUG_SOLVE_DELAY_MS` env knob (unset
     /// or `0` = no delay).
     pub solve_delay_ms: Option<u64>,
-    /// Shared-memory cache segment to attach (`None` = no shared tier).
-    /// Submission probes it between the local pool and a cold solve;
-    /// solve workers publish every finished program into it, so every
-    /// daemon attached to the same file hits instantly.
+    /// Shared-memory cache segment to attach (`None` = in-memory only).
+    /// It is the durable tier: submission probes it between the local
+    /// pool and a cold solve; solve workers publish every finished
+    /// program into it, so every daemon attached to the same file — and
+    /// every later run — hits instantly.
     pub shm_path: Option<PathBuf>,
     /// Capacity used if the segment file does not exist yet (an
     /// existing valid segment keeps its own).
@@ -146,9 +151,7 @@ impl Default for ServiceConfig {
         Self {
             workers: 0,
             queue_capacity: 256,
-            cache_dir: None,
             snapshot_interval: None,
-            gc_max_idle_gens: None,
             pool_shape: None,
             debug_ops: false,
             parse_limits: ParseLimits::default(),
@@ -361,11 +364,6 @@ struct Inner {
     /// [`Compiler::options_fingerprint`] computed once at startup — it
     /// hashes a `Debug` rendering, too hot to redo per submission.
     options_fp: u128,
-    store: Option<CacheStore>,
-    /// Serializes save/compact against each other (timer vs. requests vs.
-    /// shutdown); the store itself is only torn-write-safe, not
-    /// merge-atomic, within one process.
-    store_lock: Mutex<()>,
     /// Misses and debug ops waiting for a solve worker; its capacity is
     /// the admission bound and its depth is `queue_depth`.
     solve: JobQueue<Job>,
@@ -379,7 +377,6 @@ struct Inner {
     stage: StageAtomics,
     done_seq: AtomicU64,
     waiter_seq: AtomicU64,
-    gc_max_idle_gens: Option<u64>,
     debug_ops: bool,
     solve_delay: Option<Duration>,
     parse_limits: ParseLimits,
@@ -517,59 +514,19 @@ impl Inner {
         }
     }
 
-    /// One snapshot: a compacting save when GC is configured, else plain.
-    /// Either way the local pools are also bulk-published into the
-    /// shared segment first, and a compacting pass advances the
-    /// segment's generation clock so idle shared entries age alongside
-    /// idle store entries.
-    fn snapshot(&self, gc_override: Option<u64>) -> std::io::Result<SnapshotReport> {
-        let gc = gc_override.or(self.gc_max_idle_gens);
-        self.publish_shared(gc.is_some());
-        let Some(store) = &self.store else {
-            return Ok(SnapshotReport::NoStore);
-        };
-        let _guard = self.store_lock.lock_recover();
-        self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-        match gc {
-            Some(max_idle) => {
-                let o = store.compact(self.compiler.cache(), max_idle)?;
-                Ok(SnapshotReport::Compacted(o))
-            }
-            None => {
-                let n = store.save(self.compiler.cache())?;
-                Ok(SnapshotReport::Saved { entries: n })
-            }
-        }
-    }
-
-    /// Bulk-publishes every local pool entry into the shared segment
-    /// (the snapshot/shutdown hook; per-solve publishing makes most of
-    /// these `Duplicate`s — this pass catches entries that arrived via
-    /// store load or sub-program pools instead of a solve).
-    fn publish_shared(&self, gc_tick: bool) {
-        let Some(seg) = &self.shared else { return };
+    /// One bulk pass into the shared segment (see the module docs):
+    /// publishes what solve workers did not — sub-program entries — and
+    /// re-stamps what this process referenced. `None` without a segment.
+    /// Passes need no lock: the segment's publish and touch are lock-free.
+    fn snapshot(&self) -> Option<ShareStats> {
+        let seg = self.shared.as_ref()?;
         let s = sharing::publish_all(seg, self.compiler.cache());
         self.shared_stats.published.fetch_add(s.published, Ordering::Relaxed);
         self.shared_stats.duplicates.fetch_add(s.duplicates, Ordering::Relaxed);
         self.shared_stats.full_rejects.fetch_add(s.full_rejects, Ordering::Relaxed);
-        if gc_tick {
-            seg.bump_generation();
-        }
+        self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+        Some(s)
     }
-}
-
-/// What one snapshot pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotReport {
-    /// The service runs without a persistent store.
-    NoStore,
-    /// Plain save: `entries` written.
-    Saved {
-        /// Entries written.
-        entries: usize,
-    },
-    /// Compacting save.
-    Compacted(CompactOutcome),
 }
 
 fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
@@ -583,15 +540,14 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// The running service (see module docs). Dropping it shuts down
-/// gracefully: drain every stage in order, join the threads, flush the
-/// store.
+/// gracefully: drain every stage in order, join the threads, run the
+/// last bulk pass into the segment.
 pub struct Service {
     inner: Arc<Inner>,
     workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
     dispatcher: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     timer: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     stopped: AtomicBool,
-    startup_load: Option<LoadOutcome>,
 }
 
 impl Service {
@@ -628,12 +584,9 @@ impl Service {
                 ms => Some(ms as u64),
             })
             .map(Duration::from_millis);
-        let store = config.cache_dir.as_ref().map(CacheStore::new);
-        let startup_load = store.as_ref().map(|s| s.load_into(compiler.cache()));
-        // The shared segment attaches under the same format version as
-        // the store, so a codec bump invalidates stale segments exactly
-        // like stale store files. Attach failure degrades to running
-        // without the shared tier — a cache must never stop the service.
+        // The shared segment attaches under the store format version, so
+        // a codec bump retires stale segments. Attach failure degrades to
+        // running in memory only — a cache must never stop the service.
         let shared = config.shm_path.as_ref().and_then(|p| {
             match Segment::attach(p, config.shm_capacity_bytes, STORE_FORMAT_VERSION) {
                 Ok(seg) => Some(seg),
@@ -649,10 +602,10 @@ impl Service {
         });
         let shared_stats = SharedAtomics::default();
         if let Some(seg) = &shared {
-            // Only the sub-program pools seed eagerly: synthesis/pulse
-            // entries are consulted deep inside a cold solve (no segment
-            // probe there), while whole-program entries stay in the
-            // segment for the submission probe to answer.
+            // Only the synthesis pool seeds eagerly: its entries are
+            // consulted deep inside a cold solve (no segment probe
+            // there), while whole-program entries stay in the segment for
+            // the submission probe to answer.
             let seeded = sharing::seed_subprogram_pools(seg, compiler.cache());
             shared_stats.seeded.store(seeded as u64, Ordering::Relaxed);
         }
@@ -660,8 +613,6 @@ impl Service {
         let inner = Arc::new(Inner {
             compiler,
             options_fp,
-            store,
-            store_lock: Mutex::new(()),
             solve: JobQueue::new(config.queue_capacity),
             completions: FifoRing::new(),
             inflight: Mutex::new(HashMap::new()),
@@ -671,7 +622,6 @@ impl Service {
             stage: StageAtomics::default(),
             done_seq: AtomicU64::new(0),
             waiter_seq: AtomicU64::new(0),
-            gc_max_idle_gens: config.gc_max_idle_gens,
             debug_ops: config.debug_ops,
             solve_delay,
             parse_limits: config.parse_limits,
@@ -702,9 +652,7 @@ impl Service {
                         break;
                     }
                     if timeout.timed_out() {
-                        if let Err(e) = inner.snapshot(None) {
-                            eprintln!("# reqisc-service: periodic snapshot failed: {e}");
-                        }
+                        inner.snapshot();
                     }
                 }
             })
@@ -715,14 +663,7 @@ impl Service {
             dispatcher: Mutex::new(Some(dispatcher)),
             timer: Mutex::new(timer),
             stopped: AtomicBool::new(false),
-            startup_load,
         }
-    }
-
-    /// The store-load outcome observed at startup (`None` = no store
-    /// configured).
-    pub fn startup_load(&self) -> Option<&LoadOutcome> {
-        self.startup_load.as_ref()
     }
 
     /// Resolves a protocol compile source into a circuit: QASM parses
@@ -865,7 +806,6 @@ impl Service {
                 ..StageCounters::default()
             },
             cache: self.inner.compiler.cache_stats(),
-            store: self.inner.store.as_ref().map(|s| s.stats()),
             shared: self.inner.shared.as_ref().map(|seg| {
                 let sh = &self.inner.shared_stats;
                 SharedCounters {
@@ -888,32 +828,10 @@ impl Service {
         self.inner.solve.len()
     }
 
-    /// Forces a store snapshot now (plain save, no GC).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors from the save.
-    pub fn snapshot_now(&self) -> std::io::Result<SnapshotReport> {
-        self.inner.publish_shared(false);
-        let Some(store) = &self.inner.store else {
-            return Ok(SnapshotReport::NoStore);
-        };
-        let _guard = self.inner.store_lock.lock_recover();
-        self.inner.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-        let n = store.save(self.inner.compiler.cache())?;
-        Ok(SnapshotReport::Saved { entries: n })
-    }
-
-    /// Forces a compacting snapshot now. `max_idle_gens = None` uses the
-    /// configured default (or 0 — "keep only what this process
-    /// referenced" — when none was configured).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors from the rewrite.
-    pub fn compact_now(&self, max_idle_gens: Option<u64>) -> std::io::Result<SnapshotReport> {
-        let gens = max_idle_gens.or(self.inner.gc_max_idle_gens).unwrap_or(0);
-        self.inner.snapshot(Some(gens))
+    /// Runs one bulk pass into the shared segment now (the `snapshot`
+    /// op); `None` when the service has no segment.
+    pub fn snapshot_now(&self) -> Option<ShareStats> {
+        self.inner.snapshot()
     }
 
     /// True once a protocol `shutdown` request has been accepted (the
@@ -929,7 +847,8 @@ impl Service {
 
     /// Graceful shutdown, stage by stage: stop admitting, drain the solve
     /// ring through the workers, drain the completion ring through the
-    /// dispatcher, join the snapshot timer, then flush the store. The
+    /// dispatcher, join the snapshot timer, then run the last bulk pass
+    /// into the segment. The
     /// completion ring is closed only after the solve workers have been
     /// joined, so a job in flight *anywhere* is either delivered or (if
     /// every waiter already left) cleanly cancelled — never stranded.
@@ -953,9 +872,7 @@ impl Service {
         if let Some(h) = self.timer.lock_recover().take() {
             let _ = h.join();
         }
-        if let Err(e) = self.inner.snapshot(None) {
-            eprintln!("# reqisc-service: shutdown store flush failed: {e}");
-        }
+        self.inner.snapshot();
     }
 }
 

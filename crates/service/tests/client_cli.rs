@@ -1,9 +1,11 @@
 //! The command-line tools' exit codes, driven through the built binaries.
 //! `reqisc-client` against an in-process daemon: a numeric flag whose
-//! value does not parse is a usage error (exit 2) instead of a silently
-//! skipped assertion, and a connection the daemon drops is a failure
-//! (exit 1), not a panic. `reqiscd`: a zero queue or pool size is a
-//! usage error (exit 2), not a panic at startup.
+//! value does not parse or is out of range is a usage error (exit 2)
+//! instead of a silently skipped assertion or a panic, and a connection
+//! the daemon drops is a failure (exit 1), not a panic. `reqiscd`: a zero
+//! queue or pool size is a usage error (exit 2), not a panic at startup,
+//! and `--compact-now` on a missing segment fails (exit 1) without
+//! creating one.
 
 #![cfg(unix)]
 
@@ -61,7 +63,7 @@ fn malformed_numeric_flags_are_usage_errors() {
             &["stats", "--require-shared-hits", "lots"],
             &["stats", "--require-shared-hits", "-1"],
             &["suite", "--take", "ten"],
-            &["compact", "--max-idle-gens", "2.5"],
+            &["--connect-timeout-secs", "18446744073709551615", "stats"],
             &[&submit[..], &["--priority", "high"]].concat(),
             &[&submit[..], &["--priority", "1,\"x\":2"]].concat(),
         ] {
@@ -109,7 +111,6 @@ fn zero_queue_and_pool_sizes_are_usage_errors() {
         let out = Command::new(env!("CARGO_BIN_EXE_reqiscd"))
             .arg("--stdio")
             .args(args)
-            .env_remove(reqisc_env::CACHE_DIR.name)
             .env_remove(reqisc_env::SHM_PATH.name)
             .stdin(Stdio::null())
             .output()
@@ -128,4 +129,35 @@ fn zero_queue_and_pool_sizes_are_usage_errors() {
     // The smallest accepted shape serves its (empty) session.
     let (code, stderr) = reqiscd(&["--queue-capacity", "1", "--pool-shards", "1", "--pool-capacity", "1"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn compact_now_on_a_missing_segment_fails_without_creating_it() {
+    let seg = std::env::temp_dir().join(format!("reqisc-cli-missing-{}.seg", std::process::id()));
+    let _ = std::fs::remove_file(&seg);
+    let reqiscd = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_reqiscd"))
+            .args(args)
+            .env_remove(reqisc_env::SHM_PATH.name)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run reqiscd");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+    let path = seg.to_str().expect("utf-8 temp path");
+    let (code, _, stderr) = reqiscd(&["--compact-now", "--shm-path", path]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(path), "the message names the path: {stderr}");
+    assert!(!seg.exists(), "a missing segment must not be created");
+
+    // An existing segment compacts offline.
+    drop(reqisc_shmem::Segment::attach(&seg, 1 << 20, reqisc_compiler::STORE_FORMAT_VERSION));
+    let (code, stdout, stderr) = reqiscd(&["--compact-now", "--shm-path", path, "--gc-idle-gens", "0"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("kept 0, dropped 0"), "{stdout}");
+    // GC is offline only: its threshold means nothing to a serving daemon.
+    let (code, _, stderr) = reqiscd(&["--stdio", "--gc-idle-gens", "2"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    let _ = std::fs::remove_file(&seg);
 }

@@ -12,10 +12,10 @@
 //! * **shutdown drain** — shutdown while jobs sit in every stage (a
 //!   parked worker, the solve ring, a warm-served completion, a
 //!   cancelled orphan): everything is responded or cleanly cancelled,
-//!   every ring balances to empty, and the store snapshot still lands on
-//!   disk.
+//!   every ring balances to empty, and the last bulk pass still lands in
+//!   the segment file.
 
-use reqisc_compiler::{Compiler, LoadOutcome, Pipeline};
+use reqisc_compiler::{Compiler, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_service::{
     DebugOp, Json, Service, ServiceConfig, StatsSnapshot, Ticket, DEFAULT_PRIORITY,
@@ -49,16 +49,16 @@ fn tiny(seed: u64) -> Arc<Circuit> {
     Arc::new(c)
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+fn scratch_segment(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "reqisc-pipeline-test-{}-{}-{}",
+    let path = std::env::temp_dir().join(format!(
+        "reqisc-pipeline-test-{}-{}-{}.seg",
         std::process::id(),
         tag,
         SEQ.fetch_add(1, Ordering::SeqCst)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 /// Parks the single solve worker on a sleep job and waits until the
@@ -107,7 +107,7 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
         std::process::Command::new(env!("CARGO_BIN_EXE_reqiscd"))
             .args(["--stdio", "--workers", "1"])
             .env(reqisc_env::DEBUG_SOLVE_DELAY_MS.name, "300")
-            .env_remove(reqisc_env::CACHE_DIR.name)
+            .env_remove(reqisc_env::SHM_PATH.name)
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::null())
@@ -234,16 +234,16 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
 /// Shutdown with work in *every* stage: a parked solve worker, two cold
 /// jobs still ringed, a warm job answered at submission, and an orphan
 /// whose only ticket was dropped. Everything must be responded or
-/// cleanly cancelled, every ring must balance to empty, and the store
-/// snapshot must land — jobs never strand, results never vanish.
+/// cleanly cancelled, every ring must balance to empty, and the segment
+/// must hold every result — jobs never strand, results never vanish.
 #[test]
 fn shutdown_drains_jobs_across_all_stages() {
-    let dir = scratch_dir("drain");
+    let segment = scratch_segment("drain");
     let service = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig {
             workers: 1,
-            cache_dir: Some(dir.clone()),
+            shm_path: Some(segment.clone()),
             debug_ops: true,
             ..ServiceConfig::default()
         },
@@ -293,18 +293,15 @@ fn shutdown_drains_jobs_across_all_stages() {
         assert_eq!(rc.enqueued, rc.dequeued, "{name} ring must balance");
     }
 
-    // The shutdown snapshot landed: a second instance warm-starts from
-    // disk and serves the drained cold job as a warm hit.
+    // The results landed in the segment file: a second instance
+    // warm-starts from it and serves the drained cold job as a warm hit.
+    drop(service);
     let second = Service::start_with_compiler(
         small_compiler(),
-        ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },
+        ServiceConfig { workers: 1, shm_path: Some(segment.clone()), ..ServiceConfig::default() },
     );
-    match second.startup_load() {
-        Some(LoadOutcome::Loaded { programs, .. }) => {
-            assert!(*programs >= 3, "prime + both colds must be on disk: {programs}")
-        }
-        other => panic!("expected a flushed store, got {other:?}"),
-    }
+    let entries = second.stats_snapshot().shared.expect("segment attached").entries;
+    assert!(entries >= 3, "prime + both colds must be in the segment: {entries}");
     let again = second
         .submit_compile(tiny(30), Pipeline::Qiskit, DEFAULT_PRIORITY)
         .expect("resubmit")
@@ -313,7 +310,8 @@ fn shutdown_drains_jobs_across_all_stages() {
     assert_eq!(again.circuit.expect("circuit").content_hash(), c1.circuit.unwrap().content_hash());
     let s2 = second.stats_snapshot();
     assert_eq!(s2.stages.lookup_hits, 1, "drained result must be disk-warm, not recompiled");
+    assert_eq!(s2.shared.expect("segment attached").hits, 1);
     assert_eq!(s2.stages.solve_claimed, 0);
     second.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&segment);
 }

@@ -1,7 +1,8 @@
 //! Queue-semantics tests: in-flight coalescing (N identical jobs ⇒ one
 //! compile, N responses), backpressure rejection ordering, warm hits
 //! bypassing admission, priority scheduling, graceful shutdown flushing
-//! the store, and a poisoned job not wedging the worker pool.
+//! the pools into the shared segment, and a poisoned job not wedging the
+//! worker pool.
 //!
 //! Determinism on one worker: a debug `sleep` job parks the single
 //! worker first, so everything submitted behind it is ordered purely by
@@ -9,7 +10,9 @@
 //! validation style the ROADMAP prescribes instead of parallel timing).
 
 use proptest::prelude::*;
-use reqisc_compiler::{CacheStore, Compiler, LoadOutcome, Pipeline};
+use reqisc_compiler::{
+    seed_from_segment, seed_subprogram_pools, Compiler, Pipeline, STORE_FORMAT_VERSION,
+};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_service::{DebugOp, Service, ServiceConfig, SubmitError, DEFAULT_PRIORITY};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,16 +48,16 @@ fn tiny(seed: u64) -> Arc<Circuit> {
     Arc::new(c)
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+fn scratch_segment(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "reqisc-service-test-{}-{}-{}",
+    let path = std::env::temp_dir().join(format!(
+        "reqisc-service-test-{}-{}-{}.seg",
         std::process::id(),
         tag,
         SEQ.fetch_add(1, Ordering::SeqCst)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let _ = std::fs::remove_file(&path);
+    path
 }
 
 /// Parks the single worker on a sleep job and waits until it has left
@@ -369,35 +372,43 @@ fn poisoned_job_fails_cleanly_without_wedging_the_pool() {
 
 #[test]
 fn graceful_shutdown_drains_queue_and_flushes_store() {
-    let dir = scratch_dir("shutdown-flush");
+    let segment = scratch_segment("shutdown-flush");
     let service = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig {
             workers: 1,
-            cache_dir: Some(dir.clone()),
+            shm_path: Some(segment.clone()),
             debug_ops: true,
             ..ServiceConfig::default()
         },
     );
-    assert_eq!(service.startup_load(), Some(&LoadOutcome::Missing));
+    assert_eq!(service.stats_snapshot().shared.expect("segment").entries, 0, "a fresh segment");
     let park = park_worker(&service, 100);
     // Still queued when shutdown starts: drain must finish it, not drop it.
-    let queued = service.submit_compile(tiny(8), Pipeline::Qiskit, DEFAULT_PRIORITY).unwrap();
+    let queued = service.submit_compile(tiny(8), Pipeline::ReqiscFull, DEFAULT_PRIORITY).unwrap();
     service.shutdown();
     park.wait().expect("park ran");
     let done = queued.wait().expect("queued job must drain, not drop");
     let fp = done.circuit.unwrap().content_hash();
-    // The store was flushed on shutdown and warms a fresh compiler.
+    assert_eq!(service.stats_snapshot().service.snapshots, 1, "shutdown ran the last bulk pass");
+    drop(service);
+    // The store is the segment file: it warms a fresh compiler with the
+    // drained program ...
+    let seg = reqisc_shmem::Segment::attach(&segment, 1 << 20, STORE_FORMAT_VERSION)
+        .expect("reattach");
     let warm = small_compiler();
-    let outcome = CacheStore::new(&dir).load_into(warm.cache());
-    match outcome {
-        LoadOutcome::Loaded { programs, .. } => assert!(programs >= 1, "flushed programs"),
-        other => panic!("expected a flushed store, got {other:?}"),
-    }
-    let again = warm.compile(&tiny(8), Pipeline::Qiskit);
+    assert!(seed_from_segment(&seg, warm.cache()) >= 2, "the program and its blocks");
+    let again = warm.compile(&tiny(8), Pipeline::ReqiscFull);
     assert_eq!(again.content_hash(), fp, "flushed entry serves the identical result");
     assert_eq!(warm.cache_stats().programs.hits, 1, "must be a pure disk-warm hit");
-    let _ = std::fs::remove_dir_all(&dir);
+    // ... and with the synthesized blocks, which only the shutdown pass
+    // publishes: a cold solve of the same program synthesizes nothing.
+    let cold = small_compiler();
+    assert!(seed_subprogram_pools(&seg, cold.cache()) > 0);
+    assert_eq!(cold.compile(&tiny(8), Pipeline::ReqiscFull), again);
+    assert_eq!(cold.cache_stats().synthesis.misses, 0, "every block came from the segment");
+    drop(seg);
+    let _ = std::fs::remove_file(&segment);
 }
 
 proptest! {

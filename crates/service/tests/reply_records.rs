@@ -3,8 +3,9 @@
 //! A compile reply reads its fingerprint and metrics from the program
 //! pool entry's reply record, priced once per entry. Over the demo suite,
 //! every reply of every outcome — cold solve, coalesced duplicate, local
-//! warm hit, shared-segment hit on a second storeless service, and store
-//! warm start — must report, after the JSON round trip, exactly the
+//! warm hit, shared-segment hit on a second service with cold pools, and
+//! a restart from the segment file — must report, after the JSON round
+//! trip, exactly the
 //! `content_hash()` and `metrics(_, &Coupling::xy(1.0))` of
 //! `Compiler::compile`'s output.
 
@@ -33,7 +34,6 @@ fn small_compiler() -> Compiler {
 
 fn scratch(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("reqisc-replies-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
     let _ = std::fs::remove_file(&p);
     p
 }
@@ -115,7 +115,7 @@ fn check(outcome: &str, reply: &Json, job: &Job, coalesced: bool) {
 fn replies_equal_recomputation(pipelines: &[Pipeline]) {
     let jobs = jobs(pipelines);
     let n = jobs.len() as u64;
-    let (dir, seg) = (scratch("store"), scratch("seg"));
+    let seg = scratch("seg");
     let config = ServiceConfig {
         workers: 1,
         queue_capacity: 2 * jobs.len() + 2,
@@ -128,7 +128,6 @@ fn replies_equal_recomputation(pipelines: &[Pipeline]) {
     let a = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig {
-            cache_dir: Some(dir.clone()),
             shm_path: Some(seg.clone()),
             debug_ops: true,
             ..config.clone()
@@ -161,8 +160,8 @@ fn replies_equal_recomputation(pipelines: &[Pipeline]) {
     assert_eq!(warm.stages.solve_claimed, cold.stages.solve_claimed);
     a.shutdown();
 
-    // Service B: no store, the segment A published into. Every job is a
-    // shared-segment hit.
+    // Service B: cold local pools, the segment A published into. Every
+    // job is a shared-segment hit.
     let b = Service::start_with_compiler(
         small_compiler(),
         ServiceConfig { shm_path: Some(seg.clone()), ..config.clone() },
@@ -177,24 +176,25 @@ fn replies_equal_recomputation(pipelines: &[Pipeline]) {
     assert_eq!(shared.stages.solve_claimed, 0);
     b.shutdown();
 
-    // Service C: the store A flushed on shutdown, no segment. Every job
-    // is served from the warm-started pool.
+    // Service C: a restart on the file A and B left behind. Nothing is
+    // attached in between, so its attach recovers the file; every job is
+    // served from it.
+    drop((a, b));
     let c = Service::start_with_compiler(
         small_compiler(),
-        ServiceConfig { cache_dir: Some(dir.clone()), ..config },
+        ServiceConfig { shm_path: Some(seg.clone()), ..config },
     );
     let replies = serve(&c, &once(&jobs));
     for (reply, job) in replies.iter().zip(&jobs) {
-        check("store warm start", reply, job, false);
+        check("restart from the segment file", reply, job, false);
     }
-    let stored = c.stats_snapshot();
+    let restarted = c.stats_snapshot();
     assert_eq!(replies.len(), jobs.len());
-    assert_eq!(stored.stages.lookup_hits, n);
-    assert_eq!(stored.stages.solve_claimed, 0);
-    assert_eq!(stored.store.expect("store configured").rejected, 0);
+    assert_eq!(restarted.stages.lookup_hits, n);
+    assert_eq!(restarted.shared.expect("segment attached").hits, n);
+    assert_eq!(restarted.stages.solve_claimed, 0);
     c.shutdown();
 
-    let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&seg);
 }
 

@@ -1,11 +1,14 @@
 //! The end-to-end service acceptance test (stdio transport, everything
 //! in-process): ≥8 jobs including duplicates through a first service
-//! instance, disk-warm answers from a second instance sharing the cache
-//! dir, stats JSON round-tripping, and GC/compaction shrinking a store
-//! full of dead entries without changing any response fingerprint.
+//! instance, disk-warm answers from a second instance on the segment file
+//! the first one left, stats JSON round-tripping, and offline compaction
+//! shrinking a segment full of dead entries without changing any response
+//! fingerprint.
 
-use reqisc_compiler::Compiler;
-use reqisc_service::{serve_lines, Json, Service, ServiceConfig, StatsSnapshot};
+use reqisc_compiler::{Compiler, STORE_FORMAT_VERSION};
+use reqisc_service::{
+    serve_lines, Json, Service, ServiceConfig, StatsSnapshot, DEFAULT_SHM_CAPACITY_BYTES,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,16 +28,23 @@ fn small_compiler() -> Compiler {
     c
 }
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+fn scratch_segment(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "reqisc-e2e-{}-{}-{}",
+    let path = std::env::temp_dir().join(format!(
+        "reqisc-e2e-{}-{}-{}.seg",
         std::process::id(),
         tag,
         SEQ.fetch_add(1, Ordering::SeqCst)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Log bytes the segment at `path` uses (attaching while no service is).
+fn segment_bytes_used(path: &std::path::Path) -> u64 {
+    reqisc_shmem::Segment::attach(path, DEFAULT_SHM_CAPACITY_BYTES, STORE_FORMAT_VERSION)
+        .expect("attach")
+        .bytes_used()
 }
 
 const P1: &str = "qubits 3\\nccx 0 1 2\\nh 0\\n";
@@ -86,19 +96,16 @@ fn fingerprint(v: &Json) -> &str {
 
 #[test]
 fn service_end_to_end_coalesce_diskwarm_stats_and_gc() {
-    let dir = scratch_dir("e2e");
+    let segment = scratch_segment("e2e");
     let compile_ids: Vec<u64> = (2..=9).collect();
+    let on_segment = || ServiceConfig {
+        workers: 1,
+        shm_path: Some(segment.clone()),
+        ..ServiceConfig::default()
+    };
 
     // ---- Instance 1: cold, with the park so duplicates coalesce. ----
-    let first = run_instance(
-        ServiceConfig {
-            workers: 1,
-            cache_dir: Some(dir.clone()),
-            debug_ops: true,
-            ..ServiceConfig::default()
-        },
-        &compile_script(true),
-    );
+    let first = run_instance(ServiceConfig { debug_ops: true, ..on_segment() }, &compile_script(true));
     // (a) coalesced duplicates: ids 3/8 joined in-flight ids 2/4 and
     // carry identical fingerprints.
     for (dup, orig) in [(3u64, 2u64), (8, 4)] {
@@ -112,6 +119,7 @@ fn service_end_to_end_coalesce_diskwarm_stats_and_gc() {
     assert_eq!(stats1.service.completed, 7, "6 distinct compiles + the park");
     assert_eq!(stats1.service.failed, 0);
     assert_eq!(stats1.cache.programs.misses, 6, "one miss per distinct job");
+    assert_eq!(stats1.shared.expect("segment").published, 6, "each solve is published");
 
     // (c) the stats JSON round-trips every counter bit-for-bit.
     let reparsed = StatsSnapshot::from_json(
@@ -120,66 +128,49 @@ fn service_end_to_end_coalesce_diskwarm_stats_and_gc() {
     .expect("round-trip");
     assert_eq!(reparsed, stats1);
 
-    // ---- Instance 2: same cache dir, disk-warm. ----
-    let size_after_first = std::fs::metadata(dir.join("reqisc-cache.bin")).expect("store").len();
-    let second = run_instance(
-        ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },
-        &compile_script(false),
-    );
-    // (b) identical answers, ≥95% program-pool hits, zero rejected loads.
+    // ---- Instance 2: the same segment file, disk-warm. ----
+    let used_after_first = segment_bytes_used(&segment);
+    let second = run_instance(on_segment(), &compile_script(false));
+    // (b) identical answers, every one from a warm tier: six first
+    // touches from the segment, the two duplicates from the local pool.
     for &id in &compile_ids {
         assert_eq!(fingerprint(&second[&id]), fingerprint(&first[&id]), "id {id} diverged");
     }
     let stats2 = StatsSnapshot::from_json(second[&10].get("stats").expect("stats member"))
         .expect("stats parse");
-    let p = &stats2.cache.programs;
-    assert!(p.lookups() > 0, "second instance must consult the program pool");
-    assert!(
-        p.hit_rate() >= 0.95,
-        "disk-warm hit rate {:.1}% < 95% ({} hits / {} lookups)",
-        100.0 * p.hit_rate(),
-        p.hits,
-        p.lookups()
-    );
-    let store2 = stats2.store.expect("instance 2 has a store");
-    assert_eq!(store2.rejected, 0, "no rejected store loads");
-    assert!(store2.loaded_entries > 0, "instance 2 warm-started from disk");
+    assert_eq!(stats2.stages.lookup_hits, 8, "every compile is a warm hit");
+    assert_eq!(stats2.stages.solve_claimed, 0, "nothing recompiled");
+    assert_eq!(stats2.shared.expect("segment").hits, 6, "first touches come from the file");
+    assert_eq!((stats2.cache.programs.hits, stats2.cache.programs.misses), (2, 0));
 
-    // ---- Instance 3: touch only a subset, then GC. Everything the
-    // subset does not reference is dead weight and must be dropped. ----
+    // ---- Instance 3: touch only a subset; its shutdown pass re-stamps
+    // what it served. Then GC offline: everything the subset does not
+    // reference is dead weight and must be dropped. ----
     let mut subset = String::new();
     subset.push_str(&format!(
         "{{\"id\":2,\"op\":\"compile\",\"pipeline\":\"reqisc-eff\",\"qasm\":\"{P1}\"}}\n"
     ));
     subset.push_str("{\"id\":4,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"bench\":\"alu_v0\"}\n");
-    subset.push_str("{\"id\":11,\"op\":\"compact\",\"max_idle_gens\":0}\n");
-    let third = run_instance(
-        ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },
-        &subset,
-    );
+    let third = run_instance(on_segment(), &subset);
     for id in [2u64, 4] {
         assert_eq!(fingerprint(&third[&id]), fingerprint(&first[&id]), "id {id} diverged");
     }
-    let compacted = &third[&11];
-    assert_eq!(compacted.get("ok").and_then(Json::as_bool), Some(true), "{}", compacted.emit());
-    let dropped = compacted.get("dropped").and_then(Json::as_u64).expect("dropped");
-    let kept = compacted.get("kept").and_then(Json::as_u64).expect("kept");
-    assert!(dropped > 0, "the untouched entries were dead and must drop");
-    assert!(kept >= 2, "the referenced subset survives");
-    // (d) the file physically shrank…
-    let size_after_gc = std::fs::metadata(dir.join("reqisc-cache.bin")).expect("store").len();
+    let report =
+        reqisc_shmem::compact_file(&segment, DEFAULT_SHM_CAPACITY_BYTES, STORE_FORMAT_VERSION, 0)
+            .expect("compact");
+    assert_eq!(report.kept, 2, "the referenced subset survives: {report:?}");
+    assert_eq!(report.dropped, 4, "the untouched entries were dead and must drop");
+    // (d) the log physically shrank…
+    let used_after_gc = segment_bytes_used(&segment);
     assert!(
-        size_after_gc < size_after_first,
-        "compaction must shrink the store: {size_after_first} -> {size_after_gc}"
+        used_after_gc < used_after_first,
+        "compaction must shrink the segment: {used_after_first} -> {used_after_gc}"
     );
 
     // …and no response fingerprint changes: a fourth instance re-answers
     // the full set (dropped entries recompile deterministically, kept
-    // ones serve from disk).
-    let fourth = run_instance(
-        ServiceConfig { workers: 1, cache_dir: Some(dir.clone()), ..ServiceConfig::default() },
-        &compile_script(false),
-    );
+    // ones serve from the segment).
+    let fourth = run_instance(on_segment(), &compile_script(false));
     for &id in &compile_ids {
         assert_eq!(
             fingerprint(&fourth[&id]),
@@ -187,7 +178,10 @@ fn service_end_to_end_coalesce_diskwarm_stats_and_gc() {
             "id {id} changed after GC"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let stats4 = StatsSnapshot::from_json(fourth[&10].get("stats").expect("stats member"))
+        .expect("stats parse");
+    assert_eq!(stats4.shared.expect("segment").hits, 2, "only the kept entries hit");
+    let _ = std::fs::remove_file(&segment);
 }
 
 #[cfg(unix)]
@@ -412,7 +406,7 @@ fn protocol_errors_are_responses_not_failures() {
         "{\"id\":2,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"bench\":\"no_such_program\"}\n",
         "{\"id\":3,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 99\\ncx 0 1\\n\"}\n",
         "{\"id\":4,\"op\":\"sleep\",\"ms\":1}\n", // debug ops disabled here
-        "{\"id\":5,\"op\":\"snapshot\"}\n",       // no store configured
+        "{\"id\":5,\"op\":\"snapshot\"}\n",       // no segment attached
         "{\"id\":6,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\n\"}\n",
         "{\"id\":7,\"op\":\"bogus\"}\n",
         "{\"id\":8,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"bench\":\"alu_v0\",\"priority\":12}\n",
@@ -449,10 +443,10 @@ fn protocol_errors_are_responses_not_failures() {
     assert_eq!(ids, want);
 }
 
-/// The cross-daemon shared-cache acceptance: instance A (no store, no
-/// peers) solves a workload and publishes into the shared segment;
-/// instance B — a *different* service on the same segment, still no
-/// store — answers the identical workload entirely from the segment:
+/// The cross-daemon shared-cache acceptance: instance A (no peers)
+/// solves a workload and publishes into the shared segment; instance B —
+/// a *different* service on the same segment, with cold local pools —
+/// answers the identical workload entirely from the segment:
 /// every response fingerprint matches, `shared.hits` covers every
 /// distinct program, and **zero** solve claims happen (no duplicate
 /// solves for keys a peer already solved).

@@ -8,7 +8,7 @@
 //!   every warm delivery precedes the last cold one;
 //! * **pipelined** — a warm batch submitted in full before any wait
 //!   returns the cold pass's fingerprints;
-//! * **shared** — a second service with no store, attached to the
+//! * **shared** — a second service with cold local pools, attached to the
 //!   segment the first one published into, answers the whole workload
 //!   from the segment (`shared.hits == lookup_hits == requests`) with
 //!   zero solves and the same fingerprints.
@@ -172,7 +172,7 @@ fn storeless_peer_serves_everything_from_the_segment() {
     let fingerprints = cold_pass(&first, &jobs);
     first.shutdown();
 
-    // No store, cold local pools: only the segment can answer warm.
+    // Cold local pools: only the segment can answer warm.
     let peer = Service::start_with_compiler(small_compiler(), config(&segment));
     let served: Vec<u128> = jobs.iter().map(|job| fingerprint(submit(&peer, job))).collect();
     assert_eq!(served, fingerprints, "the peer must serve the publisher's outputs bit for bit");

@@ -1,9 +1,9 @@
 //! Wire layout of the shared segment.
 //!
 //! Everything in the marked region below is load-bearing for
-//! cross-process compatibility: two daemons attached to one segment
-//! agree on these offsets the same way two runs of one daemon agree on
-//! the `CacheStore` file layout. The region is fingerprinted into
+//! cross-process compatibility: two daemons attached to one segment,
+//! and two runs of one daemon across a restart, agree on these offsets.
+//! The region is fingerprinted into
 //! `crates/lint/store_surface.lock`, so editing it without a
 //! `STORE_FORMAT_VERSION` bump + `--update-store-registry` fails
 //! `reqisc-lint --deny-all`.
@@ -14,7 +14,7 @@
 //! [0   .. 8  )  magic "RQSHSEG1"
 //! [8   .. 12 )  format version (u32 LE; the caller passes
 //!               STORE_FORMAT_VERSION so codec bumps invalidate
-//!               segments exactly like they invalidate store files)
+//!               stale segments)
 //! [12  .. 16 )  reserved (zero)
 //! [16  .. 24 )  capacity_bytes (u64 LE; must equal the file length)
 //! [24  .. 32 )  index_slots (u64 LE, power of two)

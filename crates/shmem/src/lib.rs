@@ -1,10 +1,12 @@
 #![warn(missing_docs)]
-//! Crash-safe shared-memory cache segment.
+//! Crash-safe shared-memory cache segment: the one durable tier of the
+//! compile cache.
 //!
-//! One mmap'd file hosts all three memo pools (program / synthesis /
-//! pulse) for every `reqiscd` daemon on the box, as an append-only
-//! record log plus a lock-free open-addressed index — the DAXFS idiom
-//! applied to the compile cache. A writer publishes an entry by
+//! One mmap'd file hosts both memo pools (program / synthesis) for every
+//! `reqiscd` daemon on the box and survives their restarts, as an
+//! append-only record log plus a lock-free open-addressed index — the
+//! DAXFS idiom applied to the compile cache: the shared medium *is* the
+//! store. A writer publishes an entry by
 //!
 //! 1. appending the record bytes (payload framed with the
 //!    `qmath::bytes` codec layer),
@@ -26,9 +28,13 @@
 //!   validates + recovers) the segment, then downgrades to shared.
 //! * Committed records are immutable; the only mutable words are the
 //!   header atomics, index slots, and per-record generation stamps.
-//! * Generation stamps reuse the file-format-v2 GC story: probes stamp
+//! * Generation stamps drive GC: probes and [`Segment::touch`] stamp
 //!   entries with the current generation, [`Segment::bump_generation`]
-//!   advances the clock, and [`compact_file`] drops idle entries.
+//!   advances the clock (once per bulk publish pass of any attached
+//!   process), and [`compact_file`] — offline, with every process
+//!   detached — drops entries idle for more than its window. A full
+//!   segment rejects publishes (`SegmentFull`); compaction is the way to
+//!   reclaim its space.
 
 #[cfg(not(unix))]
 compile_error!("reqisc-shmem requires a Unix platform (mmap/flock)");
@@ -63,6 +69,9 @@ pub enum ShmError {
     /// An exclusive operation (compaction) found other processes
     /// attached to the segment.
     Busy,
+    /// An operation that works on an existing segment (compaction) found
+    /// no file at this path.
+    Missing(PathBuf),
 }
 
 impl fmt::Display for ShmError {
@@ -74,6 +83,7 @@ impl fmt::Display for ShmError {
                 write!(f, "segment format version {found}, expected {expected}")
             }
             ShmError::Busy => write!(f, "segment busy: other processes attached"),
+            ShmError::Missing(p) => write!(f, "no segment file at {}", p.display()),
         }
     }
 }
@@ -456,8 +466,8 @@ impl Segment {
         self.atomic(OFF_GENERATION).load(Ordering::Acquire)
     }
 
-    /// Advances the GC generation clock (call on the same cadence as
-    /// the store's snapshot/GC tick) and returns the new value.
+    /// Advances the GC generation clock (once per bulk publish pass)
+    /// and returns the new value.
     pub fn bump_generation(&self) -> u64 {
         self.atomic(OFF_GENERATION).fetch_add(1, Ordering::AcqRel) + 1
     }
@@ -487,6 +497,21 @@ impl Segment {
         }
         self.stats.probe_misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// Stamps the entry `key` in `pool` with the current generation, as
+    /// a probe does, without counting a probe; returns whether the entry
+    /// is present. A bulk publish pass calls it for the entries its
+    /// process referenced, so they stay inside the GC window.
+    pub fn touch(&self, pool: u8, key: &[u8]) -> bool {
+        for _ in 0..2 {
+            match self.probe_once(pool, key, true) {
+                ProbeStep::Hit(_) => return true,
+                ProbeStep::Miss => return false,
+                ProbeStep::Retry => continue,
+            }
+        }
+        false
     }
 
     // lint:protocol-begin(probe)
@@ -582,8 +607,7 @@ impl Segment {
     // is the region's first Release store, nothing plain may follow it,
     // and the last CAS must come after it with >= Release success.
     /// [`Segment::publish`] with an explicit generation stamp — used
-    /// when seeding from a store file or compacting, so the
-    /// file-format-v2 last-referenced stamps carry over.
+    /// when compacting, so the last-referenced stamps carry over.
     pub fn publish_with_stamp(
         &self,
         pool: u8,
@@ -741,8 +765,10 @@ impl Segment {
     }
 
     /// Exclusive-attach recovery: tombstone index slots pointing at
-    /// invalid records and stale claims, then truncate the reserve
-    /// cursor back past the uncommitted tail a crashed writer left.
+    /// invalid records, at records of another key (a damaged tag or
+    /// offset), and stale claims; then set the reserve cursor to the end
+    /// of the last live record — past the uncommitted tail a crashed
+    /// writer left, and never below a live record.
     fn scrub(&mut self) {
         let mut live = 0u64;
         let mut dropped = 0u64;
@@ -757,7 +783,7 @@ impl Segment {
             }
             let off = self.atomic(slot + 8).load(Ordering::Acquire);
             match self.read_record(off) {
-                Some(rec) if off != 0 => {
+                Some(rec) if off != 0 && slot_tag(key_hash(rec.pool, &rec.key)) == t => {
                     live += 1;
                     committed_end = committed_end.max(rec.end);
                 }
@@ -778,12 +804,12 @@ impl Segment {
         let reserve = self.atomic(OFF_RESERVE);
         let cur = reserve.load(Ordering::Relaxed);
         let mut reclaimed = 0;
-        if !(self.log_start..=self.capacity).contains(&cur) || cur > committed_end {
-            if (self.log_start..=self.capacity).contains(&cur) {
+        if cur != committed_end {
+            if (committed_end..=self.capacity).contains(&cur) {
                 reclaimed = cur - committed_end;
             }
             reserve.store(committed_end, Ordering::Relaxed);
-            changed = changed || reclaimed > 0;
+            changed = true;
         }
         if changed {
             // Seqlock bump: in-flight probes from *this* process (none
@@ -834,7 +860,8 @@ impl Segment {
 /// segment atomically renamed over `path`.
 ///
 /// Requires exclusive access — fails with [`ShmError::Busy`] while any
-/// process (including this one) is attached.
+/// process (including this one) is attached — and an existing file:
+/// a missing one is [`ShmError::Missing`], and none is created.
 pub fn compact_file(
     path: impl AsRef<Path>,
     capacity_bytes: u64,
@@ -843,12 +870,13 @@ pub fn compact_file(
 ) -> Result<CompactReport, ShmError> {
     let path = path.as_ref();
     {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
+        let file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(ShmError::Missing(path.to_path_buf()))
+            }
+            Err(e) => return Err(e.into()),
+        };
         if !sys::flock_try_exclusive(&file)? {
             return Err(ShmError::Busy);
         }
@@ -1049,6 +1077,41 @@ mod tests {
         assert_eq!(seg.generation(), 5, "generation clock carries over");
         assert!(seg.probe(1, b"old").is_none());
         assert_eq!(seg.probe(1, b"new").unwrap(), b"warm");
+    }
+
+    #[test]
+    fn compact_of_a_missing_segment_is_an_error_and_creates_nothing() {
+        let path = tmp_path("missing");
+        let _c = Cleanup(path.clone());
+        match compact_file(&path, MIN_CAPACITY, V, 2) {
+            Err(ShmError::Missing(p)) => assert_eq!(p, path),
+            other => panic!("expected Missing, got {other:?}"),
+        }
+        assert!(!path.exists(), "a missing segment must not be created");
+        assert!(!path.with_extension("seg-compact-tmp").exists());
+    }
+
+    #[test]
+    fn touch_restamps_without_counting_a_probe() {
+        let path = tmp_path("touch");
+        let _c = Cleanup(path.clone());
+        {
+            let seg = Segment::attach(&path, MIN_CAPACITY, V).unwrap();
+            seg.publish(1, b"kept", b"a");
+            seg.publish(1, b"idle", b"b");
+            for _ in 0..4 {
+                seg.bump_generation();
+            }
+            assert!(seg.touch(1, b"kept"));
+            assert!(!seg.touch(1, b"absent"));
+            let st = seg.stats();
+            assert_eq!((st.probe_hits, st.probe_misses), (0, 0), "touches are not probes");
+        }
+        let report = compact_file(&path, MIN_CAPACITY, V, 1).unwrap();
+        assert_eq!((report.kept, report.dropped), (1, 1));
+        let seg = Segment::attach(&path, MIN_CAPACITY, V).unwrap();
+        assert_eq!(seg.probe(1, b"kept").unwrap(), b"a");
+        assert!(seg.probe(1, b"idle").is_none());
     }
 
     #[test]

@@ -1,29 +1,43 @@
-//! Round-trip and corruption-tolerance tests for the persistent
-//! [`CacheStore`]: save/load must be bit-faithful (identical re-saved
-//! bytes, unitarily-equivalent warm compiles), every flavour of bad file
-//! must degrade to a *counted* cold start, and concurrent saves into one
-//! shared directory must never produce a torn file.
+//! Round-trip and corruption-tolerance tests for the durable tier, the
+//! shared segment file: a bulk publish followed by a seed must be
+//! bit-faithful (a re-published copy holds identical records, and warm
+//! compiles are pure hits equal to the cold ones), every flavour of bad
+//! file must degrade to an accounted recovery that serves only intact
+//! entries, concurrent publishers must never tear an entry, and offline
+//! compaction must drop exactly the entries no process referenced.
 
 use proptest::prelude::*;
 use reqisc::benchsuite::generators;
-use reqisc::compiler::{CacheStore, Compiler, LoadOutcome, Pipeline};
-use reqisc::microarch::Coupling;
-use reqisc::qmath::WeylCoord;
+use reqisc::compiler::{
+    probe_shared_program, publish_all, seed_from_segment, seed_subprogram_pools, Compiler,
+    Pipeline, STORE_FORMAT_VERSION,
+};
+use reqisc::qcircuit::{Circuit, Gate};
 use reqisc::qsim::{circuit_unitary, process_infidelity};
-use std::path::PathBuf;
+use reqisc_shmem::layout::{
+    MIN_CAPACITY, OFF_INDEX, OFF_LOG_START, OFF_RESERVE, OFF_SLOTS, SEG_HEADER_LEN,
+    SEG_SLOT_BYTES, SLOT_TOMBSTONE,
+};
+use reqisc_shmem::{compact_file, Segment};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fresh, empty scratch directory unique to this process and call.
-fn scratch_dir(tag: &str) -> PathBuf {
+/// A segment path unique to this process and call, with no file yet.
+fn scratch_segment(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "reqisc-store-test-{}-{}-{}",
+    let path = std::env::temp_dir().join(format!(
+        "reqisc-store-test-{}-{}-{}.seg",
         std::process::id(),
         tag,
         SEQ.fetch_add(1, Ordering::SeqCst)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+fn attach(path: &Path) -> Segment {
+    Segment::attach(path, MIN_CAPACITY, STORE_FORMAT_VERSION).expect("attach")
 }
 
 /// A compiler with the reduced-but-exact search budget the other
@@ -46,8 +60,13 @@ fn small_compiler() -> Compiler {
     c
 }
 
-fn toffoli_chain() -> reqisc::qcircuit::Circuit {
-    use reqisc::qcircuit::{Circuit, Gate};
+/// A compiler with an empty template library, for reading pools back:
+/// [`Compiler::lookup_program`] takes the options fingerprint explicitly.
+fn reader() -> Compiler {
+    Compiler::new_with_library(reqisc::synthesis::TemplateLibrary::default())
+}
+
+fn toffoli_chain() -> Circuit {
     let mut c = Circuit::new(4);
     c.push(Gate::Ccx(0, 1, 2));
     c.push(Gate::Cx(2, 3));
@@ -57,46 +76,45 @@ fn toffoli_chain() -> reqisc::qcircuit::Circuit {
     c
 }
 
+/// Every record of `seg`, keyed by (pool, key bytes).
+type Records = BTreeMap<(u8, Vec<u8>), Vec<u8>>;
+
+fn records(seg: &Segment) -> Records {
+    let mut out = Records::new();
+    seg.for_each(|pool, key, val, _stamp| {
+        out.insert((pool, key.to_vec()), val.to_vec());
+    });
+    out
+}
+
 #[test]
 fn save_load_roundtrip_bit_identical_pools_and_warm_compiles() {
-    let dir = scratch_dir("roundtrip");
+    let path = scratch_segment("roundtrip");
     let cold = small_compiler();
     let program = toffoli_chain();
     let out_full = cold.compile(&program, Pipeline::ReqiscFull);
     let out_eff = cold.compile(&program, Pipeline::ReqiscEff);
-    // Populate the pulse pool too (compile pipelines don't touch it).
-    cold.cache().pulses().solve(&Coupling::xy(1.0), &WeylCoord::cnot()).expect("solve");
-    let store = CacheStore::new(&dir);
-    let missing = store.load_into(cold.cache());
-    assert_eq!(missing, LoadOutcome::Missing, "no file yet: clean cold start");
-    let n = store.save(cold.cache()).expect("save");
-    assert!(n >= 3, "programs + synthesis + pulse entries, got {n}");
-    assert_eq!(store.stats().saved_entries, n as u64);
+    let seg = attach(&path);
+    assert_eq!(seg.entries(), 0, "no file yet: a fresh segment");
+    let n = publish_all(&seg, cold.cache()).published as usize;
+    assert!(n >= 3, "programs + synthesis entries, got {n}");
+    assert_eq!(seg.entries() as usize, n);
+    drop(seg);
 
-    // Load into a fresh compiler with identical options.
+    // A fresh compiler with identical options warm-starts from the file.
+    let seg = attach(&path);
+    let r = seg.recovery();
+    assert!(r.ran && !r.reinitialized && r.live_entries as usize == n, "{r:?}");
     let warm = small_compiler();
-    let warm_store = CacheStore::new(&dir);
-    let outcome = warm_store.load_into(warm.cache());
-    match outcome {
-        LoadOutcome::Loaded { programs, synthesis, pulses } => {
-            assert!(programs >= 2, "both compiled pipelines persisted");
-            assert!(synthesis >= 1, "dense-block results persisted");
-            assert_eq!(pulses, 1);
-            assert_eq!(programs + synthesis + pulses, n);
-        }
-        other => panic!("expected Loaded, got {other:?}"),
-    }
-    assert_eq!(warm_store.stats().loaded_entries, n as u64);
+    assert_eq!(seed_from_segment(&seg, warm.cache()), n);
+    assert_eq!(warm.cache().len(), n, "both compiled pipelines and the dense blocks");
 
-    // Bit-identical pool keys and values: re-saving the loaded cache to a
-    // different directory must reproduce the file byte-for-byte (saves
-    // are sorted, so equal content ⇒ equal bytes).
-    let dir2 = scratch_dir("resave");
-    let store2 = CacheStore::new(&dir2);
-    assert_eq!(store2.save(warm.cache()).expect("resave"), n);
-    let a = std::fs::read(store.path()).expect("read original");
-    let b = std::fs::read(store2.path()).expect("read resave");
-    assert_eq!(a, b, "round-trip must preserve every pool bit-for-bit");
+    // Bit-identical pool keys and values: publishing the seeded cache
+    // into a second segment reproduces every record byte for byte.
+    let path2 = scratch_segment("republish");
+    let seg2 = attach(&path2);
+    assert_eq!(publish_all(&seg2, warm.cache()).published as usize, n);
+    assert_eq!(records(&seg), records(&seg2), "round-trip must preserve every pool bit-for-bit");
 
     // Disk-warm compiles are pure program-pool hits, bit-identical to the
     // cold results and unitarily equivalent to the source.
@@ -109,190 +127,352 @@ fn save_load_roundtrip_bit_identical_pools_and_warm_compiles() {
     let inf = process_infidelity(&circuit_unitary(&warm_full), &circuit_unitary(&program.lowered_to_cx()));
     assert!(inf < 1e-6, "warm result not equivalent to source: {inf}");
 
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
+    drop((seg, seg2));
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&path2);
+}
+
+/// What a populated segment file holds, for the corruption checks.
+struct Published {
+    /// Every record, bit for bit.
+    records: Records,
+    /// Each compiled program's key parts and its output.
+    programs: Vec<((u128, Pipeline, u128), Circuit)>,
+}
+
+/// Attaches `path` exclusively after its bytes were damaged and checks
+/// the three recovery promises:
+///
+/// * the attach returns — reinitialized, scrubbed, or an error — and
+///   never panics;
+/// * `seed_from_segment` and `probe_shared_program` return only entries
+///   bit-identical to what was published, also after a new append;
+/// * every entry the file held that the attach did not keep is counted:
+///   a reinitialized segment keeps none, and a scrubbed one accounts
+///   for each as live, dropped or a stale claim.
+///
+/// `held` is how many entries the damaged file still claims to hold.
+/// Returns the entries that survived.
+fn check_recovery(path: &Path, published: &Published, held: usize, case: &str) -> usize {
+    let seg = match Segment::attach(path, MIN_CAPACITY, STORE_FORMAT_VERSION) {
+        Ok(seg) => seg,
+        Err(e) => {
+            // An attach that gives up must say why; nothing was served.
+            assert!(!e.to_string().is_empty(), "{case}");
+            return 0;
+        }
+    };
+    let r = seg.recovery();
+    assert!(r.ran, "{case}: an exclusive attach always recovers");
+    let check_entries = |seg: &Segment| -> usize {
+        let visible = records(seg);
+        for (key, val) in &visible {
+            assert_eq!(published.records.get(key), Some(val), "{case}: a record changed");
+        }
+        let fresh = reader();
+        assert_eq!(seed_from_segment(seg, fresh.cache()), visible.len(), "{case}: seed count");
+        let probe_cache = reader();
+        for ((h, p, fp), out) in &published.programs {
+            match probe_shared_program(seg, probe_cache.cache(), *h, *p, *fp) {
+                Some(hit) => {
+                    assert_eq!(hit.circuit(), out, "{case}: a probed program changed");
+                    let seeded = fresh.lookup_program(*h, *p, *fp).expect("probed but not seeded");
+                    assert_eq!(seeded.circuit(), out, "{case}: a seeded program changed");
+                    let (a, b) = (hit.reply(), seeded.reply());
+                    assert_eq!(a.fingerprint, out.content_hash(), "{case}");
+                    assert_eq!(
+                        (a.fingerprint, a.metrics.count_2q, a.metrics.depth_2q, a.metrics.duration.to_bits()),
+                        (b.fingerprint, b.metrics.count_2q, b.metrics.depth_2q, b.metrics.duration.to_bits()),
+                        "{case}: reply records differ"
+                    );
+                }
+                None => assert!(fresh.lookup_program(*h, *p, *fp).is_none(), "{case}"),
+            }
+        }
+        visible.len()
+    };
+    let kept = check_entries(&seg);
+    if r.reinitialized {
+        assert_eq!(kept, 0, "{case}: a reinitialized segment serves nothing");
+    } else {
+        assert_eq!(r.live_entries as usize, kept, "{case}: live count");
+        assert_eq!(
+            kept + (r.dropped_records + r.stale_claims) as usize,
+            held,
+            "{case}: a dropped entry went uncounted ({r:?})"
+        );
+    }
+    // The recovered segment takes appends without disturbing what it
+    // kept (a damaged append cursor must not overwrite a live record).
+    seg.publish(200, b"appended after recovery", &[7u8; 300]);
+    let mut extra = Records::new();
+    seg.for_each(|pool, key, val, _| {
+        if pool == 200 {
+            extra.insert((pool, key.to_vec()), val.to_vec());
+        }
+    });
+    assert_eq!(extra.len(), 1, "{case}: the append is visible");
+    let again: Records = records(&seg).into_iter().filter(|((p, _), _)| *p != 200).collect();
+    assert_eq!(again.len(), kept, "{case}: an append lost a live entry");
+    for (key, val) in &again {
+        assert_eq!(published.records.get(key), Some(val), "{case}: an append tore a record");
+    }
+    kept
 }
 
 #[test]
 fn corrupt_stale_and_truncated_files_cold_start_with_counted_rejections() {
-    let dir = scratch_dir("corrupt");
+    let path = scratch_segment("corrupt");
     let comp = small_compiler();
-    comp.compile(&toffoli_chain(), Pipeline::ReqiscEff);
-    let store = CacheStore::new(&dir);
-    store.save(comp.cache()).expect("save");
-    let good = std::fs::read(store.path()).expect("read");
+    let program = toffoli_chain();
+    let out = comp.compile(&program, Pipeline::ReqiscFull);
+    let seg = attach(&path);
+    let n = publish_all(&seg, comp.cache()).published as usize;
+    let published = Published {
+        records: records(&seg),
+        programs: vec![(
+            (program.content_hash(), Pipeline::ReqiscFull, comp.options_fingerprint()),
+            out,
+        )],
+    };
+    assert_eq!(published.records.len(), n);
+    drop(seg);
+    let good = std::fs::read(&path).expect("read");
+    let u64_at = |off: u64| u64::from_le_bytes(good[off as usize..off as usize + 8].try_into().unwrap());
+    let (log_start, reserve) = (u64_at(OFF_LOG_START), u64_at(OFF_RESERVE));
+    let first_record = log_start as usize + 32;
 
-    let cases: Vec<(&str, Vec<u8>)> = vec![
-        ("empty file", Vec::new()),
-        ("short garbage", b"not a store".to_vec()),
-        ("truncated header", good[..16].to_vec()),
-        ("truncated payload", good[..good.len() - 7].to_vec()),
+    // The eight shapes of a bad file. An empty file is a new segment
+    // (it holds nothing to recover); every other header damage
+    // reinitializes; a flipped record byte drops that one entry.
+    let cases: Vec<(&str, Vec<u8>, usize)> = vec![
+        ("empty file", Vec::new(), 0),
+        ("short garbage", b"not a segment".to_vec(), n),
+        ("truncated header", good[..16].to_vec(), n),
+        ("truncated payload", good[..good.len() - 7].to_vec(), n),
         ("bad magic", {
             let mut b = good.clone();
             b[0] ^= 0xff;
             b
-        }),
+        }, n),
         ("wrong version", {
             let mut b = good.clone();
-            b[4] = b[4].wrapping_add(1);
+            b[8] = b[8].wrapping_add(1);
             b
-        }),
+        }, n),
         ("flipped payload byte", {
             let mut b = good.clone();
-            let mid = 32 + (b.len() - 32) / 2;
-            b[mid] ^= 0x01;
+            b[first_record] ^= 0x01;
             b
-        }),
+        }, n),
         ("trailing garbage", {
             let mut b = good.clone();
             b.extend_from_slice(b"xx");
             b
-        }),
+        }, n),
     ];
-    for (i, (name, bytes)) in cases.iter().enumerate() {
-        std::fs::write(store.path(), bytes).expect("write corrupt file");
-        let fresh = small_compiler();
-        let outcome = store.load_into(fresh.cache());
-        assert!(
-            matches!(outcome, LoadOutcome::Rejected { .. }),
-            "{name}: expected rejection, got {outcome:?}"
-        );
-        assert!(fresh.cache().is_empty(), "{name}: partial seed after rejection");
-        assert_eq!(store.stats().rejected, i as u64 + 1, "{name}: rejection not counted");
+    for (name, bytes, held) in &cases {
+        std::fs::write(&path, bytes).expect("write corrupt file");
+        let kept = check_recovery(&path, &published, *held, name);
+        let expected = if *name == "flipped payload byte" { n - 1 } else { 0 };
+        assert_eq!(kept, expected, "{name}");
     }
 
-    // Restore the good bytes: loads work again (the file itself, not the
-    // store handle, was the problem).
-    std::fs::write(store.path(), &good).expect("restore");
-    let fresh = small_compiler();
-    assert!(matches!(store.load_into(fresh.cache()), LoadOutcome::Loaded { .. }));
-    // A rejected file is also *overwritten* by the next save, not merged.
-    std::fs::write(store.path(), b"garbage again").expect("corrupt");
-    store.save(comp.cache()).expect("save over corrupt file");
-    let fresh2 = small_compiler();
-    assert!(matches!(store.load_into(fresh2.cache()), LoadOutcome::Loaded { .. }));
+    // A single-byte flip anywhere that matters: every header byte,
+    // every occupied index slot, every record byte.
+    let slots = u64_at(OFF_SLOTS);
+    let mut offsets: Vec<usize> = (0..SEG_HEADER_LEN as usize).collect();
+    for i in 0..slots {
+        let slot = OFF_INDEX + i * SEG_SLOT_BYTES;
+        if u64_at(slot) > SLOT_TOMBSTONE {
+            offsets.extend(slot as usize..(slot + SEG_SLOT_BYTES) as usize);
+        }
+    }
+    offsets.extend(log_start as usize..reserve as usize);
+    let mut survived = 0;
+    for &at in &offsets {
+        let mut bytes = good.clone();
+        bytes[at] ^= 0xa5;
+        std::fs::write(&path, &bytes).expect("write flipped file");
+        survived += check_recovery(&path, &published, n, &format!("byte {at} flipped"));
+    }
+    assert!(survived > 0 && survived < n * offsets.len(), "{survived} of {}", n * offsets.len());
 
-    let _ = std::fs::remove_dir_all(&dir);
+    // The good bytes still load whole: the file, not the reader, was
+    // the problem.
+    std::fs::write(&path, &good).expect("restore");
+    assert_eq!(check_recovery(&path, &published, n, "restored"), n);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
-fn concurrent_saves_into_shared_dir_never_tear() {
-    let dir = scratch_dir("race");
-    // Two "processes" (two threads with independent caches and store
-    // handles — the store has no shared in-process state worth testing)
-    // hammer the same directory with interleaved saves and loads.
+fn concurrent_publishers_into_one_segment_never_tear() {
+    let path = scratch_segment("race");
+    // Two "processes" (two threads with independent caches and segment
+    // handles on one file) publish interleaved with seeding readers.
     let programs: Vec<_> = (0..4).map(|s| generators::reversible_network(3, 6, s)).collect();
-    std::thread::scope(|scope| {
-        for t in 0..2 {
-            let dir = dir.clone();
-            let programs = &programs;
-            scope.spawn(move || {
-                let comp = small_compiler();
-                comp.compile(&programs[t], Pipeline::ReqiscEff);
-                comp.compile(&programs[t + 2], Pipeline::Qiskit);
-                let store = CacheStore::new(&dir);
-                for _ in 0..6 {
-                    store.save(comp.cache()).expect("racing save");
-                    // Interleaved loads must always see a complete file
-                    // (or none): atomic rename means never a torn one.
-                    let probe = small_compiler();
-                    match store.load_into(probe.cache()) {
-                        LoadOutcome::Loaded { .. } | LoadOutcome::Missing => {}
-                        LoadOutcome::Rejected { reason } => {
-                            panic!("racing reader saw a torn store: {reason}")
-                        }
+    let outputs: Vec<Vec<Circuit>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let (path, programs) = (&path, &programs);
+                scope.spawn(move || {
+                    let comp = small_compiler();
+                    let outs = vec![
+                        comp.compile(&programs[t], Pipeline::ReqiscEff),
+                        comp.compile(&programs[t + 2], Pipeline::Qiskit),
+                    ];
+                    let seg = attach(path);
+                    for _ in 0..6 {
+                        let s = publish_all(&seg, comp.cache());
+                        assert_eq!(s.full_rejects, 0);
+                        // Interleaved readers see only whole entries: every
+                        // record decodes (a torn one would fail its checksum
+                        // and vanish, and the seed count would fall short).
+                        let visible = records(&seg).len();
+                        assert!(seed_from_segment(&seg, reader().cache()) >= visible);
                     }
-                }
-            });
-        }
+                    outs
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("publisher")).collect()
     });
-    // The final file is valid and, because saves merge the on-disk union,
-    // contains *both* writers' programs unless the very last two saves
-    // raced each other — guaranteed at least one writer's worth.
-    let store = CacheStore::new(&dir);
-    let final_cache = small_compiler();
-    match store.load_into(final_cache.cache()) {
-        LoadOutcome::Loaded { programs, .. } => {
-            assert!(programs >= 2, "lost both writers' pools: {programs}")
+    // The final segment holds *both* writers' programs, each bit-identical
+    // to what its writer compiled.
+    let seg = attach(&path);
+    let r = seg.recovery();
+    assert!(!r.reinitialized && r.dropped_records + r.stale_claims == 0, "{r:?}");
+    let check = small_compiler();
+    let fp = check.options_fingerprint();
+    for (t, outs) in outputs.iter().enumerate() {
+        for (program, pipeline, out) in [
+            (&programs[t], Pipeline::ReqiscEff, &outs[0]),
+            (&programs[t + 2], Pipeline::Qiskit, &outs[1]),
+        ] {
+            let hit = probe_shared_program(&seg, check.cache(), program.content_hash(), pipeline, fp)
+                .expect("both writers' programs are in the segment");
+            assert_eq!(hit.circuit(), out);
         }
-        other => panic!("final shared store unusable: {other:?}"),
     }
-    // No stray temp files left behind.
-    let strays: Vec<_> = std::fs::read_dir(&dir)
-        .expect("dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-        .collect();
-    assert!(strays.is_empty(), "leftover temp files: {strays:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(seg);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn compaction_ages_out_unreferenced_entries_and_preserves_results() {
-    let dir = scratch_dir("compact");
+    let path = scratch_segment("compact");
     let p1 = toffoli_chain();
     let p2 = {
-        let mut c = reqisc::qcircuit::Circuit::new(3);
-        c.push(reqisc::qcircuit::Gate::Ccx(0, 1, 2));
-        c.push(reqisc::qcircuit::Gate::H(1));
+        let mut c = Circuit::new(3);
+        c.push(Gate::Ccx(0, 1, 2));
+        c.push(Gate::H(1));
         c
     };
-    // Process 1: compile both, save (generation 1, everything referenced).
+    // Process 1: compile both, publish (every entry at one generation).
     let a = small_compiler();
     let out1 = a.compile(&p1, Pipeline::ReqiscEff);
     let out2 = a.compile(&p2, Pipeline::Qiskit);
-    let store_a = CacheStore::new(&dir);
-    let n_full = store_a.save(a.cache()).expect("save");
-    let size_full = std::fs::metadata(store_a.path()).expect("meta").len();
+    let seg = attach(&path);
+    let n_full = publish_all(&seg, a.cache()).published;
+    let used_full = seg.bytes_used();
+    drop(seg);
 
-    // A plain save never GCs: a process that loads and uses *nothing*
-    // still re-persists every entry (they only age).
+    // A bulk pass never drops anything: a process that seeds and uses
+    // *nothing* finds every entry in place (they only age).
     let idle = small_compiler();
-    let store_idle = CacheStore::new(&dir);
-    assert!(matches!(store_idle.load_into(idle.cache()), LoadOutcome::Loaded { .. }));
-    assert_eq!(store_idle.save(idle.cache()).expect("idle save"), n_full, "saves only age, never drop");
+    let seg = attach(&path);
+    seed_from_segment(&seg, idle.cache());
+    let s = publish_all(&seg, idle.cache());
+    assert_eq!((s.published, s.duplicates), (0, n_full), "passes only age, never drop");
+    drop(seg);
 
     // Likewise a compaction whose idle window covers the whole history.
-    let lax = small_compiler();
-    let store_lax = CacheStore::new(&dir);
-    store_lax.load_into(lax.cache());
-    let o = store_lax.compact(lax.cache(), 10).expect("lax compact");
+    let o = compact_file(&path, MIN_CAPACITY, STORE_FORMAT_VERSION, 10).expect("lax compact");
     assert_eq!((o.kept, o.dropped), (n_full, 0), "everything is within the idle window");
 
-    // Process 2: load, reference only p1's pipeline entry, compact with a
-    // zero idle window — everything unreferenced is dead and must drop.
+    // Process 2: seed, reference only p1's program entry, run a pass, and
+    // compact with a zero idle window — everything unreferenced is dead.
     let b = small_compiler();
-    let store_b = CacheStore::new(&dir);
-    assert!(matches!(store_b.load_into(b.cache()), LoadOutcome::Loaded { .. }));
-    let warm1 = b.compile(&p1, Pipeline::ReqiscEff);
-    assert_eq!(warm1, out1);
-    let o = store_b.compact(b.cache(), 0).expect("compact");
-    assert!(o.dropped >= 1, "unreferenced entries must drop: {o:?}");
-    assert!(o.kept >= 1 && o.kept + o.dropped == n_full);
-    let s = store_b.stats();
-    assert_eq!((s.compactions, s.gc_dropped), (1, o.dropped as u64));
-    let size_gc = std::fs::metadata(store_b.path()).expect("meta").len();
-    assert!(size_gc < size_full, "compaction must shrink the file: {size_full} -> {size_gc}");
+    let seg = attach(&path);
+    seed_from_segment(&seg, b.cache());
+    assert_eq!(b.compile(&p1, Pipeline::ReqiscEff), out1);
+    publish_all(&seg, b.cache());
+    drop(seg);
+    let o = compact_file(&path, MIN_CAPACITY, STORE_FORMAT_VERSION, 0).expect("compact");
+    assert_eq!(o.kept, 1, "only the referenced entry survives: {o:?}");
+    assert_eq!(o.kept + o.dropped, n_full);
+    let seg = attach(&path);
+    assert!(seg.bytes_used() < used_full, "compaction must shrink the log");
 
-    // The in-memory cache was purged too: p2 recompiles (a fresh miss),
-    // bit-identically — GC changes cost, never results.
-    let misses_before = b.cache_stats().programs.misses;
-    let again2 = b.compile(&p2, Pipeline::Qiskit);
-    assert_eq!(again2, out2, "recomputed result must be identical");
-    assert_eq!(
-        b.cache_stats().programs.misses,
-        misses_before + 1,
-        "the compacted entry must be gone from memory (no resurrect-from-RAM)"
-    );
-
-    // Process 3: the compacted store still warm-serves what it kept.
+    // Process 3: the compacted segment still warm-serves what it kept,
+    // and a dropped entry recomputes bit-identically — GC changes cost,
+    // never results.
     let c = small_compiler();
-    let store_c = CacheStore::new(&dir);
-    assert!(matches!(store_c.load_into(c.cache()), LoadOutcome::Loaded { .. }));
+    assert_eq!(seed_from_segment(&seg, c.cache()), 1);
     assert_eq!(c.compile(&p1, Pipeline::ReqiscEff), out1);
     assert_eq!(c.cache_stats().programs.hits, 1, "kept entry is a pure hit");
     assert_eq!(c.compile(&p2, Pipeline::Qiskit), out2, "dropped entry recomputes identically");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(c.cache_stats().programs.misses, 1);
+    drop(seg);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The re-stamp rule of a bulk pass: a seeded synthesis entry that only
+/// a cold solve hits — in the local pool, where the segment never sees
+/// the hit — stays fresh, while a seeded entry nothing references ages
+/// out.
+#[test]
+fn a_bulk_pass_restamps_entries_hit_only_in_the_local_pool() {
+    let path = scratch_segment("restamp");
+    let hit = toffoli_chain();
+    let idle = {
+        let mut c = Circuit::new(3);
+        for (i, angle) in [0.31, 0.47, 0.59, 0.73].into_iter().enumerate() {
+            c.push(Gate::Cx(i % 3, (i + 1) % 3));
+            c.push(Gate::Rz((i + 2) % 3, angle));
+            c.push(Gate::Cx((i + 2) % 3, i % 3));
+        }
+        c
+    };
+    let p = Pipeline::ReqiscFull;
+    // Process 1 compiles both programs and publishes their program and
+    // synthesis entries.
+    let first = small_compiler();
+    let (hit_out, idle_out) = (first.compile(&hit, p), first.compile(&idle, p));
+    let seg = attach(&path);
+    publish_all(&seg, first.cache());
+    drop(seg);
+
+    // Process 2 is a daemon at startup: it seeds the synthesis pool only,
+    // then solves `hit` cold. Every block it needs is a local hit.
+    let second = small_compiler();
+    let seg = attach(&path);
+    assert!(seed_subprogram_pools(&seg, second.cache()) > 0);
+    assert_eq!(second.compile(&hit, p), hit_out);
+    let s = second.cache_stats();
+    assert_eq!(s.programs.misses, 1, "a cold solve");
+    assert!(s.synthesis.hits > 0 && s.synthesis.misses == 0, "local synthesis hits: {s}");
+    publish_all(&seg, second.cache());
+    publish_all(&seg, second.cache());
+    drop(seg);
+
+    // One generation of slack keeps what the last passes re-stamped and
+    // drops what nothing referenced: `idle`'s program and blocks.
+    let o = compact_file(&path, MIN_CAPACITY, STORE_FORMAT_VERSION, 1).expect("compact");
+    assert!(o.dropped >= 2, "the unreferenced entries must age out: {o:?}");
+    let seg = attach(&path);
+    let third = small_compiler();
+    seed_subprogram_pools(&seg, third.cache());
+    assert_eq!(third.compile(&hit, p), hit_out);
+    assert_eq!(third.cache_stats().synthesis.misses, 0, "the hit blocks were kept");
+    let fourth = small_compiler();
+    seed_from_segment(&seg, fourth.cache());
+    assert_eq!(fourth.compile(&idle, p), idle_out, "dropped entries recompile identically");
+    let s = fourth.cache_stats();
+    assert_eq!(s.programs.misses, 1, "the idle program was dropped");
+    assert!(s.synthesis.misses > 0, "the idle blocks were dropped: {s}");
+    drop(seg);
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
@@ -300,22 +480,25 @@ proptest! {
 
     /// Property round-trip: for random programs and SU(4)-emitting
     /// pipelines, a disk-warm compile in a fresh process-alike compiler
-    /// is bit-identical to the cold result that was saved.
+    /// is bit-identical to the cold result that was published.
     #[test]
     fn disk_warm_compile_equals_cold_compile(seed in 0u64..1_000_000, pick in 0usize..3, n in 3usize..5, gates in 4usize..8) {
-        let dir = scratch_dir("prop");
+        let path = scratch_segment("prop");
         let p = [Pipeline::ReqiscEff, Pipeline::ReqiscFull, Pipeline::BqskitSu4][pick];
         let c = generators::reversible_network(n, gates, seed);
         let cold = small_compiler();
         let cold_out = cold.compile(&c, p);
-        let store = CacheStore::new(&dir);
-        store.save(cold.cache()).expect("save");
+        let seg = attach(&path);
+        publish_all(&seg, cold.cache());
+        drop(seg);
         let warm = small_compiler();
-        prop_assert!(matches!(CacheStore::new(&dir).load_into(warm.cache()), LoadOutcome::Loaded { .. }));
+        let seg = attach(&path);
+        prop_assert!(seed_from_segment(&seg, warm.cache()) > 0);
         let warm_out = warm.compile(&c, p);
         prop_assert_eq!(&warm_out, &cold_out, "disk-warm diverged from cold (pipeline {})", p.name());
         let s = warm.cache_stats().programs;
         prop_assert_eq!((s.hits, s.misses), (1, 0), "not a pure program-pool hit");
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(seg);
+        let _ = std::fs::remove_file(&path);
     }
 }
