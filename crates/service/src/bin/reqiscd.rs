@@ -13,7 +13,8 @@
 //!   `/tmp/reqiscd.sock`);
 //! * `--stdio` — serve exactly one session on stdin/stdout (tests, CI,
 //!   `socat`-style supervision);
-//! * `--workers N` — solve worker pool size (0 = hardware parallelism);
+//! * `--workers N` — solve worker pool size (0 = hardware parallelism;
+//!   at most 256, `MAX_WORKERS`);
 //! * `--solve-delay-ms MS` — park every solve worker for MS before each
 //!   cold compile it claims (stall-isolation drills; default: the
 //!   `REQISC_DEBUG_SOLVE_DELAY_MS` environment knob, else off);
@@ -24,7 +25,8 @@
 //!   generation of its GC clock each (default 30; 0 disables the timer —
 //!   shutdown still runs a last pass);
 //! * `--pool-shards N` / `--pool-capacity N` — bound the in-memory memo
-//!   pools (N ≥ 1; LRU eviction; default generous/off);
+//!   pools (N ≥ 1, and at most 65 536 shards, `MAX_POOL_SHARDS`; LRU
+//!   eviction; default generous/off);
 //! * `--shm-path PATH` — attach the shared-memory cache segment at PATH,
 //!   the durable tier (default: the `REQISC_SHM_PATH` environment knob;
 //!   in memory only when both unset);
@@ -39,6 +41,13 @@
 use reqisc_service::{serve_lines, Service, ServiceConfig};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Most solve workers `--workers` may start: each is an OS thread.
+const MAX_WORKERS: usize = 256;
+
+/// Most shards `--pool-shards` may ask for: both memo pools allocate
+/// that many maps up front.
+const MAX_POOL_SHARDS: usize = 65_536;
 
 struct Args {
     socket: PathBuf,
@@ -86,7 +95,10 @@ fn parse_args() -> Args {
             "--socket" => args.socket = PathBuf::from(val("--socket")),
             "--stdio" => args.stdio = true,
             "--compact-now" => args.compact_now = true,
-            "--workers" => args.config.workers = parse_num(&val("--workers"), "--workers"),
+            "--workers" => {
+                args.config.workers =
+                    at_most(parse_num(&val("--workers"), "--workers"), MAX_WORKERS, "--workers")
+            }
             "--solve-delay-ms" => {
                 args.config.solve_delay_ms =
                     Some(parse_num(&val("--solve-delay-ms"), "--solve-delay-ms"))
@@ -107,7 +119,13 @@ fn parse_args() -> Args {
                 args.config.shm_capacity_bytes =
                     parse_num(&val("--shm-capacity-bytes"), "--shm-capacity-bytes")
             }
-            "--pool-shards" => pool_shards = parse_size(&val("--pool-shards"), "--pool-shards"),
+            "--pool-shards" => {
+                pool_shards = at_most(
+                    parse_size(&val("--pool-shards"), "--pool-shards"),
+                    MAX_POOL_SHARDS,
+                    "--pool-shards",
+                )
+            }
             "--pool-capacity" => {
                 pool_capacity = Some(parse_size(&val("--pool-capacity"), "--pool-capacity"))
             }
@@ -143,6 +161,16 @@ fn parse_size(s: &str, flag: &str) -> usize {
         }
         n => n,
     }
+}
+
+/// A thread or allocation count: above `max` is a usage error, caught
+/// before the service starts anything.
+fn at_most(n: usize, max: usize, flag: &str) -> usize {
+    if n > max {
+        eprintln!("{flag}: must be at most {max}");
+        usage()
+    }
+    n
 }
 
 fn main() {

@@ -391,45 +391,60 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let bytes = self.bytes;
+        let digits = bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            v = v * 16 + char::from(b).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
         }
-        // lint:allow(panic-path, pos+4 <= len checked immediately above)
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
+    /// RFC 8259's number grammar: `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    /// A leading zero ends the integer part, so `01` leaves a trailing `1`
+    /// that the caller rejects.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         // lint:allow(panic-path, start..pos only advances past peek()-checked bytes)
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err("bad number"))
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("bad number"));
+        }
+        Ok(())
     }
 }
 
@@ -453,6 +468,10 @@ mod tests {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "{\"a\":1}x", "01x",
             "\"bad \\q escape\"", "\"\\ud800\"",
+            // RFC 8259 numbers: no leading zeros, digits after `.` and `e`.
+            "01", "-01", "00", "1.", "-.5", "1.e5",
+            // A `\u` escape is exactly four hex digits, unsigned.
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }

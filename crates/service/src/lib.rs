@@ -12,14 +12,15 @@
 //! The subsystem owns:
 //!
 //! * a **two-path core** ([`service`]): submission probes the warm tiers
-//!   (local program pool, then shared segment) and posts a hit straight
-//!   to the completion ring; only a miss enters the solve ring → solve
-//!   workers → completion ring → dispatcher, so a warm hit never queues
-//!   behind a cold solve;
+//!   (local program pool, then shared segment) and delivers a hit into
+//!   its ticket on the submitting thread; only a miss enters the solve
+//!   ring, whose workers deliver each result to its waiters, so a warm
+//!   hit never queues behind a cold solve — and a connection's reader
+//!   writes a warm reply itself whenever no earlier reply is owed
+//!   ([`server`]);
 //! * a **bounded priority solve ring** with non-blocking admission
-//!   control ([`queue`]) and a FIFO completion ring ([`ring`]) —
-//!   overload rejects misses with `queue_full`, never stalls the accept
-//!   loop;
+//!   control ([`queue`]) — overload rejects misses with `queue_full`,
+//!   never stalls the accept loop;
 //! * **in-flight request coalescing** keyed by `(circuit content hash,
 //!   pipeline, options fingerprint)` — N identical concurrent requests
 //!   cost one compile and N responses ([`service`]);
@@ -48,7 +49,6 @@
 pub mod json;
 pub mod protocol;
 pub mod queue;
-pub mod ring;
 pub mod server;
 pub mod service;
 pub mod sync;
@@ -59,7 +59,6 @@ pub use protocol::{
     ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
 pub use queue::{JobQueue, Priority, QueueFull, RingStats, DEFAULT_PRIORITY, MAX_PRIORITY};
-pub use ring::FifoRing;
 pub use server::{serve_lines, ServeOutcome};
 #[cfg(unix)]
 pub use server::serve_unix;

@@ -41,6 +41,12 @@
 //! answered with id 0. `queue_full` only ever answers a compile that
 //! missed every warm tier (or a debug op): warm hits take no admission
 //! slot.
+//!
+//! A compile reply's `done_seq` numbers results across the whole service:
+//! unique and 1-based, taken when the result is delivered — at submission
+//! for a warm hit, by the solve worker for a miss. So a warm hit
+//! answered while a cold job still runs carries the lower number, even
+//! when its reply is written after the cold one on the same connection.
 
 use crate::json::Json;
 use crate::queue::{Priority, DEFAULT_PRIORITY, MAX_PRIORITY};
@@ -151,9 +157,11 @@ pub(crate) fn request_id(line: &str) -> u64 {
 }
 
 /// Builds a successful compile response. `done_seq` is the service's
-/// global completion sequence number — the deterministic order handle
-/// the stall-isolation tests assert with (warm hits must get lower
-/// numbers than the cold solves they overtook).
+/// global completion sequence number: unique and 1-based, taken when the
+/// result is delivered — at submission for a warm hit, by the solve
+/// worker for a miss. It is the order handle the stall-isolation tests
+/// assert with (warm hits must get lower numbers than the cold solves
+/// they overtook).
 pub fn compile_response(
     id: u64,
     fingerprint: u128,
@@ -251,7 +259,10 @@ pub struct StageCounters {
     pub submission: RingCounters,
     /// The solve ring (misses and debug ops only).
     pub solve: RingCounters,
-    /// The completion ring (warm hits + solved jobs, FIFO to delivery).
+    /// Always zero: results are delivered by the thread that has them,
+    /// through no ring. Still on the wire because the benchmark harness
+    /// reads it.
+    #[deprecated(note = "always zero: there is no completion ring")]
     pub completion: RingCounters,
     /// Compile submissions answered at submission by a warm tier (these
     /// never entered the solve stage).
@@ -260,7 +271,8 @@ pub struct StageCounters {
     pub lookup_misses: u64,
     /// Jobs (of any kind) claimed by a solve worker.
     pub solve_claimed: u64,
-    /// Completions the dispatcher delivered.
+    /// Results delivered to their waiters, at submission or by a solve
+    /// worker.
     pub delivered: u64,
 }
 
@@ -320,7 +332,8 @@ fn ring_counters_from(v: &Json) -> Result<RingCounters, String> {
     })
 }
 
-// The deprecated `submission` ring stays on the wire, as zeros.
+// The deprecated `submission` and `completion` rings stay on the wire,
+// as zeros.
 #[allow(deprecated)]
 fn stage_counters_json(s: &StageCounters) -> Json {
     Json::obj(vec![
@@ -504,6 +517,8 @@ mod tests {
         }
     }
 
+    // The deprecated rings still round-trip: the wire keeps them.
+    #[allow(deprecated)]
     #[test]
     fn stats_snapshot_roundtrips_all_counters() {
         let snap = StatsSnapshot {

@@ -6,12 +6,18 @@
 //!
 //! Responses are written **in request order** per connection. The reader
 //! (caller's thread) parses and *submits* each line without waiting —
-//! this is what lets identical pipelined requests coalesce — while a
-//! scoped responder thread resolves the pending replies in order.
-//! Deferred ops (`stats`, `snapshot`) are evaluated by the
-//! responder *when their turn comes*, i.e. after every earlier request
-//! on the connection has completed — which makes `…compiles, stats`
-//! scripts read deterministic counters.
+//! this is what lets identical pipelined requests coalesce. A reply that
+//! is complete at submission (a warm hit, an error, an ack) is written by
+//! the reader itself whenever every earlier reply on the connection has
+//! been written, so a warm request is a one-thread round trip. Anything
+//! else — a miss, a debug op, a deferred op, and every reply queued
+//! behind one — goes to a scoped responder thread, which resolves the
+//! pending replies in order. A per-connection [`WriteGate`] counts the
+//! replies the responder still owes and only lets the reader write when
+//! that count is zero. Deferred ops (`stats`, `snapshot`) are evaluated
+//! by the responder *when their turn comes*, i.e. after every earlier
+//! request on the connection has completed — which makes `…compiles,
+//! stats` scripts read deterministic counters.
 
 use crate::protocol::{
     compile_response, error_response, ok_response, parse_request, request_id, RequestBody,
@@ -19,8 +25,9 @@ use crate::protocol::{
 use crate::json::Json;
 use crate::queue::DEFAULT_PRIORITY;
 use crate::service::{DebugOp, JobDone, Service, SubmitError, Ticket};
-use crate::sync::LockRecover;
+use crate::sync::{LockRecover, Mutex};
 use std::io::{BufRead, Write};
+use std::sync::mpsc;
 
 /// What one connection's request stream did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +40,64 @@ pub struct ServeOutcome {
     pub shutdown: bool,
 }
 
-/// One queued reply slot, resolved by the responder in request order.
+/// One connection's writer, shared by its reader and its responder: the
+/// reader may write only while the responder owes nothing, and the
+/// responder gives its place up only once its write has finished — so
+/// replies leave in request order whichever thread writes them.
+pub struct WriteGate<W> {
+    gate: Mutex<Gated<W>>,
+}
+
+struct Gated<W> {
+    writer: W,
+    /// Replies handed to the responder and not yet written.
+    owed: usize,
+}
+
+impl<W: Write> WriteGate<W> {
+    /// A gate around `writer` that owes nothing yet.
+    pub fn new(writer: W) -> Self {
+        Self { gate: Mutex::new(Gated { writer, owed: 0 }) }
+    }
+
+    /// The reader's path for a complete reply: writes `line` now if
+    /// every earlier reply has been written (`Ok(true)`); otherwise
+    /// takes a place behind them (`Ok(false)`), and the caller hands
+    /// the reply to the responder.
+    pub fn write_or_owe(&self, line: &[u8]) -> std::io::Result<bool> {
+        let mut g = self.gate.lock_recover();
+        if g.owed > 0 {
+            g.owed += 1;
+            return Ok(false);
+        }
+        write_line(&mut g.writer, line)?;
+        Ok(true)
+    }
+
+    /// The reader's path for a reply that is not complete yet: takes a
+    /// place behind every earlier reply; the responder will write it.
+    pub fn owe(&self) {
+        self.gate.lock_recover().owed += 1;
+    }
+
+    /// The responder's path: writes an owed reply, then gives up its
+    /// place — in one critical section, so the reader can never write a
+    /// later reply before this one is out.
+    pub fn write_owed(&self, line: &[u8]) -> std::io::Result<()> {
+        let mut g = self.gate.lock_recover();
+        write_line(&mut g.writer, line)?;
+        g.owed = g.owed.saturating_sub(1);
+        Ok(())
+    }
+}
+
+/// One reply and its newline in a single write, then a flush.
+fn write_line(w: &mut impl Write, line: &[u8]) -> std::io::Result<()> {
+    w.write_all(line)?;
+    w.flush()
+}
+
+/// One reply slot, written in request order.
 enum Pending {
     /// Already-built response (errors, acks).
     Ready(Json),
@@ -99,12 +163,15 @@ fn read_line_bounded(
     if overflow || line.len() > cap {
         return Ok(Some(Err(())));
     }
-    Ok(Some(Ok(String::from_utf8_lossy(&line).into_owned())))
+    // A valid line is kept as is, without a copy.
+    Ok(Some(Ok(String::from_utf8(line)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))))
 }
 
 /// Serves one line-delimited request stream until EOF or `shutdown`.
-/// The caller's thread reads and submits; a scoped responder thread
-/// writes responses in request order (see module docs).
+/// The caller's thread reads, submits and writes the replies that are
+/// complete at once; a scoped responder thread writes the rest, all in
+/// request order (see module docs).
 ///
 /// # Errors
 ///
@@ -115,42 +182,39 @@ pub fn serve_lines(
     mut reader: impl BufRead,
     writer: impl Write + Send,
 ) -> std::io::Result<ServeOutcome> {
-    let (tx, rx) = std::sync::mpsc::channel::<Pending>();
+    let (tx, rx) = mpsc::channel::<Pending>();
+    let gate = WriteGate::new(writer);
     let mut outcome = ServeOutcome { requests: 0, shutdown: false };
     let (read_result, write_result) = std::thread::scope(|scope| {
-        let responder = scope.spawn(move || respond_loop(service, rx, writer));
+        let gate = &gate;
+        let responder = scope.spawn(move || respond_loop(service, rx, gate));
         let mut read_result = Ok(());
         loop {
-            let line = match read_line_bounded(&mut reader, MAX_REQUEST_LINE_BYTES) {
+            let pending = match read_line_bounded(&mut reader, MAX_REQUEST_LINE_BYTES) {
                 Ok(None) => break,
-                Ok(Some(Ok(l))) => l,
-                Ok(Some(Err(()))) => {
-                    outcome.requests += 1;
-                    let resp = error_response(
-                        0,
-                        "parse_error",
-                        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    );
-                    if tx.send(Pending::Ready(resp)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
+                Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+                Ok(Some(Ok(line))) => handle_line(service, &line),
+                Ok(Some(Err(()))) => Pending::Ready(error_response(
+                    0,
+                    "parse_error",
+                    format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+                )),
                 Err(e) => {
                     read_result = Err(e);
                     break;
                 }
             };
-            if line.trim().is_empty() {
-                continue;
-            }
             outcome.requests += 1;
-            let pending = handle_line(service, &line);
             outcome.shutdown = matches!(pending, Pending::Shutdown { .. });
-            // Stop reading after `shutdown`, or once the responder died
-            // (writer error).
-            if tx.send(pending).is_err() || outcome.shutdown {
-                break;
+            // Stop reading after `shutdown`, or once the writer failed
+            // (on this thread, or on the responder's, which then exits).
+            match post(gate, &tx, pending) {
+                Ok(true) if !outcome.shutdown => {}
+                Ok(_) => break,
+                Err(e) => {
+                    read_result = Err(e);
+                    break;
+                }
             }
         }
         drop(tx);
@@ -169,6 +233,67 @@ pub fn serve_lines(
     read_result?;
     write_result?;
     Ok(outcome)
+}
+
+/// Writes `pending`'s reply on the reader's thread when it is complete
+/// and nothing earlier is owed; otherwise hands it to the responder.
+/// `Ok(false)` once the responder is gone (it hit a write error).
+fn post<W: Write>(
+    gate: &WriteGate<W>,
+    tx: &mpsc::Sender<Pending>,
+    pending: Pending,
+) -> std::io::Result<bool> {
+    let pending = match pending.complete() {
+        Ok(reply) => {
+            let line = reply_line(&reply);
+            if gate.write_or_owe(&line)? {
+                return Ok(true);
+            }
+            Pending::Ready(reply)
+        }
+        Err(pending) => {
+            gate.owe();
+            pending
+        }
+    };
+    Ok(tx.send(pending).is_ok())
+}
+
+/// A reply's wire bytes: the JSON and its newline.
+fn reply_line(reply: &Json) -> Vec<u8> {
+    let mut line = reply.emit().into_bytes();
+    line.push(b'\n');
+    line
+}
+
+impl Pending {
+    /// The reply, when it needs no running job and no turn in the
+    /// stream: errors, acks, and compiles answered at submission.
+    fn complete(self) -> Result<Json, Pending> {
+        match self {
+            Pending::Ready(j) => Ok(j),
+            Pending::Shutdown { id } => Ok(ok_response(id, "shutdown")),
+            Pending::Compile { id, ticket } if ticket.is_done() => Ok(compile_reply(id, ticket)),
+            other => Err(other),
+        }
+    }
+}
+
+/// A compile job's reply, waiting for the job if it still runs.
+fn compile_reply(id: u64, ticket: Ticket) -> Json {
+    let coalesced = ticket.coalesced;
+    match ticket.wait() {
+        Ok(JobDone { circuit: Some(program), done_seq }) => {
+            let reply = program.reply();
+            compile_response(id, reply.fingerprint, &reply.metrics, coalesced, done_seq)
+        }
+        // A compile job always carries a circuit; answering `internal`
+        // beats panicking the connection if that invariant ever breaks.
+        Ok(JobDone { circuit: None, .. }) => {
+            error_response(id, "internal", "compile job returned no circuit")
+        }
+        Err(e) => error_response(id, "compile_failed", e),
+    }
 }
 
 /// Parses and submits one request line, producing its pending reply.
@@ -232,31 +357,18 @@ fn snapshot_response(id: u64, pass: Option<reqisc_compiler::ShareStats>) -> Json
     j
 }
 
-fn respond_loop(
+/// The responder: resolves every reply the reader handed over, in
+/// order, and writes each through the gate.
+fn respond_loop<W: Write>(
     service: &Service,
-    rx: std::sync::mpsc::Receiver<Pending>,
-    mut writer: impl Write,
+    rx: mpsc::Receiver<Pending>,
+    gate: &WriteGate<W>,
 ) -> std::io::Result<()> {
     for pending in rx {
         let response = match pending {
             Pending::Ready(j) => j,
             Pending::Shutdown { id } => ok_response(id, "shutdown"),
-            Pending::Compile { id, ticket } => {
-                let coalesced = ticket.coalesced;
-                match ticket.wait() {
-                    Ok(JobDone { circuit: Some(program), done_seq }) => {
-                        let reply = program.reply();
-                        compile_response(id, reply.fingerprint, &reply.metrics, coalesced, done_seq)
-                    }
-                    // A compile job always carries a circuit; answering
-                    // `internal` beats panicking the responder if that
-                    // invariant ever breaks.
-                    Ok(JobDone { circuit: None, .. }) => {
-                        error_response(id, "internal", "compile job returned no circuit")
-                    }
-                    Err(e) => error_response(id, "compile_failed", e),
-                }
-            }
+            Pending::Compile { id, ticket } => compile_reply(id, ticket),
             Pending::Debug { id, op, ticket } => match ticket.wait() {
                 Ok(_) => ok_response(id, op),
                 Err(e) => error_response(id, "compile_failed", e),
@@ -270,8 +382,7 @@ fn respond_loop(
             }
             Pending::Snapshot { id } => snapshot_response(id, service.snapshot_now()),
         };
-        writeln!(writer, "{}", response.emit())?;
-        writer.flush()?;
+        gate.write_owed(&reply_line(&response))?;
     }
     Ok(())
 }

@@ -5,28 +5,25 @@
 //! ```text
 //!  submit ──► probe the warm tiers ──miss──► solve ring ──► solve workers
 //!             (local program pool,            (bounded,      (catch_unwind
-//!              then shared segment)            priority)      compile)
-//!                    │ hit                                       │
-//!                    ▼                                           ▼
-//!               completion ring (FIFO) ◄─────────────────────────┘
-//!                    │
-//!                    ▼
-//!               dispatcher (assigns done_seq, counts
-//!               completed/failed, wakes the waiters)
+//!              then shared segment)            priority)      compile, then
+//!                    │ hit                                    deliver to every
+//!                    ▼                                        waiter)
+//!               the ticket holds its result
 //! ```
 //!
 //! [`Service::submit_compile`] probes the local program pool and then the
 //! shared segment without ever synthesizing or solving (DAXFS's
-//! reader-never-blocks-writer discipline). A **warm hit posts its
-//! completion straight to the completion ring**: it takes no admission
-//! slot, creates no in-flight entry and never touches the solve stage, so
-//! a warm response can never queue behind a cold solve. Only misses enter
-//! the solve ring, where the expensive workers run the pipeline (filling
-//! the synthesis pool that makes the *next* miss of the same blocks
-//! cheaper). A single dispatcher drains the completion ring in FIFO
-//! order, assigns the global `done_seq` at delivery time, and wakes the
-//! waiters — which makes completion order exactly delivery order,
-//! deterministically.
+//! reader-never-blocks-writer discipline). A **warm hit is delivered at
+//! submission**: the returned [`Ticket`] already holds its result, and it
+//! takes no admission slot, creates no in-flight entry and never touches
+//! the solve stage, so a warm response can never queue behind a cold
+//! solve. Only misses enter the solve ring, where the expensive workers
+//! run the pipeline (filling the synthesis pool that makes the *next*
+//! miss of the same blocks cheaper) and deliver each result to its
+//! waiters themselves. The thread that delivers a result takes its
+//! `done_seq` from one global counter and counts it `completed` or
+//! `failed`, so sequence numbers stay unique and 1-based, and a warm hit
+//! delivered while a cold job stalls gets the lower number.
 //!
 //! ## Admission
 //!
@@ -54,16 +51,18 @@
 //! Every miss's ticket carries a waiter guard: dropping the last ticket
 //! attached to a job still in the solve ring removes the job (freeing its
 //! admission slot) and counts it under `cancelled`. The inflight lock is
-//! held across the push-and-register of a submission and across the
-//! guard's removal, so under that lock a job is either in the ring with
-//! its waiters registered or gone from both. A job already claimed by a
-//! solve worker is past cancellation and completes with nobody waiting; a
-//! warm hit is answered at submission and has nothing to cancel.
+//! held across the push-and-register of a submission, across the guard's
+//! removal and across the solve worker's collection of the waiters, so
+//! under that lock a job is either in the ring with its waiters
+//! registered or gone from both, and its worker always finds every
+//! waiter. A job already claimed by a solve worker is past cancellation
+//! and completes with nobody waiting; a warm hit is answered at
+//! submission and has nothing to cancel.
 //!
 //! ## Failure isolation
 //!
 //! A panicking pipeline (or the gated debug `panic` op) is caught per
-//! job in the solve worker: the dispatcher delivers an error to every
+//! job in the solve worker: the worker delivers an error to every
 //! attached waiter, the `failed` counter ticks, and the worker survives
 //! to take the next job.
 //!
@@ -81,7 +80,6 @@ use crate::protocol::{
     CompileSource, RingCounters, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
 use crate::queue::{JobQueue, Priority, QueueFull, RingStats};
-use crate::ring::FifoRing;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use reqisc_compiler::{
@@ -186,9 +184,10 @@ impl std::error::Error for SubmitError {}
 
 /// A finished job's payload: the program pool's entry for the compiled
 /// circuit (compile jobs; `None` for debug ops) plus a global completion
-/// sequence number (monotone — the queue-semantics tests assert ordering
-/// through it). Assigned by the dispatcher at delivery time, so
-/// `done_seq` order *is* delivery order.
+/// sequence number (unique — the queue-semantics tests assert ordering
+/// through it). The thread that delivers the result takes it from one
+/// counter just before delivery: the submitting thread for a warm hit,
+/// the solve worker otherwise.
 #[derive(Debug, Clone)]
 pub struct JobDone {
     /// The compiled circuit's pool entry (`None` for debug ops). It
@@ -201,13 +200,13 @@ pub struct JobDone {
 /// What a waiter receives: the result or the failure message.
 pub type JobResult = Result<JobDone, String>;
 
-/// A claim on one submitted job's result. Dropping a miss's ticket
-/// without waiting detaches its waiter; when the *last* waiter of a job
-/// still in the solve ring detaches, the job is cancelled (see the module
-/// docs).
+/// A claim on one submitted job's result. A warm hit's ticket holds its
+/// result from the start. Dropping a miss's ticket without waiting
+/// detaches its waiter; when the *last* waiter of a job still in the
+/// solve ring detaches, the job is cancelled (see the module docs).
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<JobResult>,
+    claim: Claim,
     /// True when this submission attached to an already-in-flight
     /// identical job instead of occupying an admission slot.
     pub coalesced: bool,
@@ -215,10 +214,30 @@ pub struct Ticket {
     _guard: Option<WaiterGuard>,
 }
 
+/// Where a ticket's result comes from.
+#[derive(Debug)]
+enum Claim {
+    /// Delivered at submission (a warm hit).
+    Done(JobResult),
+    /// Delivered later by a solve worker.
+    Waiting(mpsc::Receiver<JobResult>),
+}
+
+const TERMINATED: &str = "service terminated before the job ran";
+
 impl Ticket {
+    /// True when the result is already here: the job was answered at
+    /// submission, so [`Ticket::wait`] returns without blocking.
+    pub fn is_done(&self) -> bool {
+        matches!(self.claim, Claim::Done(_))
+    }
+
     /// Blocks until the job finishes.
     pub fn wait(self) -> JobResult {
-        self.rx.recv().unwrap_or_else(|_| Err("service terminated before the job ran".into()))
+        match self.claim {
+            Claim::Done(result) => result,
+            Claim::Waiting(rx) => rx.recv().unwrap_or_else(|_| Err(TERMINATED.into())),
+        }
     }
 
     /// Blocks until the job finishes, then reports how many *further*
@@ -227,10 +246,13 @@ impl Ticket {
     /// zero. Only meaningful once no more completions can arrive (after
     /// [`Service::shutdown`]).
     pub fn wait_counting_duplicates(self) -> (JobResult, usize) {
-        let first =
-            self.rx.recv().unwrap_or_else(|_| Err("service terminated before the job ran".into()));
-        let extras = self.rx.try_iter().count();
-        (first, extras)
+        match self.claim {
+            Claim::Done(result) => (result, 0),
+            Claim::Waiting(rx) => {
+                let first = rx.recv().unwrap_or_else(|_| Err(TERMINATED.into()));
+                (first, rx.try_iter().count())
+            }
+        }
     }
 }
 
@@ -296,20 +318,6 @@ fn is_job(key: JobKey) -> impl Fn(&Job) -> bool {
     move |job| matches!(job, Job::Compile { key: k, .. } if *k == key)
 }
 
-/// Who a posted completion is for.
-enum CompletionTarget {
-    /// Every waiter registered under this in-flight key (a solved miss).
-    Key(JobKey),
-    /// The one direct waiter of a warm hit or a debug op.
-    Direct(mpsc::Sender<JobResult>),
-}
-
-/// One finished (or warm-served) job on its way to the dispatcher.
-struct Completion {
-    target: CompletionTarget,
-    outcome: Result<Option<Arc<Program>>, String>,
-}
-
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
@@ -355,7 +363,8 @@ struct StageAtomics {
     lookup_misses: AtomicU64,
     /// Jobs (of any kind) claimed by a solve worker.
     solve_claimed: AtomicU64,
-    /// Completions the dispatcher delivered (== completed + failed).
+    /// Results delivered, at submission or by a solve worker
+    /// (== completed + failed).
     delivered: AtomicU64,
 }
 
@@ -367,8 +376,6 @@ struct Inner {
     /// Misses and debug ops waiting for a solve worker; its capacity is
     /// the admission bound and its depth is `queue_depth`.
     solve: JobQueue<Job>,
-    /// Warm hits and solved jobs, drained FIFO by the dispatcher.
-    completions: FifoRing<Completion>,
     inflight: Mutex<HashMap<JobKey, Vec<(u64, mpsc::Sender<JobResult>)>>>,
     /// The shared-memory cache segment (`None` = no shared tier).
     shared: Option<Segment>,
@@ -415,8 +422,26 @@ impl Inner {
         Some(hit)
     }
 
+    /// Stamps a result on its way to its waiters: the next global
+    /// `done_seq` and the `completed`/`failed` and `delivered` counts.
+    /// Every result passes here once, before any waiter can see it.
+    fn finish(&self, outcome: Result<Option<Arc<Program>>, String>) -> JobResult {
+        let done_seq = self.done_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stage.delivered.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            Ok(circuit) => {
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                Ok(JobDone { circuit, done_seq })
+            }
+            Err(msg) => {
+                self.counters.failed.fetch_add(1, Ordering::Relaxed);
+                Err(msg)
+            }
+        }
+    }
+
     /// A solve worker: claims admitted jobs, runs the expensive compile
-    /// under `catch_unwind`, posts the outcome to the completion ring.
+    /// under `catch_unwind`, and delivers the outcome to every waiter.
     fn solve_loop(&self) {
         while let Some(job) = self.solve.pop() {
             self.stage.solve_claimed.fetch_add(1, Ordering::Relaxed);
@@ -436,7 +461,7 @@ impl Inner {
                         program.reply();
                         program
                     }));
-                    let outcome = match out {
+                    let result = self.finish(match out {
                         Ok(c) => {
                             // Publish at completion: every daemon on the
                             // box sees this solve as a warm hit from now
@@ -456,59 +481,26 @@ impl Inner {
                             Ok(Some(c))
                         }
                         Err(p) => Err(format!("compile panicked: {}", panic_message(&p))),
-                    };
-                    self.completions
-                        .push_completion(Completion { target: CompletionTarget::Key(key), outcome });
+                    });
+                    // The waiters are taken under the inflight lock (so
+                    // none registers after) and sent to after it is
+                    // released. One that dropped its ticket is not an
+                    // error.
+                    let waiters = self.inflight.lock_recover().remove(&key).unwrap_or_default();
+                    for (_, tx) in waiters {
+                        let _ = tx.send(result.clone());
+                    }
                 }
                 Job::Sleep { ms, tx } => {
                     std::thread::sleep(Duration::from_millis(ms));
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Direct(tx),
-                        outcome: Ok(None),
-                    });
+                    let _ = tx.send(self.finish(Ok(None)));
                 }
                 Job::Panic { tx } => {
                     // A *real* panic through the same isolation path real
                     // pipeline panics take — the poisoned-job drill.
                     let out = catch_unwind(|| panic!("debug panic op"));
                     debug_assert!(out.is_err());
-                    self.completions.push_completion(Completion {
-                        target: CompletionTarget::Direct(tx),
-                        outcome: Err("compile panicked: debug panic op".into()),
-                    });
-                }
-            }
-        }
-    }
-
-    /// The dispatcher: drains the completion ring in FIFO order, assigns
-    /// the global `done_seq`, counts `completed`/`failed`, and wakes the
-    /// waiters. Single-threaded by construction, so delivery order and
-    /// `done_seq` order coincide exactly.
-    fn dispatch_loop(&self) {
-        while let Some(done) = self.completions.pop_completion() {
-            let done_seq = self.done_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let result: JobResult = match done.outcome {
-                Ok(circuit) => {
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    Ok(JobDone { circuit, done_seq })
-                }
-                Err(msg) => {
-                    self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    Err(msg)
-                }
-            };
-            self.stage.delivered.fetch_add(1, Ordering::Relaxed);
-            match done.target {
-                CompletionTarget::Key(key) => {
-                    let waiters = self.inflight.lock_recover().remove(&key).unwrap_or_default();
-                    for (_, tx) in waiters {
-                        // A waiter that dropped its ticket is not an error.
-                        let _ = tx.send(result.clone());
-                    }
-                }
-                CompletionTarget::Direct(tx) => {
-                    let _ = tx.send(result);
+                    let _ = tx.send(self.finish(Err("compile panicked: debug panic op".into())));
                 }
             }
         }
@@ -545,7 +537,6 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 pub struct Service {
     inner: Arc<Inner>,
     workers: Mutex<Vec<reqisc_sched::thread::JoinHandle<()>>>,
-    dispatcher: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     timer: Mutex<Option<reqisc_sched::thread::JoinHandle<()>>>,
     stopped: AtomicBool,
 }
@@ -614,7 +605,6 @@ impl Service {
             compiler,
             options_fp,
             solve: JobQueue::new(config.queue_capacity),
-            completions: FifoRing::new(),
             inflight: Mutex::new(HashMap::new()),
             shared,
             shared_stats,
@@ -635,10 +625,6 @@ impl Service {
                 reqisc_sched::thread::spawn(move || inner.solve_loop())
             })
             .collect();
-        let dispatcher = {
-            let inner = inner.clone();
-            reqisc_sched::thread::spawn(move || inner.dispatch_loop())
-        };
         let timer = config.snapshot_interval.map(|interval| {
             let inner = inner.clone();
             reqisc_sched::thread::spawn(move || {
@@ -660,7 +646,6 @@ impl Service {
         Self {
             inner,
             workers: Mutex::new(solve_handles),
-            dispatcher: Mutex::new(Some(dispatcher)),
             timer: Mutex::new(timer),
             stopped: AtomicBool::new(false),
         }
@@ -709,23 +694,20 @@ impl Service {
     ) -> Result<Ticket, SubmitError> {
         let inner = &self.inner;
         let key = JobKey { circuit: circuit.content_hash(), pipeline, options: inner.options_fp };
-        let (tx, rx) = mpsc::channel();
-        // The probe never blocks, so a hit needs no other thread: it goes
-        // straight to the dispatcher, which stays the one place that
-        // assigns `done_seq`. The inflight lock is not held here.
+        // The probe never blocks, so a hit needs no other thread: it is
+        // delivered here, into the ticket. The inflight lock is not held.
         if let Some(hit) = inner.probe_tiers(&key) {
-            let done = Completion { target: CompletionTarget::Direct(tx), outcome: Ok(Some(hit)) };
-            if !inner.completions.push_completion(done) {
-                return Err(inner.reject(QueueFull { capacity: inner.solve.capacity() }));
-            }
             inner.stage.lookup_hits.fetch_add(1, Ordering::Relaxed);
             inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            return Ok(Ticket { rx, coalesced: false, _guard: None });
+            let claim = Claim::Done(inner.finish(Ok(Some(hit))));
+            return Ok(Ticket { claim, coalesced: false, _guard: None });
         }
+        let (tx, rx) = mpsc::channel();
+        let claim = Claim::Waiting(rx);
         let waiter_id = inner.waiter_seq.fetch_add(1, Ordering::Relaxed);
         let guard = Some(WaiterGuard { inner: inner.clone(), key, id: waiter_id });
         // The inflight lock spans the ring push and the waiter's
-        // registration, so neither the dispatcher's waiter collection
+        // registration, so neither the solve worker's waiter collection
         // nor a cancellation can interleave between "ringed" and
         // "registered".
         let mut inflight = inner.inflight.lock_recover();
@@ -737,7 +719,7 @@ impl Service {
             inner.solve.boost(is_job(key), priority);
             inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
             inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            return Ok(Ticket { rx, coalesced: true, _guard: guard });
+            return Ok(Ticket { claim, coalesced: true, _guard: guard });
         }
         inner
             .solve
@@ -746,7 +728,7 @@ impl Service {
         inflight.insert(key, vec![(waiter_id, tx)]);
         inner.stage.lookup_misses.fetch_add(1, Ordering::Relaxed);
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { rx, coalesced: false, _guard: guard })
+        Ok(Ticket { claim, coalesced: false, _guard: guard })
     }
 
     /// Submits a gated debug op (`sleep`/`panic`).
@@ -766,7 +748,7 @@ impl Service {
         };
         self.inner.solve.try_push(job, priority).map_err(|full| self.inner.reject(full))?;
         self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { rx, coalesced: false, _guard: None })
+        Ok(Ticket { claim: Claim::Waiting(rx), coalesced: false, _guard: None })
     }
 
     /// Metrics of a compiled circuit under the reply coupling
@@ -795,10 +777,6 @@ impl Service {
             },
             stages: StageCounters {
                 solve: ring_counters(self.inner.solve.ring_stats(), self.inner.solve.len()),
-                completion: ring_counters(
-                    self.inner.completions.ring_stats(),
-                    self.inner.completions.len(),
-                ),
                 lookup_hits: st.lookup_hits.load(Ordering::Relaxed),
                 lookup_misses: st.lookup_misses.load(Ordering::Relaxed),
                 solve_claimed: st.solve_claimed.load(Ordering::Relaxed),
@@ -845,14 +823,12 @@ impl Service {
         self.inner.shutdown_requested.store(true, Ordering::Release);
     }
 
-    /// Graceful shutdown, stage by stage: stop admitting, drain the solve
-    /// ring through the workers, drain the completion ring through the
-    /// dispatcher, join the snapshot timer, then run the last bulk pass
-    /// into the segment. The
-    /// completion ring is closed only after the solve workers have been
-    /// joined, so a job in flight *anywhere* is either delivered or (if
-    /// every waiter already left) cleanly cancelled — never stranded.
-    /// Idempotent.
+    /// Graceful shutdown: stop admitting, drain the solve ring through
+    /// the workers (each delivers what it finishes), join the snapshot
+    /// timer, then run the last bulk pass into the segment. So an
+    /// admitted job is either delivered or (if every waiter already left)
+    /// cleanly cancelled — never stranded. A warm hit needs no stage and
+    /// is answered even while the service drains. Idempotent.
     pub fn shutdown(&self) {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
@@ -860,10 +836,6 @@ impl Service {
         self.request_shutdown();
         self.inner.solve.close();
         for h in self.workers.lock_recover().drain(..) {
-            let _ = h.join();
-        }
-        self.inner.completions.close();
-        if let Some(h) = self.dispatcher.lock_recover().take() {
             let _ = h.join();
         }
         let (lock, cv) = &self.inner.timer_stop;

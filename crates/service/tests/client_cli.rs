@@ -121,6 +121,11 @@ fn zero_queue_and_pool_sizes_are_usage_errors() {
         (&["--queue-capacity", "0"][..], "--queue-capacity"),
         (&["--pool-capacity", "0"], "--pool-capacity"),
         (&["--pool-shards", "0", "--pool-capacity", "4"], "--pool-shards"),
+        // Over the ceilings: rejected before any thread or map exists.
+        (&["--workers", "257"], "--workers"),
+        (&["--workers", "18446744073709551615"], "--workers"),
+        (&["--pool-shards", "65537", "--pool-capacity", "4"], "--pool-shards"),
+        (&["--pool-shards", "65537"], "--pool-shards"),
     ] {
         let (code, stderr) = reqiscd(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

@@ -3,11 +3,12 @@
 //! * the solve ring ([`JobQueue`]) model-checked under arbitrary
 //!   push/pop/boost/cancel interleavings — priority-then-FIFO order
 //!   survives every sequence, and the transit counters balance;
-//! * the completion ring ([`FifoRing`]) model-checked as a strict FIFO
-//!   with close-drop semantics;
 //! * the assembled service under random warm submit/coalesce/cancel
 //!   interleavings — no completion is ever lost, no coalesced ticket is
-//!   ever double-responded, and the admission accounting closes exactly.
+//!   ever double-responded, and the admission accounting closes exactly;
+//! * `serve_lines` under random pipelined streams of warm hits, misses,
+//!   coalesced duplicates, parse errors and `stats` lines — one reply per
+//!   line, in request order, each equal to recomputation.
 //!
 //! Determinism note (single-core container): nothing here asserts wall
 //! time. The queue/ring checks are single-threaded model checks; the
@@ -18,9 +19,8 @@ use proptest::prelude::*;
 use reqisc_compiler::{Compiler, Pipeline};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_service::{
-    DebugOp, FifoRing, JobQueue, Priority, Service, ServiceConfig, DEFAULT_PRIORITY,
+    DebugOp, JobQueue, Priority, Service, ServiceConfig, DEFAULT_PRIORITY,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,45 +173,13 @@ proptest! {
         prop_assert_eq!(rs.dequeued, left, "every departure (pop or cancel) must be counted");
         prop_assert_eq!(rs.enqueued, rs.dequeued, "drained ring must balance");
     }
-
-    /// The completion ring is a strict FIFO: arbitrary push/pop
-    /// interleavings deliver in exact arrival order (the invariant that
-    /// makes `done_seq` assignment deterministic), nothing is lost, and
-    /// pushes after close are dropped — not delivered, not counted.
-    #[test]
-    fn fifo_ring_matches_its_model(ops in proptest::collection::vec((0u8..3, 0u64..100), 1..50)) {
-        let ring: FifoRing<u64> = FifoRing::new();
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut accepted = 0u64;
-        for &(sel, val) in &ops {
-            if sel < 2 {
-                prop_assert!(ring.push_completion(val), "open ring must accept");
-                model.push_back(val);
-                accepted += 1;
-            } else if let Some(front) = model.pop_front() {
-                // Only pop when the model is non-empty: pop_completion
-                // blocks on an open empty ring by design.
-                prop_assert_eq!(ring.pop_completion(), Some(front), "FIFO order violated");
-            }
-            prop_assert_eq!(ring.len(), model.len());
-        }
-        ring.close();
-        prop_assert!(!ring.push_completion(999), "closed ring must drop pushes");
-        while let Some(front) = model.pop_front() {
-            prop_assert_eq!(ring.pop_completion(), Some(front), "drain order violated");
-        }
-        prop_assert_eq!(ring.pop_completion(), None, "closed + drained signals None");
-        let rs = ring.ring_stats();
-        prop_assert_eq!(rs.enqueued, accepted, "the dropped post-close push must not count");
-        prop_assert_eq!(rs.dequeued, accepted);
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The assembled service under random warm submit / coalesce /
-    /// cancel interleavings racing the live dispatcher: after a full
+    /// cancel interleavings racing the live solve worker: after a full
     /// drain (shutdown), every kept ticket holds exactly one response
     /// (nothing lost, nothing double-delivered), and the admission
     /// accounting closes exactly — every non-coalesced submission is
@@ -286,9 +254,163 @@ proptest! {
         );
         prop_assert_eq!(st1.delivered - st0.delivered, d(|s| s.completed) + d(|s| s.failed));
         // Every ring drained and balanced.
-        for (name, rc) in [("solve", &st1.solve), ("completion", &st1.completion)] {
-            prop_assert_eq!(rc.depth, 0, "{} ring not drained", name);
-            prop_assert_eq!(rc.enqueued, rc.dequeued, "{} ring unbalanced", name);
+        prop_assert_eq!(st1.solve.depth, 0, "solve ring not drained");
+        prop_assert_eq!(st1.solve.enqueued, st1.solve.dequeued, "solve ring unbalanced");
+    }
+}
+
+/// One line of a generated request stream.
+#[derive(Debug, Clone, Copy)]
+enum Line {
+    /// A compile of this program key.
+    Compile(u64),
+    /// An unknown op: a `parse_error` that echoes its id.
+    Bogus,
+    Stats,
+    Blank,
+}
+
+/// The QASM-lite source of program `key` (distinct keys, distinct
+/// programs), escaped for a JSON string.
+fn program_qasm(key: u64) -> String {
+    format!("qubits 3\\nccx 0 1 2\\nh {}\\nrz 1 {}\\n", key % 3, 0.1 + key as f64)
+}
+
+fn request_line(id: u64, line: Line) -> String {
+    match line {
+        Line::Compile(key) => format!(
+            "{{\"id\":{id},\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"{}\"}}\n",
+            program_qasm(key)
+        ),
+        Line::Bogus => format!("{{\"id\":{id},\"op\":\"bogus\"}}\n"),
+        Line::Stats => format!("{{\"id\":{id},\"op\":\"stats\"}}\n"),
+        Line::Blank => "\n".into(),
+    }
+}
+
+/// Program keys the stream test primes before serving: warm hits.
+const WARM_KEYS: u64 = 3;
+
+/// A generated stream: `ops` picks each line's kind, and a miss followed
+/// by a warm hit is inserted at `at`, so every stream has a warm hit
+/// queued right behind an unanswered miss. Misses take fresh keys (one
+/// solve each, stalled by the solve delay); a duplicate repeats the last
+/// miss, so it coalesces while that miss is still in flight.
+fn stream(ops: &[(u8, u64)], at: usize) -> Vec<Line> {
+    const MISS_THEN_WARM: u8 = u8::MAX;
+    let mut kinds = ops.to_vec();
+    kinds.insert(at % (ops.len() + 1), (MISS_THEN_WARM, 0));
+    let mut last_miss = WARM_KEYS - 1;
+    let mut lines = Vec::new();
+    for (kind, key) in kinds {
+        match kind {
+            0 | 1 => lines.push(Line::Compile(key % WARM_KEYS)),
+            2 | MISS_THEN_WARM => {
+                last_miss += 1;
+                lines.push(Line::Compile(last_miss));
+                if kind == MISS_THEN_WARM {
+                    lines.push(Line::Compile(0));
+                }
+            }
+            3 => lines.push(Line::Compile(last_miss)),
+            4 => lines.push(Line::Bogus),
+            5 => lines.push(Line::Stats),
+            _ => lines.push(Line::Blank),
         }
+    }
+    lines
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `serve_lines` over a pipelined stream of warm hits, misses,
+    /// coalesced duplicates, parse errors, `stats` lines and blank
+    /// lines: every non-blank line gets exactly one reply, the replies
+    /// come back in request order (the write gate's law: the reader may
+    /// write a warm reply itself only when nothing earlier is owed),
+    /// every compile reply equals recomputation on its output, and the
+    /// `done_seq` values are distinct — a coalesced reply shares its
+    /// original's number and no other.
+    #[test]
+    fn pipelined_replies_stay_in_request_order(
+        ops in proptest::collection::vec((0u8..7, 0u64..WARM_KEYS), 1..12),
+        at in 0usize..12,
+    ) {
+        let service = Service::start_with_compiler(
+            small_compiler(),
+            ServiceConfig { workers: 1, solve_delay_ms: Some(20), ..ServiceConfig::default() },
+        );
+        let circuit = |key: u64| {
+            Arc::new(
+                reqisc_qcircuit::parse(&program_qasm(key).replace("\\n", "\n")).expect("qasm"),
+            )
+        };
+        let output = |key: u64| {
+            service
+                .submit_compile(circuit(key), Pipeline::Qiskit, DEFAULT_PRIORITY)
+                .expect("submit")
+                .wait()
+                .expect("compile")
+                .circuit
+                .expect("circuit")
+        };
+        for key in 0..WARM_KEYS {
+            output(key);
+        }
+        let lines = stream(&ops, at);
+        let mut input = String::new();
+        let mut expected = Vec::new();
+        for line in &lines {
+            if !matches!(line, Line::Blank) {
+                expected.push((expected.len() as u64 + 1, *line));
+            }
+            input.push_str(&request_line(expected.len() as u64, *line));
+        }
+        let mut out = Vec::new();
+        let served =
+            reqisc_service::serve_lines(&service, input.as_bytes(), &mut out).expect("serve");
+        prop_assert_eq!(served.requests, expected.len() as u64);
+        let replies: Vec<reqisc_service::Json> = String::from_utf8(out)
+            .expect("utf-8")
+            .lines()
+            .map(|l| reqisc_service::Json::parse(l).expect("reply parses"))
+            .collect();
+        prop_assert_eq!(replies.len(), expected.len(), "one reply per non-blank line");
+        // done_seq → (key, coalesced) of every compile reply carrying it.
+        let mut seqs: std::collections::HashMap<u64, Vec<(u64, bool)>> = Default::default();
+        for (reply, &(id, line)) in replies.iter().zip(&expected) {
+            let get = |k: &str| reply.get(k).unwrap_or_else(|| panic!("no {k}: {}", reply.emit()));
+            prop_assert_eq!(get("id").as_u64(), Some(id), "replies out of request order");
+            match line {
+                Line::Compile(key) => {
+                    prop_assert_eq!(get("ok").as_bool(), Some(true), "{}", reply.emit());
+                    let out = output(key);
+                    let m = service.metrics(&out);
+                    let fingerprint = format!("{:032x}", out.content_hash());
+                    prop_assert_eq!(get("fingerprint").as_str(), Some(fingerprint.as_str()));
+                    prop_assert_eq!(get("count_2q").as_u64(), Some(m.count_2q as u64));
+                    prop_assert_eq!(get("depth_2q").as_u64(), Some(m.depth_2q as u64));
+                    prop_assert_eq!(
+                        get("duration_g").as_f64().map(f64::to_bits),
+                        Some(m.duration.to_bits())
+                    );
+                    let seq = get("done_seq").as_u64().expect("done_seq");
+                    let coalesced = get("coalesced").as_bool().expect("coalesced");
+                    seqs.entry(seq).or_default().push((key, coalesced));
+                }
+                Line::Bogus => {
+                    prop_assert_eq!(get("error").as_str(), Some("parse_error"));
+                }
+                Line::Stats => prop_assert_eq!(get("op").as_str(), Some("stats")),
+                Line::Blank => unreachable!("blank lines get no reply"),
+            }
+        }
+        for (seq, users) in &seqs {
+            let originals = users.iter().filter(|(_, coalesced)| !coalesced).count();
+            prop_assert_eq!(originals, 1, "done_seq {} is shared beyond one job: {:?}", seq, users);
+            prop_assert!(users.iter().all(|(key, _)| *key == users[0].0), "{:?}", users);
+        }
+        service.shutdown();
     }
 }

@@ -11,18 +11,23 @@
 //! interleavings of small configs, not just the ones a lucky
 //! wall-clock run happens to hit:
 //!
-//! * a queue/ring push wakes a blocked pop (no lost `Condvar` wakeup —
+//! * a queue push wakes a blocked pop (no lost `Condvar` wakeup —
 //!   `queue_push_wakes_blocked_pop` is the seeded-violation target of
 //!   the CI `sched-check` smoke, which deletes `try_push`'s
 //!   `notify_one` and expects a deadlock report with a schedule);
 //! * a solve worker's claim vs. last-waiter-out cancellation: the job
 //!   is claimed or cancelled, exactly once (`claimed + cancelled == 1`);
 //! * a miss is pushed and its waiter registered under one inflight
-//!   lock span, so the dispatcher always finds the waiter (and the
-//!   explorer catches the variant that drops the lock in between);
+//!   lock span, so the solve worker that delivers it always finds the
+//!   waiter (and the explorer catches the variant that drops the lock in
+//!   between);
 //! * two coalesced waiters racing last-waiter-out cancel exactly once;
-//! * shutdown with in-flight solves and racing warm hits drains every
-//!   ring balanced (`enqueued == dequeued`, `delivered == posted`).
+//! * shutdown with in-flight solves, a miss and a warm hit racing it:
+//!   every admitted job and the hit are delivered exactly once, under
+//!   distinct 1-based `done_seq` values, and the solve ring balances;
+//! * a connection's write gate keeps replies in request order when the
+//!   reader writes a warm reply itself (and the explorer catches the
+//!   variant that opens the gate before the responder's write is done).
 
 #![cfg(feature = "sched-model")]
 
@@ -30,7 +35,8 @@ use reqisc_sched::thread::spawn;
 use reqisc_sched::{check, explore, replay, ModelConfig};
 use reqisc_service::sync::atomic::{AtomicU64, Ordering};
 use reqisc_service::sync::{LockRecover, Mutex};
-use reqisc_service::{FifoRing, JobQueue, DEFAULT_PRIORITY};
+use reqisc_service::server::WriteGate;
+use reqisc_service::{JobQueue, DEFAULT_PRIORITY};
 use std::sync::Arc;
 
 /// `JobQueue::try_push` must wake a consumer blocked in `pop`. This is
@@ -47,20 +53,6 @@ fn queue_push_wakes_blocked_pop() {
         q.try_push(7, DEFAULT_PRIORITY).expect("queue has room");
         let got = consumer.join().expect("consumer ran to completion");
         assert_eq!(got, Some(7), "blocked pop observed the pushed job");
-    });
-}
-
-/// Same wakeup law for the completion ring: `push_completion` must
-/// wake a dispatcher blocked in `pop_completion`.
-#[test]
-fn ring_push_wakes_blocked_pop() {
-    check("ring_push_wakes_blocked_pop", ModelConfig::default(), || {
-        let r = Arc::new(FifoRing::<u32>::new());
-        let rc = r.clone();
-        let dispatcher = spawn(move || rc.pop_completion());
-        assert!(r.push_completion(9), "ring is open");
-        let got = dispatcher.join().expect("dispatcher ran to completion");
-        assert_eq!(got, Some(9), "blocked pop_completion observed the completion");
     });
 }
 
@@ -114,16 +106,16 @@ fn solve_claim_vs_cancel_conserves_the_job() {
     });
 }
 
-/// One miss through `Service::submit_compile`, a solve worker and the
-/// dispatcher. `submit_compile` pushes the job and registers its waiter
-/// under one inflight lock span; the dispatcher collects the waiters
-/// under the same lock. With `register_under_the_push_lock == false` —
-/// the planted bug — the lock is dropped between push and registration:
-/// the job can be solved and dispatched to nobody, and the waiter
-/// registered afterwards never hears back.
-fn miss_through_dispatch(register_under_the_push_lock: bool) {
+/// One miss through `Service::submit_compile` and the solve worker that
+/// delivers it. `submit_compile` pushes the job and registers its waiter
+/// under one inflight lock span; the worker, once it has solved the job,
+/// takes the waiters under the same lock and sends to them after
+/// releasing it. With `register_under_the_push_lock == false` — the
+/// planted bug — the lock is dropped between push and registration: the
+/// job can be solved and delivered to nobody, and the waiter registered
+/// afterwards never hears back.
+fn miss_through_solve(register_under_the_push_lock: bool) {
     let solve = Arc::new(JobQueue::<u32>::new(2));
-    let completions = Arc::new(FifoRing::<u32>::new());
     // The inflight map's waiter list for the one key (`None` = no entry).
     let inflight: Arc<Mutex<Option<Vec<u64>>>> = Arc::new(Mutex::new(None));
     let delivered = Arc::new(AtomicU64::new(0));
@@ -140,24 +132,18 @@ fn miss_through_dispatch(register_under_the_push_lock: bool) {
         drop(guard);
     });
 
-    let (solve_w, ring_w) = (solve.clone(), completions.clone());
+    let (solve_w, infl_w, delivered_w) = (solve.clone(), inflight.clone(), delivered.clone());
     let worker = spawn(move || {
-        if let Some(job) = solve_w.pop() {
-            assert!(ring_w.push_completion(job), "completion ring open while solving");
-        }
-    });
-
-    let (ring_d, infl_d, delivered_d) = (completions.clone(), inflight.clone(), delivered.clone());
-    let dispatcher = spawn(move || {
-        if ring_d.pop_completion().is_some() {
-            let waiters = infl_d.lock_recover().take().unwrap_or_default();
-            delivered_d.fetch_add(waiters.len() as u64, Ordering::Relaxed);
+        if solve_w.pop().is_some() {
+            let waiters = infl_w.lock_recover().take().unwrap_or_default();
+            for _ in waiters {
+                delivered_w.fetch_add(1, Ordering::Relaxed);
+            }
         }
     });
 
     submit.join().expect("submit ran to completion");
     worker.join().expect("worker ran to completion");
-    dispatcher.join().expect("dispatcher ran to completion");
     assert_eq!(
         delivered.load(Ordering::Relaxed),
         1,
@@ -165,12 +151,12 @@ fn miss_through_dispatch(register_under_the_push_lock: bool) {
     );
 }
 
-/// The lock span of `submit_compile` holds: the dispatcher always finds
-/// the waiter of the job it delivers.
+/// The lock span of `submit_compile` holds: the solve worker always
+/// finds the waiter of the job it delivers.
 #[test]
 fn miss_registers_its_waiter_before_delivery() {
     check("miss_registers_before_delivery", ModelConfig::default(), || {
-        miss_through_dispatch(true)
+        miss_through_solve(true)
     });
 }
 
@@ -179,7 +165,7 @@ fn miss_registers_its_waiter_before_delivery() {
 /// back a deterministic, replayable schedule.
 #[test]
 fn explorer_catches_unlocked_transfer_race() {
-    let buggy = || miss_through_dispatch(false);
+    let buggy = || miss_through_solve(false);
 
     let report = explore(ModelConfig::default(), buggy);
     let failure = report.failure.expect("the unlocked transfer race must be found");
@@ -237,71 +223,212 @@ fn coalesced_waiters_cancel_exactly_once() {
     });
 }
 
-/// Shutdown racing in-flight solves and a warm hit: the stages are
-/// closed in order while the solve / dispatch threads are mid-transfer
-/// and a submitter posts a hit straight to the completion ring. In every
-/// interleaving the rings drain balanced (`enqueued == dequeued` on
-/// each) and every admitted job and every accepted hit is delivered.
+/// Jobs of the shutdown model: two admitted before shutdown starts, a
+/// miss submitted while it runs, and a warm hit submitted while it runs.
+const ADMITTED: [usize; 2] = [0, 1];
+const RACING_MISS: usize = 2;
+const RACING_HIT: usize = 3;
+
+/// Per job: how many times it was delivered, and the `done_seq` it got.
+struct Deliveries {
+    done_seq: AtomicU64,
+    count: [AtomicU64; 4],
+    seq: [AtomicU64; 4],
+}
+
+impl Deliveries {
+    /// `Inner::finish` and the send that follows it: one number from the
+    /// global counter per delivery.
+    fn deliver(&self, job: usize) {
+        let seq = self.done_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.seq[job].store(seq, Ordering::Relaxed);
+        self.count[job].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Shutdown racing in-flight solves, a miss and a warm hit:
+/// `Service::shutdown` closes the solve ring while the solve worker is
+/// mid-transfer, a submitter pushes a miss (admitted only if the ring is
+/// still open) and then delivers a warm hit at submission (answered
+/// whatever the ring's state). In every interleaving each admitted job
+/// and the hit are delivered exactly once, their `done_seq` values are
+/// exactly `1..=delivered`, and the solve ring balances.
 #[test]
 fn shutdown_with_inflight_solve_drains_balanced() {
-    // One preemption is enough to interleave the close() calls into
-    // every stage handoff; bound 2 here multiplies the schedule count
-    // well past what a test budget buys in extra coverage.
+    // One preemption is enough to interleave the close() into every
+    // handoff; bound 2 here multiplies the schedule count well past what
+    // a test budget buys in extra coverage.
     let cfg = ModelConfig { max_preemptions: 1, ..ModelConfig::default() };
     check("shutdown_drains_balanced", cfg, || {
-        let solve = Arc::new(JobQueue::<u32>::new(4));
-        let completions = Arc::new(FifoRing::<u32>::new());
-        let delivered = Arc::new(AtomicU64::new(0));
-        let hits = Arc::new(AtomicU64::new(0));
-        const ADMITTED: u64 = 2;
-        for job in 0..ADMITTED {
-            solve.try_push(job as u32, DEFAULT_PRIORITY).expect("queue has room");
+        let solve = Arc::new(JobQueue::<usize>::new(4));
+        let log = Arc::new(Deliveries {
+            done_seq: AtomicU64::new(0),
+            count: Default::default(),
+            seq: Default::default(),
+        });
+        let miss_admitted = Arc::new(AtomicU64::new(0));
+        for job in ADMITTED {
+            solve.try_push(job, DEFAULT_PRIORITY).expect("queue has room");
         }
 
-        // A warm hit racing shutdown: accepted only while the ring is
-        // open (`submit_compile` rejects it otherwise).
-        let (ring_h, hits_h) = (completions.clone(), hits.clone());
+        let (solve_s, log_s, admitted_s) = (solve.clone(), log.clone(), miss_admitted.clone());
         let submitter = spawn(move || {
-            if ring_h.push_completion(99) {
-                hits_h.fetch_add(1, Ordering::Relaxed);
+            if solve_s.try_push(RACING_MISS, DEFAULT_PRIORITY).is_ok() {
+                admitted_s.store(1, Ordering::Relaxed);
             }
+            log_s.deliver(RACING_HIT);
         });
 
-        let (solve_out, ring_in) = (solve.clone(), completions.clone());
+        let (solve_w, log_w) = (solve.clone(), log.clone());
         let solver = spawn(move || {
-            while let Some(job) = solve_out.pop() {
-                assert!(ring_in.push_completion(job), "completion ring open while solving");
+            while let Some(job) = solve_w.pop() {
+                log_w.deliver(job);
             }
         });
 
-        let (ring_out, delivered_d) = (completions.clone(), delivered.clone());
-        let dispatcher = spawn(move || {
-            while ring_out.pop_completion().is_some() {
-                delivered_d.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-
-        // Shutdown order from Service::shutdown: close the completion
-        // ring only after the solve workers have been joined.
+        // Service::shutdown: close the solve ring, join the workers.
         solve.close();
         solver.join().expect("solver exited on close");
-        completions.close();
-        dispatcher.join().expect("dispatcher exited on close");
         submitter.join().expect("submitter ran to completion");
 
-        assert_eq!(
-            delivered.load(Ordering::Relaxed),
-            ADMITTED + hits.load(Ordering::Relaxed),
-            "delivered == admitted + accepted hits"
-        );
-        for (name, stats) in [("solve", solve.ring_stats()), ("completions", completions.ring_stats())]
-        {
-            assert_eq!(
-                stats.enqueued, stats.dequeued,
-                "{name} ring drained balanced at shutdown"
-            );
+        let count = |job: usize| log.count[job].load(Ordering::Relaxed);
+        for job in ADMITTED {
+            assert_eq!(count(job), 1, "admitted job {job} delivered exactly once");
+        }
+        assert_eq!(count(RACING_MISS), miss_admitted.load(Ordering::Relaxed), "miss: iff admitted");
+        assert_eq!(count(RACING_HIT), 1, "the warm hit is answered, even while draining");
+        let mut seqs: Vec<u64> = (0..4)
+            .filter(|&job| count(job) > 0)
+            .map(|job| log.seq[job].load(Ordering::Relaxed))
+            .collect();
+        seqs.sort_unstable();
+        let expected: Vec<u64> = (1..=seqs.len() as u64).collect();
+        assert_eq!(seqs, expected, "done_seq values are distinct and 1-based");
+        let stats = solve.ring_stats();
+        assert_eq!(stats.enqueued, stats.dequeued, "solve ring drained balanced at shutdown");
+    });
+}
+
+/// One connection's writer in a model: appends to a buffer the test
+/// reads once every thread has joined. Only ever written by one model
+/// thread at a time, so its std lock is never contended.
+#[derive(Clone, Default)]
+struct Sink(Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("sink lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The three moves of a write gate, so the model runs the real
+/// [`WriteGate`] and the planted variant alike.
+trait Gate: Send + Sync + 'static {
+    fn write_or_owe(&self, line: &[u8]) -> bool;
+    fn owe(&self);
+    fn write_owed(&self, line: &[u8]);
+}
+
+impl Gate for WriteGate<Sink> {
+    fn write_or_owe(&self, line: &[u8]) -> bool {
+        WriteGate::write_or_owe(self, line).expect("the sink never fails")
+    }
+    fn owe(&self) {
+        WriteGate::owe(self)
+    }
+    fn write_owed(&self, line: &[u8]) {
+        WriteGate::write_owed(self, line).expect("the sink never fails")
+    }
+}
+
+/// The write gate with the bug it exists to prevent: the responder gives
+/// its place up *before* its write has finished, so the reader can slip
+/// a later reply in first.
+struct OpenEarlyGate {
+    owed: Mutex<usize>,
+    sink: Mutex<Sink>,
+}
+
+impl Gate for OpenEarlyGate {
+    fn write_or_owe(&self, line: &[u8]) -> bool {
+        let mut owed = self.owed.lock_recover();
+        if *owed > 0 {
+            *owed += 1;
+            return false;
+        }
+        std::io::Write::write_all(&mut *self.sink.lock_recover(), line).expect("sink");
+        true
+    }
+    fn owe(&self) {
+        *self.owed.lock_recover() += 1;
+    }
+    fn write_owed(&self, line: &[u8]) {
+        *self.owed.lock_recover() -= 1; // BUG: open before the write is out
+        std::io::Write::write_all(&mut *self.sink.lock_recover(), line).expect("sink");
+    }
+}
+
+/// A connection whose first request is a miss and whose second is a warm
+/// hit (`serve_lines`' `post`): the reader owes reply 1 to the responder,
+/// which writes it once its ticket resolves, while the reader finishes
+/// reply 2 at once and writes it itself unless something is still owed.
+fn miss_then_warm_hit<G: Gate>(gate: G, sink: Sink) {
+    let gate = Arc::new(gate);
+    // The reader → responder channel, FIFO at one priority.
+    let handoff = Arc::new(JobQueue::<u8>::new(2));
+    gate.owe();
+    handoff.try_push(b'1', DEFAULT_PRIORITY).expect("room");
+    let (gate_r, handoff_r) = (gate.clone(), handoff.clone());
+    let responder = spawn(move || {
+        while let Some(reply) = handoff_r.pop() {
+            gate_r.write_owed(&[reply, b'\n']);
         }
     });
+    if !gate.write_or_owe(b"2\n") {
+        handoff.try_push(b'2', DEFAULT_PRIORITY).expect("room");
+    }
+    handoff.close();
+    responder.join().expect("responder ran to completion");
+    let out = String::from_utf8(sink.0.lock().expect("sink lock").clone()).expect("utf-8");
+    assert_eq!(out, "1\n2\n", "replies left out of request order");
+}
+
+/// The real write gate: in every interleaving the warm reply written by
+/// the reader comes out after the miss's reply written by the responder.
+#[test]
+fn write_gate_keeps_request_order() {
+    check("write_gate_keeps_request_order", ModelConfig::default(), || {
+        let sink = Sink::default();
+        miss_then_warm_hit(WriteGate::new(sink.clone()), sink)
+    });
+}
+
+/// The gate opened before the responder's write is out: the explorer
+/// must find the interleaving that writes the warm reply first, and its
+/// schedule must replay the same failure.
+#[test]
+fn explorer_catches_gate_opened_before_write() {
+    let buggy = || {
+        let sink = Sink::default();
+        let gate = OpenEarlyGate { owed: Mutex::new(0), sink: Mutex::new(sink.clone()) };
+        miss_then_warm_hit(gate, sink)
+    };
+    let report = explore(ModelConfig::default(), buggy);
+    let failure = report.failure.expect("the early-open gate must be caught");
+    assert!(
+        failure.message.contains("replies left out of request order"),
+        "failure is the reordered output, got: {}",
+        failure.message
+    );
+    assert!(!failure.schedule.is_empty(), "failure carries a replay schedule");
+    let again = replay(ModelConfig::default(), &failure.schedule, buggy);
+    let refound = again.failure.expect("replaying the schedule reproduces the reorder");
+    assert_eq!(refound.message, failure.message);
 }
 
 /// The shared-segment publish/probe protocol (`reqisc-shmem`), modeled
