@@ -157,11 +157,9 @@ pub(crate) fn request_id(line: &str) -> u64 {
 }
 
 /// Builds a successful compile response. `done_seq` is the service's
-/// global completion sequence number: unique and 1-based, taken when the
-/// result is delivered — at submission for a warm hit, by the solve
-/// worker for a miss. It is the order handle the stall-isolation tests
-/// assert with (warm hits must get lower numbers than the cold solves
-/// they overtook).
+/// global completion sequence number (see the module docs) — the order
+/// handle the stall-isolation tests assert with (warm hits must get
+/// lower numbers than the cold solves they overtook).
 pub fn compile_response(
     id: u64,
     fingerprint: u128,

@@ -185,10 +185,10 @@ pub fn serve_lines(
     let (tx, rx) = mpsc::channel::<Pending>();
     let gate = WriteGate::new(writer);
     let mut outcome = ServeOutcome { requests: 0, shutdown: false };
-    let (read_result, write_result) = std::thread::scope(|scope| {
+    let (reader_result, write_result) = std::thread::scope(|scope| {
         let gate = &gate;
         let responder = scope.spawn(move || respond_loop(service, rx, gate));
-        let mut read_result = Ok(());
+        let mut reader_result = Ok(());
         loop {
             let pending = match read_line_bounded(&mut reader, MAX_REQUEST_LINE_BYTES) {
                 Ok(None) => break,
@@ -200,7 +200,7 @@ pub fn serve_lines(
                     format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
                 )),
                 Err(e) => {
-                    read_result = Err(e);
+                    reader_result = Err(e);
                     break;
                 }
             };
@@ -212,7 +212,7 @@ pub fn serve_lines(
                 Ok(true) if !outcome.shutdown => {}
                 Ok(_) => break,
                 Err(e) => {
-                    read_result = Err(e);
+                    reader_result = Err(e);
                     break;
                 }
             }
@@ -228,9 +228,9 @@ pub fn serve_lines(
         if outcome.shutdown {
             service.request_shutdown();
         }
-        (read_result, write_result)
+        (reader_result, write_result)
     });
-    read_result?;
+    reader_result?;
     write_result?;
     Ok(outcome)
 }

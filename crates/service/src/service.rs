@@ -228,7 +228,7 @@ const TERMINATED: &str = "service terminated before the job ran";
 impl Ticket {
     /// True when the result is already here: the job was answered at
     /// submission, so [`Ticket::wait`] returns without blocking.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         matches!(self.claim, Claim::Done(_))
     }
 
