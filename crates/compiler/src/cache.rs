@@ -1,8 +1,8 @@
 //! The compilation service layer's cache: content-addressed memo tables
 //! shared by every worker of a [`crate::pipelines::Compiler`] batch run.
 //!
-//! Two pools, both built on the sharded read-mostly map of
-//! [`reqisc_microarch::cache`]:
+//! Two pools, both built on the crate's sharded read-mostly map (the
+//! private `pool` module):
 //!
 //! * **programs** — whole-pipeline results keyed by (circuit content
 //!   hash, pipeline, compiler-options fingerprint). A warm hit returns a
@@ -21,7 +21,6 @@
 //! different computations. The pools live in memory; the shared segment
 //! ([`crate::sharing`]) is their durable tier.
 
-use reqisc_microarch::cache::{CacheStats, ShardedMap};
 use reqisc_microarch::Coupling;
 use reqisc_qcircuit::Circuit;
 use reqisc_qmath::{CMat, Fnv128};
@@ -29,6 +28,7 @@ use reqisc_synthesis::{synthesize_if_shorter, BlockCircuit, SearchOptions};
 use std::sync::{Arc, OnceLock};
 
 use crate::pipelines::{metrics, Metrics, Pipeline};
+use crate::pool::{CacheStats, ShardedMap};
 
 // Shared-segment records carry reply records priced under this coupling,
 // so changing the coupling or the record's fields without a
@@ -166,8 +166,7 @@ impl std::fmt::Display for CompileCacheStats {
 
 /// The shared compilation cache. Every method takes `&self`; a single
 /// instance is safely shared by reference across `std::thread::scope`
-/// workers (reads are shard-read-lock only — see
-/// [`reqisc_microarch::cache`]).
+/// workers (reads are shard-read-lock only).
 #[derive(Debug, Default)]
 pub struct CompileCache {
     programs: ShardedMap<ProgramKey, Arc<Program>>,
@@ -185,8 +184,8 @@ impl CompileCache {
     /// default shape ([`CompileCache::new`]) is deliberately generous
     /// (16 × 1024 entries per pool, effectively unbounded for the demo
     /// suite); a bounded shape evicts least-recently-used entries once a
-    /// shard fills, with [`reqisc_microarch::cache::CacheStats::evictions`]
-    /// counting every displacement.
+    /// shard fills, with [`CacheStats::evictions`] counting every
+    /// displacement.
     ///
     /// # Panics
     ///
@@ -264,14 +263,14 @@ impl CompileCache {
     }
 
     /// Seeds one whole-program entry (counter-free warm start — see
-    /// [`reqisc_microarch::cache::ShardedMap::seed`]).
+    /// [`ShardedMap::seed`]).
     pub(crate) fn seed_program(&self, key: ProgramKey, out: Arc<Program>) {
         self.programs.seed(key, out);
     }
 
     /// Seeds one whole-program entry fetched from the shared segment to
     /// answer a lookup: counter-free, but marked used, so a bulk pass
-    /// re-stamps it (see [`reqisc_microarch::cache::ShardedMap::seed_served`]).
+    /// re-stamps it (see [`ShardedMap::seed_served`]).
     pub(crate) fn seed_served_program(&self, key: ProgramKey, out: Arc<Program>) {
         self.programs.seed_served(key, out);
     }
@@ -495,5 +494,117 @@ mod tests {
         opts2.sweep.seed = 99;
         cache.synthesize_if_shorter_cached(&target, 3, 6, &opts2);
         assert_eq!(cache.stats().synthesis.misses, 3);
+    }
+
+    #[test]
+    fn sharded_map_counts_hits_misses_inserts() {
+        let m: ShardedMap<u64, u64> = ShardedMap::new();
+        assert_eq!(m.get(&1), None);
+        m.insert(1, 10);
+        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.get(&2), None);
+        let s = m.stats();
+        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (1, 2, 1, 0));
+        assert_eq!(s.lookups(), 3);
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn sharded_map_evicts_at_capacity() {
+        let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 4);
+        for k in 0..10 {
+            // Memo discipline: a miss precedes every insert.
+            assert_eq!(m.get(&k), None);
+            m.insert(k, k);
+        }
+        assert!(m.len() <= 4);
+        let s = m.stats();
+        assert_eq!(s.inserts, 10);
+        assert_eq!(s.evictions, 6);
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn sharded_map_evicts_least_recently_used() {
+        let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 2);
+        // Memo discipline throughout: a missed get precedes every insert.
+        assert_eq!(m.get(&1), None);
+        m.insert(1, 10);
+        assert_eq!(m.get(&2), None);
+        m.insert(2, 20);
+        // Touch 1 so 2 becomes the LRU victim.
+        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.get(&3), None);
+        m.insert(3, 30);
+        assert_eq!(m.get(&2), None, "LRU entry must have been evicted");
+        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.get(&3), Some(30));
+        // Accounting stays exact under eviction: the evicted key's lookup
+        // is an honest miss, everything else honest hits.
+        let s = m.stats();
+        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (3, 4, 3, 1));
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn seeded_entries_are_coldest_victims_and_report_unused() {
+        let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 3);
+        m.seed(1, 10);
+        m.seed(2, 20);
+        assert_eq!(m.get(&2), Some(20), "seeded entry serves as a hit");
+        m.insert(3, 30);
+        // At capacity: the never-used seed (key 1) is the victim, not the
+        // seed a lookup touched and not the live insert.
+        m.insert(4, 40);
+        assert_eq!(m.get(&1), None, "unused seed must be evicted first");
+        assert_eq!(m.get(&2), Some(20));
+        assert_eq!(m.get(&4), Some(40));
+        let mut used = std::collections::BTreeMap::new();
+        m.for_each_with_used(|k, _, u| {
+            used.insert(*k, u);
+        });
+        assert_eq!(used.get(&2), Some(&true), "hit seed reports used");
+        assert_eq!(used.get(&3), Some(&true), "live insert reports used");
+        // A served seed counts nothing but reports used, and the LRU
+        // evicts a never-used seed before it.
+        let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 2);
+        m.seed(1, 10);
+        m.seed_served(2, 20);
+        m.insert(3, 30);
+        assert_eq!(m.stats(), CacheStats { hits: 0, misses: 0, inserts: 1, evictions: 1 });
+        assert_eq!(m.get(&2), Some(20), "the served seed outranks the unused one");
+        assert_eq!(m.get(&1), None);
+    }
+
+    #[test]
+    fn get_or_insert_with_memoizes() {
+        let m: ShardedMap<u64, u64> = ShardedMap::new();
+        let mut calls = 0;
+        let v = m.get_or_insert_with(&7, || {
+            calls += 1;
+            42
+        });
+        assert_eq!(v, 42);
+        let v2 = m.get_or_insert_with(&7, || {
+            calls += 1;
+            99
+        });
+        assert_eq!(v2, 42, "second lookup must come from the cache");
+        assert_eq!(calls, 1);
+    }
+
+    /// `fig13` and `cachebench` print this line, and `reqisc-client stats
+    /// --require-program-hit-pct` gates on `hit_rate`; both are pinned here.
+    #[test]
+    fn cache_stats_display_and_hit_rate() {
+        let s = CacheStats { hits: 3, misses: 1, inserts: 1, evictions: 0 };
+        assert_eq!(s.hit_rate(), 0.75);
+        assert_eq!(s.to_string(), "3 hits / 4 lookups (75.0% hit rate), 1 inserts, 0 evictions");
+        let s = CacheStats { hits: 2, misses: 1, inserts: 1, evictions: 1 };
+        assert_eq!(s.to_string(), "2 hits / 3 lookups (66.7% hit rate), 1 inserts, 1 evictions");
+        // Zero lookups read as a 0 % hit rate, never NaN.
+        let empty = CacheStats::default();
+        assert_eq!(empty.hit_rate(), 0.0);
+        assert_eq!(empty.to_string(), "0 hits / 0 lookups (0.0% hit rate), 0 inserts, 0 evictions");
     }
 }

@@ -30,6 +30,7 @@ pub mod hierarchical;
 pub mod partition;
 pub mod pauli_frontend;
 pub mod pipelines;
+mod pool;
 pub mod sabre;
 pub mod sharing;
 pub mod template_pass;
@@ -37,7 +38,7 @@ pub mod topology;
 pub mod variational;
 
 pub use cache::{reply_coupling, CompileCache, CompileCacheStats, Program, ReplyRecord};
-pub use reqisc_microarch::cache::CacheStats;
+pub use pool::CacheStats;
 pub use cnot_opt::{merge_pauli_rotations, qiskit_like, resynthesize_to_cx, tket_like};
 pub use compact::{compact, gates_commute, CompactOptions};
 pub use fuse::fuse_2q;

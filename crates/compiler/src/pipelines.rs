@@ -65,11 +65,6 @@ impl Pipeline {
         }
     }
 
-    /// True for pipelines emitting the SU(4) ISA.
-    pub fn is_su4(&self) -> bool {
-        !matches!(self, Pipeline::Qiskit | Pipeline::Tket)
-    }
-
     /// Inverse of [`Pipeline::name`]: resolves the short display name back
     /// to the variant (`None` for unknown names). The service protocol's
     /// pipeline field parses through this, so wire names and display
@@ -441,9 +436,10 @@ pub fn metrics(c: &Circuit, cp: &Coupling) -> Metrics {
 /// The default is the right call for essentially every consumer:
 /// synthesis converges to ~1e-11 infidelity, which leaves ~1e-6
 /// coordinate noise, so grouping tighter than 1e-5 over-splits identical
-/// instructions (and silently diverges from the pulse cache's own class
-/// keys). Pass a different tolerance explicitly via
-/// [`distinct_su4_count_with_tol`] only when you have a reason.
+/// instructions, and gates within 1e-5 legitimately share one pulse
+/// program (per-gate 1Q corrections absorb the ≤ ~1e-10
+/// process-infidelity difference). Pass a different tolerance explicitly
+/// via [`distinct_su4_count_with_tol`] only when you have a reason.
 pub fn distinct_su4_count(c: &Circuit) -> usize {
     distinct_su4_count_with_tol(c, reqisc_qmath::SU4_CLASS_TOL)
 }

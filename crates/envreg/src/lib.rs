@@ -113,12 +113,6 @@ pub const THREADS: EnvKnob = EnvKnob {
     doc: "cachebench batch worker count (default 0 = hardware parallelism)",
 };
 
-/// Deterministic cold-solve stall for the stall-isolation tests.
-pub const DEBUG_SOLVE_DELAY_MS: EnvKnob = EnvKnob {
-    name: "REQISC_DEBUG_SOLVE_DELAY_MS",
-    doc: "Milliseconds a solve worker sleeps before each cold compile it claims (stall-isolation drills; default 0 = off)",
-};
-
 /// Skip `cachebench`'s slow serial reference column.
 pub const SKIP_SERIAL: EnvKnob = EnvKnob {
     name: "REQISC_SKIP_SERIAL",
@@ -170,7 +164,6 @@ pub const ALL: &[&EnvKnob] = &[
     &HAAR_SAMPLES,
     &BENCH_N,
     &THREADS,
-    &DEBUG_SOLVE_DELAY_MS,
     &SKIP_SERIAL,
     &REQUIRE_DISK_WARM_X,
     &REQUIRE_PROGRAM_HIT_PCT,

@@ -5,7 +5,7 @@
 //! * `SeqCst` anywhere is denied — on this stack it is always either an
 //!   over-strong counter (pay a full fence per stats tick) or a handoff
 //!   spelled without saying which side it is. The one legitimate user
-//!   (`microarch/cache.rs`'s consistency-snapshot counters, whose
+//!   (`compiler/pool.rs`'s consistency-snapshot counters, whose
 //!   `is_consistent` check needs a single total order) carries a
 //!   file-level allow citing that argument.
 //! * Release/Acquire sites must pair up: keyed by the atomic's field

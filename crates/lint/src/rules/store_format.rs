@@ -4,10 +4,11 @@
 //! The surface is: whole-file normalized token streams (`surface-file`),
 //! `lint:store-surface-begin/end` regions (`surface-region`), and the
 //! literal values of registered constants (`surface-const` — the KAK
-//! face-snap and SU(4) class tolerances, whose values decide which cache
-//! keys collide on disk). All fingerprints live in a committed registry
-//! keyed by the version. The rule compares live workspace against
-//! registry:
+//! face-snap tolerance, whose value decides the durations persisted in
+//! segment reply records). All fingerprints live in a committed registry
+//! keyed by the version. The rule compares the live workspace's entries
+//! against the registry (a registry line no live entry names is not
+//! compared):
 //!
 //! * live version ≠ registry version → the registry is stale: regenerate
 //!   it (`--update-store-registry`) as part of the bump commit;

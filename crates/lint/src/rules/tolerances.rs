@@ -2,9 +2,9 @@
 //! production code.
 //!
 //! The workspace's numeric contracts (KAK face snapping, SU(4) class
-//! keys, solver convergence) hinge on a handful of named tolerances
-//! whose exact values are load-bearing — two of them are part of the
-//! persisted format surface. A bare `x < 1e-9` scattered in a
+//! grouping, solver convergence) hinge on a handful of named tolerances
+//! whose exact values are load-bearing — the KAK face snap is part of
+//! the persisted format surface. A bare `x < 1e-9` scattered in a
 //! kernel is either (a) secretly one of those contracts, in which case
 //! drift between the literal and the named constant corrupts caches, or
 //! (b) a local heuristic, in which case naming it documents that.

@@ -50,16 +50,6 @@ impl Coupling {
         self.a + self.b + self.c.abs()
     }
 
-    /// Hashable fingerprint of the coefficients, quantized at `1e-9`
-    /// (well below any physically meaningful coupling difference). Used
-    /// with [`reqisc_qmath::WeylClassKey`] to key the pulse-solution
-    /// cache.
-    pub fn class_key(&self) -> [i64; 3] {
-        use reqisc_qmath::fingerprint::quantize;
-        const TOL: f64 = 1e-9;
-        [quantize(self.a, TOL), quantize(self.b, TOL), quantize(self.c, TOL)]
-    }
-
     /// The 4×4 Hamiltonian `a·XX + b·YY + c·ZZ`.
     pub fn hamiltonian(&self) -> CMat {
         let xx = pauli_x().kron(&pauli_x());

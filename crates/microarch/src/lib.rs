@@ -19,14 +19,12 @@
 //! assert!((s.tau - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
 //! ```
 
-pub mod cache;
 pub mod calibration;
 pub mod coupling;
 pub mod duration;
 pub mod scheme;
 pub mod solver;
 
-pub use cache::{CacheStats, PulseCache, ShardedMap, SolvedClass};
 pub use calibration::{
     calibrate_gate, characterize_coupling, characterize_drive_gain, CalibratedGate,
     DeviceModel, SimulatedDevice,
@@ -37,8 +35,8 @@ pub use duration::{
     Duration, FrontierTimes, Image,
 };
 pub use scheme::{
-    realize_gate, solve_pulse, solve_pulse_profiled, solve_with_mirroring, GateRealization,
-    MirroredSolution, PulseSolution, SolveError, Subscheme, DEFAULT_MIRROR_THRESHOLD,
+    realize_gate, solve_pulse, solve_with_mirroring, GateRealization, MirroredSolution,
+    PulseSolution, SolveError, Subscheme, DEFAULT_MIRROR_THRESHOLD,
 };
 pub use solver::{
     ea_params, ea_params_checked, evolve, residual, sinc, sinc_inverse, solve_ea,

@@ -15,7 +15,7 @@
 // lint:allow-file(tolerance-literal, pulse-scheme residual and branch guards local to the solve path)
 use crate::coupling::Coupling;
 use crate::duration::{optimal_duration, Duration, Image};
-use crate::solver::{evolve, residual, solve_ea_profiled, solve_nd, EaSign, EaSolveProfile, PulseParams};
+use crate::solver::{evolve, residual, solve_ea, solve_nd, EaSign, PulseParams};
 use reqisc_qmath::weyl::WeylCoord;
 use reqisc_qmath::{kak_decompose, weyl_coords, CMat, C64};
 
@@ -78,43 +78,22 @@ impl std::error::Error for SolveError {}
 /// requested tolerance (which would indicate coordinates at a control
 /// singularity — e.g. deep near-identity gates).
 pub fn solve_pulse(cp: &Coupling, w: &WeylCoord) -> Result<PulseSolution, SolveError> {
-    solve_pulse_profiled(cp, w).0
-}
-
-/// [`solve_pulse`] plus the accumulated EA-solver cost profile of every
-/// subscheme attempt — the cold-path observability hook the pulse cache
-/// aggregates into its solver counters. Wrong-subscheme fallback attempts
-/// show up as `early_rejects` profiles costing zero evaluations (the
-/// conserved-eigenphase precheck). The profile rides *outside* the
-/// `Result` so failed solves — the most expensive cold path of all, every
-/// subscheme burning its full budget — report their true cost instead of
-/// a zeroed profile.
-pub fn solve_pulse_profiled(
-    cp: &Coupling,
-    w: &WeylCoord,
-) -> (Result<PulseSolution, SolveError>, EaSolveProfile) {
     let tol = 1e-8;
     if !w.in_chamber() {
-        return (
-            Err(SolveError { message: format!("coordinates {w} not canonical") }),
-            EaSolveProfile::default(),
-        );
+        return Err(SolveError { message: format!("coordinates {w} not canonical") });
     }
     let dur: Duration = optimal_duration(w, cp);
     let tau = dur.tau;
     if tau <= 1e-14 {
         // Identity class: no pulse at all.
-        return (
-            Ok(PulseSolution {
-                tau: 0.0,
-                params: PulseParams { omega1: 0.0, omega2: 0.0, delta: 0.0 },
-                subscheme: Subscheme::Nd,
-                image: Image::Direct,
-                target: *w,
-                residual: 0.0,
-            }),
-            EaSolveProfile::default(),
-        );
+        return Ok(PulseSolution {
+            tau: 0.0,
+            params: PulseParams { omega1: 0.0, omega2: 0.0, delta: 0.0 },
+            subscheme: Subscheme::Nd,
+            image: Image::Direct,
+            target: *w,
+            residual: 0.0,
+        });
     }
     let eff = dur.effective;
     let ft = dur.frontier;
@@ -127,8 +106,7 @@ pub fn solve_pulse_profiled(
     } else {
         Subscheme::EaPlus
     };
-    let mut profile = EaSolveProfile::default();
-    let mut attempt = |sub: Subscheme| -> Option<(Subscheme, PulseParams, f64)> {
+    let attempt = |sub: Subscheme| -> Option<(Subscheme, PulseParams, f64)> {
         match sub {
             Subscheme::Nd => {
                 if (eff.x - cp.a * tau).abs() > 1e-9 {
@@ -136,19 +114,14 @@ pub fn solve_pulse_profiled(
                 }
                 let p = solve_nd(cp, &eff, tau);
                 let r = residual(cp, &p, tau, w);
-                profile.verifies += 1;
                 (r < tol).then_some((sub, p, r))
             }
-            Subscheme::EaPlus => {
-                let (sols, pr) = solve_ea_profiled(cp, EaSign::Plus, w, tau, tol);
-                profile = profile.merged(&pr);
-                sols.first().map(|s| (sub, s.params, s.residual))
-            }
-            Subscheme::EaMinus => {
-                let (sols, pr) = solve_ea_profiled(cp, EaSign::Minus, w, tau, tol);
-                profile = profile.merged(&pr);
-                sols.first().map(|s| (sub, s.params, s.residual))
-            }
+            Subscheme::EaPlus => solve_ea(cp, EaSign::Plus, w, tau, tol)
+                .first()
+                .map(|s| (sub, s.params, s.residual)),
+            Subscheme::EaMinus => solve_ea(cp, EaSign::Minus, w, tau, tol)
+                .first()
+                .map(|s| (sub, s.params, s.residual)),
         }
     };
     // Try the selected subscheme first, then the others (ties and boundary
@@ -160,28 +133,19 @@ pub fn solve_pulse_profiled(
     };
     for s in order {
         if let Some((sub, params, r)) = attempt(s) {
-            return (
-                Ok(PulseSolution {
-                    tau,
-                    params,
-                    subscheme: sub,
-                    image: dur.image,
-                    target: *w,
-                    residual: r,
-                }),
-                profile,
-            );
+            return Ok(PulseSolution {
+                tau,
+                params,
+                subscheme: sub,
+                image: dur.image,
+                target: *w,
+                residual: r,
+            });
         }
     }
-    (
-        Err(SolveError {
-            message: format!(
-                "no subscheme converged for {w} under ({}, {}, {})",
-                cp.a, cp.b, cp.c
-            ),
-        }),
-        profile,
-    )
+    Err(SolveError {
+        message: format!("no subscheme converged for {w} under ({}, {}, {})", cp.a, cp.b, cp.c),
+    })
 }
 
 /// Output of the compiler-facing solve: the pulse plus the mirroring

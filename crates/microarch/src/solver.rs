@@ -44,7 +44,7 @@
 //! `e^{-iτ(H + H₁ + H₂)}` exactly as before; returned solutions are
 //! sorted by the physical implementation penalty `|Ω| + |δ|`.
 
-// lint:allow-file(tolerance-literal, solver-internal convergence and root-bracketing epsilons; the cache-key contract tolerances live in qmath as KAK_FACE_SNAP_TOL / SU4_CLASS_TOL)
+// lint:allow-file(tolerance-literal, solver-internal convergence and root-bracketing epsilons; the contract tolerances live in qmath as KAK_FACE_SNAP_TOL / SU4_CLASS_TOL)
 use crate::coupling::Coupling;
 use reqisc_qmath::gates::{id2, pauli_x, pauli_z};
 use reqisc_qmath::weyl::WeylCoord;
@@ -280,24 +280,6 @@ pub struct EaSolveProfile {
     /// Solves whose target eigenphases were (near-)degenerate, taking the
     /// tangential-root path.
     pub degenerate_targets: u64,
-}
-
-impl EaSolveProfile {
-    /// Component-wise sum — for aggregating attempts.
-    pub fn merged(&self, other: &EaSolveProfile) -> EaSolveProfile {
-        EaSolveProfile {
-            evals: self.evals + other.evals,
-            verifies: self.verifies + other.verifies,
-            curve_points: self.curve_points + other.curve_points,
-            newton_starts: self.newton_starts + other.newton_starts,
-            newton_iters: self.newton_iters + other.newton_iters,
-            delta_family_roots: self.delta_family_roots + other.delta_family_roots,
-            omega_family_roots: self.omega_family_roots + other.omega_family_roots,
-            interior_roots: self.interior_roots + other.interior_roots,
-            early_rejects: self.early_rejects + other.early_rejects,
-            degenerate_targets: self.degenerate_targets + other.degenerate_targets,
-        }
-    }
 }
 
 /// Angle tolerance of the conserved-eigenphase precheck and of the

@@ -160,11 +160,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_2q()).count()
     }
 
-    /// Counts gates of arity ≥ 2 (2Q plus unlowered CCX/MCX).
-    pub fn count_multi(&self) -> usize {
-        self.gates.iter().filter(|g| g.arity() >= 2).count()
-    }
-
     /// Two-qubit depth: the length of the longest chain of 2Q gates
     /// (1Q gates are free, matching the paper's `Depth2Q`).
     pub fn depth_2q(&self) -> usize {

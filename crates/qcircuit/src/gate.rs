@@ -85,11 +85,6 @@ impl Gate {
         self.qubits().len()
     }
 
-    /// True for single-qubit gates.
-    pub fn is_1q(&self) -> bool {
-        self.arity() == 1
-    }
-
     /// True for two-qubit gates.
     pub fn is_2q(&self) -> bool {
         self.arity() == 2

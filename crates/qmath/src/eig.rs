@@ -275,17 +275,6 @@ fn transpose_real(a: &[f64; 16]) -> [f64; 16] {
     std::array::from_fn(|k| a[(k % 4) * 4 + k / 4])
 }
 
-/// Converts a row-major real matrix to a [`CMat`].
-pub fn real_to_cmat(a: &[f64], n: usize) -> CMat {
-    CMat::from_fn(n, n, |i, j| C64::real(a[i * n + j]))
-}
-
-/// Reconstructs `V · diag(e^{iθ_k}) · V†` from phases and a unitary.
-pub fn unitary_from_phases(phases: &[f64], v: &CMat) -> CMat {
-    let d = CMat::diag(&phases.iter().map(|&t| C64::cis(t)).collect::<Vec<_>>());
-    v.mul_mat(&d).mul_mat(&v.adjoint())
-}
-
 #[allow(unused_imports)]
 use crate::c64; // keep ZERO/ONE referenced for doc builds
 

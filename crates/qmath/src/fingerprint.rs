@@ -6,34 +6,28 @@
 //! reach for any realistic cache population (birthday bound ≈ 2⁶⁴
 //! entries), while staying allocation-free and `no_std`-friendly.
 //!
-//! Two hashing disciplines coexist:
-//!
-//! * **Exact** ([`Fnv128::write_f64`]): hashes the raw IEEE-754 bits.
-//!   Used for content addressing where bitwise-identical inputs must (and
-//!   deterministic pipelines do) produce bitwise-identical keys.
-//! * **Quantized** ([`Fnv128::write_f64_quantized`]): hashes
-//!   `round(v / tol)` so values within the grouping tolerance usually
-//!   share a bucket. Used for *class* keys (Weyl coordinates, coupling
-//!   coefficients) where the paper's calibration argument groups
-//!   instructions at a 1e-5 tolerance. Boundary straddlers may land in
-//!   adjacent buckets — that costs a cache miss, never a wrong hit.
+//! Floats are hashed *exactly* ([`Fnv128::write_f64`]): the raw IEEE-754
+//! bits, so bitwise-identical inputs must (and deterministic pipelines
+//! do) produce bitwise-identical keys, and an exact key can never alias
+//! two different computations.
 //!
 //! ## Stability guarantee
 //!
-//! These fingerprints are **persistent-format keys**: the on-disk compile
-//! store (`reqisc-compiler`'s `store` module) addresses entries by them,
-//! so their byte-level definition is frozen. Concretely:
+//! These fingerprints are **persistent-format keys**: the shared segment
+//! file, the cache's durable tier (`reqisc-compiler`'s `sharing` module),
+//! addresses entries by them, so their byte-level definition is frozen.
+//! Concretely:
 //!
 //! * the FNV-1a offset/prime constants, the little-endian widening of
 //!   integers, the `-0.0 → 0.0` normalization, and the length-prefixing
 //!   of strings never change silently;
 //! * any change to them (or to a type's `fingerprint()` field order)
-//!   must bump the store's format version so stale files are rejected
+//!   must bump `STORE_FORMAT_VERSION` so stale segments are rejected
 //!   instead of mis-addressed.
 //!
 //! The `golden_digests_are_stable` test pins known digests; if it fails,
-//! you changed the format — bump the store version, don't update the pin
-//! in place without doing so.
+//! you changed the format — bump the version, don't update the pin in
+//! place without doing so.
 
 /// Incremental 128-bit FNV-1a hasher.
 #[derive(Debug, Clone, Copy)]
@@ -71,29 +65,12 @@ impl Fnv128 {
         self.write_u64(v as u64);
     }
 
-    /// Absorbs a signed 64-bit value.
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
     /// Absorbs the exact IEEE-754 bit pattern of `v`, normalizing the two
     /// zero representations (`-0.0` hashes like `0.0`).
     #[inline]
     pub fn write_f64(&mut self, v: f64) {
         let v = if v == 0.0 { 0.0 } else { v };
         self.write_u64(v.to_bits());
-    }
-
-    /// Absorbs `v` quantized to `tol`-sized buckets: `round(v / tol)`.
-    ///
-    /// Values within `tol` of each other *usually* share a bucket (always
-    /// within `tol/2` of the bucket center); straddlers of a bucket edge
-    /// hash differently, which can only cause a cache miss.
-    #[inline]
-    pub fn write_f64_quantized(&mut self, v: f64, tol: f64) {
-        debug_assert!(tol > 0.0, "quantization tolerance must be positive");
-        self.write_i64(quantize(v, tol));
     }
 
     /// Absorbs a string as raw bytes (length-prefixed against ambiguity).
@@ -113,18 +90,6 @@ impl Fnv128 {
 impl Default for Fnv128 {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Quantizes `v` to an integer bucket index at tolerance `tol`
-/// (`round(v / tol)`, with `-0.0` normalized).
-#[inline]
-pub fn quantize(v: f64, tol: f64) -> i64 {
-    let q = (v / tol).round();
-    if q == 0.0 {
-        0
-    } else {
-        q as i64
     }
 }
 
@@ -156,13 +121,6 @@ mod tests {
         assert_eq!(a.finish(), b.finish());
     }
 
-    #[test]
-    fn quantization_groups_near_values() {
-        assert_eq!(quantize(0.100004, 1e-5), quantize(0.100001, 1e-5));
-        assert_ne!(quantize(0.2, 1e-5), quantize(0.3, 1e-5));
-        assert_eq!(quantize(-0.0, 1.0), 0);
-    }
-
     /// Golden digests: these exact values are what shipped stores are
     /// keyed by. A failure here means the hash definition changed — that
     /// invalidates every on-disk cache, so the store format version must
@@ -176,11 +134,6 @@ mod tests {
         let mut h = Fnv128::new();
         h.write_str("reqisc");
         assert_eq!(h.finish(), 0x824e_63be_9a00_24ea_8335_ec8b_1dbe_04ee);
-
-        let mut h = Fnv128::new();
-        h.write_f64_quantized(std::f64::consts::FRAC_PI_4, 1e-5);
-        assert_eq!(quantize(std::f64::consts::FRAC_PI_4, 1e-5), 78540);
-        assert_eq!(h.finish(), 0x5110_c418_d465_97cb_af8d_413b_60b2_cae2);
 
         // The matrix fingerprint used by the synthesis pool's content
         // addressing, pinned on CNOT.

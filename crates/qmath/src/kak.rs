@@ -390,13 +390,13 @@ impl Canon<'_> {
 /// pinned to *bitwise* `π/4`, perturbing reconstruction by at most the
 /// same amount.
 ///
-/// This constant is part of the cache-key stability contract: the
-/// persistent compile store addresses pulse solutions by quantized Weyl
-/// class ([`crate::weyl::WeylCoord::class_key`] at
-/// [`crate::weyl::SU4_CLASS_TOL`]), and the face snap is what keeps the
-/// whole CNOT family in one bucket instead of straddling `π/4 ± ε`.
-/// Changing it silently diverges disk-cache keys from canonicalization —
-/// any change must bump the store format version.
+/// This constant is part of the shared segment's format contract: a
+/// whole-program segment value carries its reply record, whose SU(4)
+/// gate durations are priced through this KAK, so the snap decides the
+/// persisted durations (it keeps the whole CNOT family on the face
+/// instead of straddling `π/4 ± ε`). Changing it would let peers serve
+/// durations the new canonicalization no longer computes — any change
+/// must bump `STORE_FORMAT_VERSION`.
 pub const KAK_FACE_SNAP_TOL: f64 = 1e-8;
 
 /// How far below zero `z` must sit (on the `x = π/4` face) before the

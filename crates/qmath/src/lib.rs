@@ -50,4 +50,4 @@ pub use kak::{
 pub use magic::{from_magic, kron_factor, magic_basis, to_magic};
 pub use mat::CMat;
 pub use svd::{polar_unitary, polar_unitary_4x4, svd, Svd};
-pub use weyl::{WeylClassKey, WeylCoord, SU4_CLASS_TOL, WEYL_EPS};
+pub use weyl::{WeylCoord, SU4_CLASS_TOL, WEYL_EPS};

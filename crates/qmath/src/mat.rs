@@ -319,30 +319,6 @@ impl CMat {
             self.data.swap(r1 * self.cols + j, r2 * self.cols + j);
         }
     }
-
-    /// Swaps two columns in place.
-    pub fn swap_cols(&mut self, c1: usize, c2: usize) {
-        if c1 == c2 {
-            return;
-        }
-        for i in 0..self.rows {
-            self.data.swap(i * self.cols + c1, i * self.cols + c2);
-        }
-    }
-
-    /// Returns the matrix with row `r` scaled by `s`.
-    pub fn scale_row(&mut self, r: usize, s: C64) {
-        for j in 0..self.cols {
-            self[(r, j)] *= s;
-        }
-    }
-
-    /// Returns the matrix with column `c` scaled by `s`.
-    pub fn scale_col(&mut self, c: usize, s: C64) {
-        for i in 0..self.rows {
-            self[(i, c)] *= s;
-        }
-    }
 }
 
 // The arithmetic cores behind the `CMat` methods above, on row-major

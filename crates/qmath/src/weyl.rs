@@ -4,17 +4,17 @@
 //! `U ~ Can(x, y, z) = e^{-i(x·XX + y·YY + z·ZZ)}` (paper §2.2). The
 //! canonical chamber is `W = {π/4 ≥ x ≥ y ≥ |z|, z ≥ 0 if x = π/4}`.
 
-use crate::fingerprint::quantize;
 use std::f64::consts::{FRAC_PI_4, FRAC_PI_8};
 use std::fmt;
 
 /// Tolerance used by chamber predicates and coordinate comparisons.
 pub const WEYL_EPS: f64 = 1e-9;
 
-/// The SU(4) instruction-class grouping tolerance used by calibration
-/// consumers and the compilation cache (paper §5.3.1 / §6.5): synthesis
-/// converges to ~1e-11 infidelity, leaving ~1e-6 coordinate noise, so
-/// grouping tighter than 1e-5 over-splits identical instructions.
+/// The SU(4) instruction-class grouping tolerance of calibration
+/// consumers and the distinct-SU(4) count (paper §5.3.1 / §6.5):
+/// synthesis converges to ~1e-11 infidelity, leaving ~1e-6 coordinate
+/// noise, so grouping tighter than 1e-5 over-splits identical
+/// instructions. No persisted byte depends on it.
 pub const SU4_CLASS_TOL: f64 = 1e-5;
 
 /// A point in (or near) the Weyl chamber.
@@ -158,29 +158,7 @@ impl WeylCoord {
         }
         s
     }
-
-    /// Hashable *class key*: the coordinates quantized to `tol`-sized
-    /// buckets. Gates whose coordinates agree within `tol` — the same
-    /// SU(4) instruction under the paper's §5.3.1 grouping — usually share
-    /// a key; a bucket-edge straddler lands in a neighbouring key, which
-    /// can only cost a cache miss, never alias distinct classes beyond
-    /// `tol`. Used by the compilation service's memo tables (group at
-    /// ≥ 1e-5: synthesis converges to ~1e-11 infidelity, leaving ~1e-6
-    /// coordinate noise).
-    pub fn class_key(&self, tol: f64) -> WeylClassKey {
-        WeylClassKey([
-            quantize(self.x, tol),
-            quantize(self.y, tol),
-            quantize(self.z, tol),
-        ])
-    }
 }
-
-/// Quantized Weyl coordinates — a hashable stand-in for "same SU(4)
-/// instruction class at the grouping tolerance". See
-/// [`WeylCoord::class_key`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WeylClassKey(pub [i64; 3]);
 
 impl fmt::Display for WeylCoord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -246,28 +224,6 @@ mod tests {
         assert!((m.x - (FRAC_PI_4 - 0.05)).abs() < 1e-12);
         assert!((m.y - (FRAC_PI_4 - 0.1)).abs() < 1e-12);
         assert!((m.z - (FRAC_PI_4 - 0.2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn class_key_groups_within_tolerance() {
-        let tol = 1e-5;
-        let a = WeylCoord::new(0.700000, 0.300000, 0.100000);
-        let b = WeylCoord::new(0.700003, 0.299998, 0.100002);
-        assert_eq!(a.class_key(tol), b.class_key(tol));
-        // Clearly distinct classes never share a key.
-        assert_ne!(
-            WeylCoord::cnot().class_key(tol),
-            WeylCoord::iswap().class_key(tol)
-        );
-        assert_ne!(
-            WeylCoord::identity().class_key(tol),
-            WeylCoord::sqisw().class_key(tol)
-        );
-        // -0.0 and 0.0 coordinates agree.
-        assert_eq!(
-            WeylCoord::new(0.2, 0.1, -0.0).class_key(tol),
-            WeylCoord::new(0.2, 0.1, 0.0).class_key(tol)
-        );
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * Under **`--features sched-model`** the same names resolve to shim
 //!   types that route every mutex acquire/release, condvar
 //!   wait/notify, atomic op and thread spawn through a cooperative
-//!   scheduler. [`explore`] then runs a closure repeatedly, one thread
+//!   scheduler. `explore` then runs a closure repeatedly, one thread
 //!   at a time, DFS-enumerating every interleaving reachable within a
 //!   configurable preemption bound. Assertion failures and deadlocks
 //!   (including lost wakeups) are reported with the exact schedule
-//!   that produced them, and [`replay`] re-runs that schedule
+//!   that produced them, and `replay` re-runs that schedule
 //!   deterministically.
 //!
 //! Model closures must create all shared state *inside* the closure

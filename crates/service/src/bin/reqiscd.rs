@@ -16,8 +16,7 @@
 //! * `--workers N` — solve worker pool size (0 = hardware parallelism;
 //!   at most 256, `MAX_WORKERS`);
 //! * `--solve-delay-ms MS` — park every solve worker for MS before each
-//!   cold compile it claims (stall-isolation drills; default: the
-//!   `REQISC_DEBUG_SOLVE_DELAY_MS` environment knob, else off);
+//!   cold compile it claims (stall-isolation drills; default off);
 //! * `--queue-capacity N` — bounded solve-ring size (N ≥ 1): cold
 //!   compiles beyond it are answered `queue_full`; warm hits never need
 //!   a slot (default 256);

@@ -102,7 +102,7 @@ pub enum RequestBody {
 /// # Errors
 ///
 /// A human-readable description; the caller wraps it in a `parse_error`
-/// response carrying [`request_id`] of the line.
+/// response carrying the line's `id` (0 when none can be read).
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|e| e.to_string())?;
     let id = v.get("id").and_then(Json::as_u64).ok_or("missing or invalid 'id'")?;

@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Job priority: `0` (batch) to `9` (interactive); the default is
-/// [`Priority::DEFAULT`]. Higher values are served first.
+/// [`DEFAULT_PRIORITY`]. Higher values are served first.
 pub type Priority = u8;
 
 /// Default priority for requests that do not specify one.

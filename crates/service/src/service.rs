@@ -125,8 +125,7 @@ pub struct ServiceConfig {
     /// Artificial delay (milliseconds) a solve worker sleeps before each
     /// *cold compile* it claims — the deterministic stall the
     /// stall-isolation tests inject; debug ops are unaffected. `None`
-    /// falls back to the `REQISC_DEBUG_SOLVE_DELAY_MS` env knob (unset
-    /// or `0` = no delay).
+    /// means no delay.
     pub solve_delay_ms: Option<u64>,
     /// Shared-memory cache segment to attach (`None` = in-memory only).
     /// It is the durable tier: submission probes it between the local
@@ -568,13 +567,7 @@ impl Service {
         } else {
             config.workers
         };
-        let solve_delay = config
-            .solve_delay_ms
-            .or_else(|| match reqisc_env::DEBUG_SOLVE_DELAY_MS.usize_or(0) {
-                0 => None,
-                ms => Some(ms as u64),
-            })
-            .map(Duration::from_millis);
+        let solve_delay = config.solve_delay_ms.map(Duration::from_millis);
         // The shared segment attaches under the store format version, so
         // a codec bump retires stale segments. Attach failure degrades to
         // running in memory only — a cache must never stop the service.

@@ -1,11 +1,10 @@
 //! Stage-isolation and drain tests of the service core:
 //!
 //! * **stall isolation, end to end** — a real `reqiscd` child process
-//!   with the `REQISC_DEBUG_SOLVE_DELAY_MS` knob slowing every cold
-//!   solve: warm requests must be answered at submission and complete
-//!   while cold jobs occupy the (single) solve worker, proven by
-//!   `done_seq` response ordering and the stage counters — never by
-//!   wall time;
+//!   with `--solve-delay-ms` slowing every cold solve: warm requests
+//!   must be answered at submission and complete while cold jobs occupy
+//!   the (single) solve worker, proven by `done_seq` response ordering
+//!   and the stage counters — never by wall time;
 //! * **stall isolation, in process** — the same property through
 //!   `ServiceConfig::solve_delay_ms`, with before/after stage-counter
 //!   deltas;
@@ -95,18 +94,16 @@ fn done_seq(resp: &Json) -> u64 {
     resp.get("done_seq").and_then(Json::as_u64).expect("done_seq member")
 }
 
-/// End to end through a real daemon: with every cold solve slowed by the
-/// `REQISC_DEBUG_SOLVE_DELAY_MS` env knob and a single solve worker,
-/// warm requests submitted *behind* two cold requests must still
-/// complete first — `done_seq` (assigned at delivery) proves the order,
+/// End to end through a real daemon: with every cold solve slowed by
+/// `--solve-delay-ms` and a single solve worker, warm requests submitted
+/// *behind* two cold requests must still complete first — `done_seq` (assigned at delivery) proves the order,
 /// and the stage counters prove the warm request never crossed into the
 /// solve stage.
 #[test]
 fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let mut child = ChildGuard(
         std::process::Command::new(env!("CARGO_BIN_EXE_reqiscd"))
-            .args(["--stdio", "--workers", "1"])
-            .env(reqisc_env::DEBUG_SOLVE_DELAY_MS.name, "300")
+            .args(["--stdio", "--workers", "1", "--solve-delay-ms", "300"])
             .env_remove(reqisc_env::SHM_PATH.name)
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())

@@ -3,7 +3,7 @@
 //! reply metrics now price each distinct gate once per call. Both changes
 //! promise **bit-identical** results — every `Kak` field, every error
 //! message, every `Metrics` duration — which is what keeps cached
-//! programs, pulse-class keys and reply metrics unchanged. This suite
+//! programs and reply metrics unchanged. This suite
 //! freezes the `CMat`-based decomposition verbatim (below) and pins that
 //! promise over:
 //!

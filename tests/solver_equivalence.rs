@@ -11,9 +11,9 @@
 //! * named-gate pins (SWAP under XX, the sliver family, generic
 //!   anisotropic roots) with per-solution parameter matching;
 //! * scheme-level pins: `solve_pulse` picks the same subscheme, τ, and
-//!   pulse params for the named classes — which is what keeps
-//!   `SolvedClass` content and pulse-class keys stable across the
-//!   rewrite (no store-format bump; the byte-level golden pins live in
+//!   pulse params for the named classes, so the pulse programs the
+//!   compiler-facing solve hands out did not move with the rewrite (no
+//!   store-format bump; the byte-level golden pins live in
 //!   `qmath::fingerprint` and `tests/store_roundtrip.rs` and are
 //!   untouched).
 //!
@@ -382,9 +382,8 @@ fn generic_anisotropic_roots_match_legacy_exactly() {
 
 #[test]
 fn scheme_level_pins_unchanged_for_named_classes() {
-    // `SolvedClass` stability across the rewrite: the compiler-facing
-    // solve must keep subscheme, τ, and params for the classes the store
-    // serves — this is what "no STORE_FORMAT_VERSION bump" rests on.
+    // Pulse stability across the rewrite: the compiler-facing solve must
+    // keep subscheme, τ, and params for the named classes.
     use reqisc::microarch::Subscheme;
     let xx = Coupling::xx(1.0);
     let s = solve_pulse(&xx, &WeylCoord::swap()).expect("swap");

@@ -53,9 +53,9 @@ fn kak_face_snap_pins_near_pi4_coordinates() {
 
 #[test]
 fn kak_face_snap_lands_exactly_on_the_face() {
-    // The pinned coordinate is bitwise π/4: consumers key caches on the
-    // quantized class, and an exact pin keeps the CNOT family in one
-    // bucket.
+    // The pinned coordinate is bitwise π/4: an exact pin keeps the CNOT
+    // family on one face value, and reply records price durations from
+    // these coordinates.
     let g = canonical_gate(FRAC_PI_4 - 5e-9, 0.2, -0.1);
     let k = kak_decompose(&g).expect("kak");
     assert_eq!(k.coords.x, FRAC_PI_4, "face coordinate must be pinned exactly");
