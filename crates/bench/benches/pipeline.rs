@@ -1,8 +1,8 @@
 //! Criterion benches for end-to-end compilation throughput (the latency
 //! dimension of Fig. 16), for one warm compile reply through the service,
-//! for a peer's first reply from the shared segment, and for the
-//! design-choice ablations DESIGN.md calls out: synthesis threshold
-//! `m_th` and the near-identity mirroring threshold `r`.
+//! for a peer's first reply from the shared segment, and for two
+//! design-choice ablations: synthesis threshold `m_th` and the
+//! near-identity mirroring threshold `r`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reqisc_benchsuite::generators::{qaoa, ripple_add};

@@ -1,13 +1,14 @@
 #![warn(missing_docs)]
 //! # reqisc-bench
 //!
-//! The benchmark harness: every table and figure of the paper's evaluation
-//! (§6) has one binary here that regenerates its rows/series (see
-//! DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured).
+//! The paper's evaluation (§6): every table and figure has one binary
+//! here that regenerates its rows/series (README, *Regenerating paper
+//! exhibits*).
 //!
 //! Binaries: `table1`, `table2`, `table3`, `fig4`, `fig6`, `fig12`,
-//! `fig13`, `fig14`, `fig15`, `fig16`. All print CSV-ish text to stdout.
-//! Set `REQISC_SCALE=paper` for Table-1-sized inputs (slow).
+//! `fig13`, `fig14`, `fig15`, `fig16`, and `solverbench`, which asserts
+//! the EA solver's deterministic cost budgets. All print CSV-ish text to
+//! stdout. Set `REQISC_SCALE=paper` for Table-1-sized inputs (slow).
 
 use reqisc_benchsuite::{Benchmark, Category};
 use reqisc_compiler::{
@@ -23,36 +24,23 @@ use std::collections::BTreeMap;
 /// doc line — enforced by the `reqisc-lint` `env-registry` rule); this
 /// module re-exports the ones the bench binaries read.
 pub mod env {
-    pub use reqisc_env::{
-        BENCH_N, HAAR_SAMPLES, REQUIRE_DEGENERATE_BUDGET, REQUIRE_DISK_WARM_X,
-        REQUIRE_GENERIC_BUDGET, REQUIRE_PROGRAM_HIT_PCT, REQUIRE_SLIVER_BUDGET,
-        REQUIRE_ZERO_REJECT_EVALS, SCALE, SHM_CAPACITY_BYTES, SHM_PATH, SKIP_SERIAL, THREADS,
-        TRIALS,
-    };
-}
-
-/// Attaches the segment file at `path` with the service's capacity
-/// default (`REQISC_SHM_CAPACITY_BYTES`, else 64 MiB, for a new file).
-/// A file that is not a segment of this build is reinitialized.
-///
-/// # Errors
-///
-/// The attach error, e.g. an unwritable path.
-pub fn attach_segment(path: &std::path::Path) -> Result<Segment, reqisc_shmem::ShmError> {
-    let capacity = env::SHM_CAPACITY_BYTES.u64_or(reqisc_service::DEFAULT_SHM_CAPACITY_BYTES);
-    Segment::attach(path, capacity, STORE_FORMAT_VERSION)
+    pub use reqisc_env::{HAAR_SAMPLES, SHM_CAPACITY_BYTES, SHM_PATH, TRIALS};
 }
 
 /// Attaches the shared segment named by `REQISC_SHM_PATH` (if set) and
 /// warm-starts `compiler` from it. Every figure binary calls this right
 /// after building its compiler: with the knob set, a rerun — or a
 /// different figure sharing the file — skips everything an earlier
-/// process already compiled. Returns the segment so the binary can
-/// [`env_publish`] its own results back at exit; `None` when the knob is
-/// unset (purely in-memory run, the default) or the attach fails.
+/// process already compiled. A new file gets the service's capacity
+/// default (`REQISC_SHM_CAPACITY_BYTES`, else 64 MiB); a file that is
+/// not a segment of this build is reinitialized. Returns the segment so
+/// the binary can [`env_publish`] its own results back at exit; `None`
+/// when the knob is unset (purely in-memory run, the default) or the
+/// attach fails.
 pub fn env_segment(compiler: &Compiler) -> Option<Segment> {
     let path = env::SHM_PATH.path()?;
-    match attach_segment(&path) {
+    let capacity = env::SHM_CAPACITY_BYTES.u64_or(reqisc_service::DEFAULT_SHM_CAPACITY_BYTES);
+    match Segment::attach(&path, capacity, STORE_FORMAT_VERSION) {
         Ok(seg) => {
             let seeded = seed_from_segment(&seg, compiler.cache());
             eprintln!("# segment: {} ({seeded} entries seeded)", path.display());

@@ -2,8 +2,8 @@
 //!
 //! The paper's suite comes from RevLib / the TKet benchmarking repository;
 //! these generators rebuild the same program *families* from their
-//! published definitions (see DESIGN.md "Substitutions"). Every generator
-//! is deterministic given its parameters.
+//! published definitions. Every generator is deterministic given its
+//! parameters.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -593,7 +593,7 @@ mod tests {
         assert_eq!(calls, 1);
     }
 
-    /// `fig13` and `cachebench` print this line, and `reqisc-client stats
+    /// `fig13` prints this line, and `reqisc-client stats
     /// --require-program-hit-pct` gates on `hit_rate`; both are pinned here.
     #[test]
     fn cache_stats_display_and_hit_rate() {

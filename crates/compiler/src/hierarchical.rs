@@ -42,28 +42,20 @@ impl Default for HsOptions {
 /// Input: any circuit of 1Q/2Q/CCX-ish gates (≥3Q gates are lowered to CX
 /// first). Output: an SU(4)-ISA circuit (`U3` + `Su4`) with reduced #SU(4).
 pub fn hierarchical_synthesis(c: &Circuit, opts: &HsOptions) -> Circuit {
-    hierarchical_synthesis_cached(c, opts, None)
+    hierarchical_synthesis_batched(c, opts, None, 1)
 }
 
-/// [`hierarchical_synthesis`] with an optional shared [`CompileCache`]:
-/// dense-block synthesis attempts are memoized by target content, so
-/// repeated subprograms (Toffoli/adder blocks across a benchsuite)
-/// synthesize once per cache lifetime instead of once per occurrence.
-pub fn hierarchical_synthesis_cached(
-    c: &Circuit,
-    opts: &HsOptions,
-    cache: Option<&CompileCache>,
-) -> Circuit {
-    hierarchical_synthesis_batched(c, opts, cache, 1)
-}
-
-/// [`hierarchical_synthesis_cached`] with block-level batching: the
-/// *distinct* dense SU(4)/SU(8) blocks of one program are fanned out over
-/// up to `block_threads` scoped workers that fill the shared
-/// block-synthesis pool, before the (cheap, order-sensitive) serial
-/// reassembly emits from it. One large program thereby parallelizes as
-/// well as a suite of small ones — the per-block synthesis sweeps are the
-/// whole cost of the pass, and they are independent.
+/// [`hierarchical_synthesis`] with an optional shared [`CompileCache`]
+/// and block-level batching. With a cache, dense-block synthesis
+/// attempts are memoized by target content, so repeated subprograms
+/// (Toffoli/adder blocks across a benchsuite) synthesize once per cache
+/// lifetime instead of once per occurrence, and the *distinct* dense
+/// SU(4)/SU(8) blocks of one program are fanned out over up to
+/// `block_threads` scoped workers that fill the shared block-synthesis
+/// pool, before the (cheap, order-sensitive) serial reassembly emits
+/// from it. One large program thereby parallelizes as well as a suite of
+/// small ones — the per-block synthesis sweeps are the whole cost of the
+/// pass, and they are independent.
 ///
 /// `block_threads ≤ 1` (or no cache) is exactly the serial path. Results
 /// are bit-identical either way: each block synthesis is deterministic in

@@ -42,10 +42,7 @@ pub use pool::CacheStats;
 pub use cnot_opt::{merge_pauli_rotations, qiskit_like, resynthesize_to_cx, tket_like};
 pub use compact::{compact, gates_commute, CompactOptions};
 pub use fuse::fuse_2q;
-pub use hierarchical::{
-    hierarchical_synthesis, hierarchical_synthesis_batched, hierarchical_synthesis_cached,
-    HsOptions,
-};
+pub use hierarchical::{hierarchical_synthesis, hierarchical_synthesis_batched, HsOptions};
 pub use pauli_frontend::{compile_pauli_program, emit_pauli_rotation, Axis, PauliRotation};
 pub use partition::{compactness, partition_3q, reassemble, Block, PartitionOptions};
 pub use pipelines::{
@@ -59,6 +56,6 @@ pub use sharing::{
 pub use sabre::{
     expand_swaps_to_cx, route, routing_preserves_semantics, RouteOptions, Routed, Router,
 };
-pub use template_pass::{default_library, template_synthesis};
+pub use template_pass::template_synthesis;
 pub use topology::Topology;
 pub use variational::{to_fixed_basis, FixedBasis};

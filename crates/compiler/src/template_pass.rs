@@ -7,7 +7,7 @@
 
 use crate::fuse::fuse_2q;
 use reqisc_qcircuit::{Circuit, Gate};
-use reqisc_synthesis::{SearchOptions, Template, TemplateLibrary};
+use reqisc_synthesis::{Template, TemplateLibrary};
 
 /// A matched IR occurrence in the gate stream.
 #[derive(Debug, Clone)]
@@ -153,15 +153,11 @@ fn select_variant<'a>(
         .expect("non-empty variant list")
 }
 
-/// Builds the default library once with the given search options.
-pub fn default_library(opts: &SearchOptions) -> TemplateLibrary {
-    TemplateLibrary::builtin(opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use reqisc_qsim::process_infidelity;
+    use reqisc_synthesis::SearchOptions;
     use std::sync::OnceLock;
 
     fn lib() -> &'static TemplateLibrary {

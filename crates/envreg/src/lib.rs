@@ -32,11 +32,6 @@ impl EnvKnob {
         std::env::var(self.name).ok()
     }
 
-    /// True when the variable is set at all (even to the empty string).
-    pub fn is_set(&self) -> bool {
-        std::env::var_os(self.name).is_some()
-    }
-
     /// Integer knob: `default` when unset or unparseable.
     pub fn usize_or(&self, default: usize) -> usize {
         self.var().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -46,17 +41,6 @@ impl EnvKnob {
     /// exceed `usize` there): `default` when unset or unparseable.
     pub fn u64_or(&self, default: u64) -> u64 {
         self.var().and_then(|v| v.parse().ok()).unwrap_or(default)
-    }
-
-    /// Float knob (`None` when unset/unparseable) — the shape of the
-    /// `REQISC_REQUIRE_*` assertion thresholds.
-    pub fn f64(&self) -> Option<f64> {
-        self.var().and_then(|v| v.parse().ok())
-    }
-
-    /// Boolean flag: set and neither empty nor `"0"`.
-    pub fn flag(&self) -> bool {
-        self.var().map(|v| !v.is_empty() && v != "0").unwrap_or(false)
     }
 
     /// Path knob: `None` when unset **or empty** (an empty segment path
@@ -101,77 +85,8 @@ pub const HAAR_SAMPLES: EnvKnob = EnvKnob {
     doc: "table3 Haar-random SU(4) sample count (default 2000; the paper uses 1e5)",
 };
 
-/// Cap on how many suite programs `cachebench` drives.
-pub const BENCH_N: EnvKnob = EnvKnob {
-    name: "REQISC_BENCH_N",
-    doc: "Program-count cap for cachebench (default: whole suite)",
-};
-
-/// Worker-thread pin of `cachebench`'s batch tier.
-pub const THREADS: EnvKnob = EnvKnob {
-    name: "REQISC_THREADS",
-    doc: "cachebench batch worker count (default 0 = hardware parallelism)",
-};
-
-/// Skip `cachebench`'s slow serial reference column.
-pub const SKIP_SERIAL: EnvKnob = EnvKnob {
-    name: "REQISC_SKIP_SERIAL",
-    doc: "Set non-zero to skip cachebench's slow serial reference column",
-};
-
-/// CI assertion: minimum disk-warm speedup over cold.
-pub const REQUIRE_DISK_WARM_X: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_DISK_WARM_X",
-    doc: "cachebench assertion: the segment must hold an earlier run's entries and disk-warm must be >= this x over cold",
-};
-
-/// CI assertion: minimum disk-warm program-pool hit percentage.
-pub const REQUIRE_PROGRAM_HIT_PCT: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_PROGRAM_HIT_PCT",
-    doc: "cachebench assertion: disk-warm program-pool hit rate must be >= this percentage",
-};
-
-/// CI assertion: solver cost ceiling on the sliver tier.
-pub const REQUIRE_SLIVER_BUDGET: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_SLIVER_BUDGET",
-    doc: "solverbench assertion: max total evals+verifies on the sliver tier",
-};
-
-/// CI assertion: solver cost ceiling on the generic tier.
-pub const REQUIRE_GENERIC_BUDGET: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_GENERIC_BUDGET",
-    doc: "solverbench assertion: max total evals+verifies on the generic tier",
-};
-
-/// CI assertion: solver cost ceiling on the degenerate tier.
-pub const REQUIRE_DEGENERATE_BUDGET: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_DEGENERATE_BUDGET",
-    doc: "solverbench assertion: max total evals+verifies on the degenerate tier",
-};
-
-/// CI assertion: the wrong-subscheme reject path must cost zero evals.
-pub const REQUIRE_ZERO_REJECT_EVALS: EnvKnob = EnvKnob {
-    name: "REQISC_REQUIRE_ZERO_REJECT_EVALS",
-    doc: "solverbench assertion: set = the wrong-subscheme reject tier must cost exactly 0 evaluations",
-};
-
 /// Every declared knob, in the order the README table presents them.
-pub const ALL: &[&EnvKnob] = &[
-    &SHM_PATH,
-    &SHM_CAPACITY_BYTES,
-    &SCALE,
-    &TRIALS,
-    &HAAR_SAMPLES,
-    &BENCH_N,
-    &THREADS,
-    &SKIP_SERIAL,
-    &REQUIRE_DISK_WARM_X,
-    &REQUIRE_PROGRAM_HIT_PCT,
-    &REQUIRE_SLIVER_BUDGET,
-    &REQUIRE_GENERIC_BUDGET,
-    &REQUIRE_DEGENERATE_BUDGET,
-    &REQUIRE_ZERO_REJECT_EVALS,
-];
+pub const ALL: &[&EnvKnob] = &[&SHM_PATH, &SHM_CAPACITY_BYTES, &SCALE, &TRIALS, &HAAR_SAMPLES];
 
 /// The README "Environment variables" table, generated from [`ALL`] so
 /// docs can never silently drift from the registry.
@@ -226,27 +141,23 @@ mod tests {
 
     #[test]
     fn accessor_semantics() {
-        // Use a name that is *declared* (the registry rule forbids ad-hoc
-        // literals), reading through a knob whose value we control.
-        std::env::set_var(SKIP_SERIAL.name, "0");
-        assert!(!SKIP_SERIAL.flag());
-        assert!(SKIP_SERIAL.is_set());
-        std::env::set_var(SKIP_SERIAL.name, "1");
-        assert!(SKIP_SERIAL.flag());
-        std::env::set_var(BENCH_N.name, "17");
-        assert_eq!(BENCH_N.usize_or(3), 17);
-        std::env::set_var(BENCH_N.name, "junk");
-        assert_eq!(BENCH_N.usize_or(3), 3);
-        std::env::set_var(REQUIRE_DISK_WARM_X.name, "2.5");
-        assert_eq!(REQUIRE_DISK_WARM_X.f64(), Some(2.5));
+        // Use names that are *declared* (the registry rule forbids ad-hoc
+        // literals), reading through knobs whose values we control.
+        std::env::set_var(TRIALS.name, "17");
+        assert_eq!(TRIALS.usize_or(3), 17);
+        assert_eq!(TRIALS.u64_or(3), 17);
+        std::env::set_var(TRIALS.name, "junk");
+        assert_eq!(TRIALS.var().as_deref(), Some("junk"));
+        assert_eq!(TRIALS.usize_or(3), 3, "unparseable means the default");
+        assert_eq!(TRIALS.u64_or(3), 3);
         std::env::set_var(SHM_PATH.name, "");
         assert_eq!(SHM_PATH.path(), None, "empty path knob means no segment");
         std::env::set_var(SHM_PATH.name, "/tmp/x");
         assert_eq!(SHM_PATH.path(), Some(std::path::PathBuf::from("/tmp/x")));
         std::env::remove_var(SHM_PATH.name);
-        std::env::remove_var(BENCH_N.name);
-        std::env::remove_var(SKIP_SERIAL.name);
-        std::env::remove_var(REQUIRE_DISK_WARM_X.name);
+        std::env::remove_var(TRIALS.name);
         assert_eq!(SHM_PATH.path(), None);
+        assert_eq!(TRIALS.var(), None);
+        assert_eq!(TRIALS.usize_or(3), 3, "unset means the default");
     }
 }

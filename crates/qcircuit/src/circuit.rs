@@ -245,18 +245,6 @@ impl Circuit {
         u
     }
 
-    /// Applies `perm` to the qubit labels of every gate: qubit `q` becomes
-    /// `perm[q]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm.len() != num_qubits`.
-    pub fn permuted(&self, perm: &[usize]) -> Circuit {
-        assert_eq!(perm.len(), self.num_qubits, "permutation width mismatch");
-        let gates = self.gates.iter().map(|g| g.remap(&|q| perm[q])).collect();
-        Circuit::from_gates(self.num_qubits, gates)
-    }
-
     /// Appends the inverse of the whole circuit (useful for mirror
     /// benchmarking and tests). CCX and self-inverse gates invert in place;
     /// Peres inverts as CX-then-CCX.
@@ -585,14 +573,6 @@ mod tests {
         c.push(Gate::Ccx(0, 1, 2));
         c.append_inverse();
         assert!(c.unitary().approx_eq(&CMat::identity(8), 1e-10));
-    }
-
-    #[test]
-    fn permuted_relabels() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::Cx(0, 1));
-        let p = c.permuted(&[2, 0, 1]);
-        assert_eq!(p.gates()[0], Gate::Cx(2, 0));
     }
 
     #[test]

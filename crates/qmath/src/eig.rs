@@ -14,7 +14,7 @@
 //! Jacobi core; the latter runs on stack arrays.
 
 // lint:allow-file(tolerance-literal, eigensolver convergence and deflation guards; pure numerics)
-use crate::c64::{C64, ONE, ZERO};
+use crate::c64::C64;
 use crate::mat::CMat;
 
 /// Result of a real symmetric eigendecomposition `A = Q · diag(λ) · Qᵀ`.
@@ -274,12 +274,6 @@ fn mat_mul_real(a: &[f64; 16], b: &[f64; 16]) -> [f64; 16] {
 fn transpose_real(a: &[f64; 16]) -> [f64; 16] {
     std::array::from_fn(|k| a[(k % 4) * 4 + k / 4])
 }
-
-#[allow(unused_imports)]
-use crate::c64; // keep ZERO/ONE referenced for doc builds
-
-const _: C64 = ZERO;
-const _: C64 = ONE;
 
 #[cfg(test)]
 mod tests {

@@ -471,33 +471,6 @@ fn canonicalize(kak: &mut Kak4) {
     }
 }
 
-/// Decomposes `u` against a fixed target convention and returns the pieces
-/// `(phase, a1, a2, coords, b1, b2)` — convenience for callers that do not
-/// want to depend on the [`Kak`] struct.
-///
-/// # Errors
-///
-/// Same conditions as [`kak_decompose`].
-pub fn kak_parts(u: &CMat) -> Result<(C64, CMat, CMat, WeylCoord, CMat, CMat), KakError> {
-    let k = kak_decompose(u)?;
-    Ok((k.phase, k.a1, k.a2, k.coords, k.b1, k.b2))
-}
-
-/// Verifies `u ~ Can(coords)` up to local gates, returning the max residual
-/// in the coordinates. Mostly used by tests and the microarchitecture's
-/// self-checks.
-///
-/// # Errors
-///
-/// Same conditions as [`kak_decompose`].
-pub fn coord_residual(u: &CMat, target: &WeylCoord) -> Result<f64, KakError> {
-    let c = weyl_coords(u)?;
-    Ok((c.x - target.x)
-        .abs()
-        .max((c.y - target.y).abs())
-        .max((c.z - target.z).abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,15 +600,6 @@ mod tests {
     #[test]
     fn rejects_wrong_shape() {
         assert!(kak_decompose(&CMat::identity(2)).is_err());
-    }
-
-    #[test]
-    fn coord_residual_zero_for_self() {
-        let c = WeylCoord::new(0.3, 0.2, -0.1);
-        // Canonicalize reference coords through a decomposition first.
-        let g = canonical_gate(c.x, c.y, c.z);
-        let canonical = weyl_coords(&g).unwrap();
-        assert!(coord_residual(&g, &canonical).unwrap() < 1e-8);
     }
 
     #[test]

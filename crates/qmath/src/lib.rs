@@ -44,8 +44,8 @@ pub use expm::{expm, expm_i_hermitian};
 pub use fingerprint::Fnv128;
 pub use haar::{haar_su2, haar_su4, haar_unitary};
 pub use kak::{
-    kak_decompose, kak_parts, local_invariant_trace, locally_equivalent, weyl_coords, Kak,
-    KakError, KAK_FACE_SNAP_TOL, KAK_UNITARY_TOL,
+    kak_decompose, local_invariant_trace, locally_equivalent, weyl_coords, Kak, KakError,
+    KAK_FACE_SNAP_TOL, KAK_UNITARY_TOL,
 };
 pub use magic::{from_magic, kron_factor, magic_basis, to_magic};
 pub use mat::CMat;

@@ -121,24 +121,6 @@ impl CMat {
         out
     }
 
-    /// Matrix–vector product `self · v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[C64]) -> Vec<C64> {
-        assert_eq!(v.len(), self.cols, "dimension mismatch");
-        let mut out = vec![ZERO; self.rows];
-        for i in 0..self.rows {
-            let mut acc = ZERO;
-            for j in 0..self.cols {
-                acc += self.data[i * self.cols + j] * v[j];
-            }
-            out[i] = acc;
-        }
-        out
-    }
-
     /// Transpose (no conjugation).
     pub fn transpose(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -568,18 +550,6 @@ mod tests {
         assert!(y.is_hermitian(1e-15));
         assert!(y.trace().abs() < 1e-15);
         assert!(y.adjoint().approx_eq(&y, 1e-15));
-    }
-
-    #[test]
-    fn mul_vec_matches_mul_mat() {
-        let m = pauli_x().kron(&pauli_y());
-        let v: Vec<C64> = (0..4).map(|i| C64::new(i as f64, -(i as f64))).collect();
-        let col = CMat::from_fn(4, 1, |i, _| v[i]);
-        let expect = m.mul_mat(&col);
-        let got = m.mul_vec(&v);
-        for i in 0..4 {
-            assert!(got[i].dist(expect[(i, 0)]) < 1e-14);
-        }
     }
 
     #[test]

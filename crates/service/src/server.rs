@@ -398,7 +398,8 @@ fn respond_loop<W: Write>(
 /// connection.
 #[cfg(unix)]
 pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::Result<()> {
-    use std::os::unix::net::UnixListener;
+    use std::collections::HashMap;
+    use std::os::unix::net::{UnixListener, UnixStream};
     let _ = std::fs::remove_file(socket_path);
     if let Some(dir) = socket_path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -409,31 +410,36 @@ pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::
     // Nonblocking accept + poll: std has no way to interrupt a blocking
     // accept when a connection thread flips the shutdown flag.
     listener.set_nonblocking(true)?;
-    // Cloned handles of every accepted connection: on shutdown the
-    // accept loop force-closes them so a connection thread parked in a
-    // blocking read wakes with EOF — otherwise one idle client would
-    // keep the scope join (and the final bulk pass) waiting forever.
-    let conns: crate::sync::Mutex<Vec<std::os::unix::net::UnixStream>> =
-        crate::sync::Mutex::new(Vec::new());
+    // Cloned handles of the open connections, keyed by accept order: on
+    // shutdown the accept loop force-closes them so a connection thread
+    // parked in a blocking read wakes with EOF — otherwise one idle
+    // client would keep the scope join (and the final bulk pass) waiting
+    // forever. Each connection removes its own handle when it ends, so a
+    // long-lived daemon holds one descriptor per open connection only.
+    let conns: Mutex<HashMap<u64, UnixStream>> = Mutex::new(HashMap::new());
+    let conns = &conns;
+    let mut accepted = 0u64;
     let result = std::thread::scope(|scope| loop {
         if service.shutdown_requested() {
-            for s in conns.lock_recover().iter() {
+            for s in conns.lock_recover().values() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
             return Ok(());
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                let id = accepted;
+                accepted += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    conns.lock_recover().push(clone);
+                    conns.lock_recover().insert(id, clone);
                 }
                 scope.spawn(move || {
-                    if stream.set_nonblocking(false).is_err() {
-                        return;
+                    if stream.set_nonblocking(false).is_ok() {
+                        let reader = std::io::BufReader::new(&stream);
+                        let _ = serve_lines(service, reader, &stream);
+                        let _ = stream.shutdown(std::net::Shutdown::Both);
                     }
-                    let reader = std::io::BufReader::new(&stream);
-                    let _ = serve_lines(service, reader, &stream);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    conns.lock_recover().remove(&id);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

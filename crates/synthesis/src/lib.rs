@@ -38,6 +38,4 @@ pub use search::{
 };
 pub use sweep::{instantiate, BlockCircuit, Structure, SweepOptions, SweepResult};
 pub use templates::{builtin_irs, template_matches, IrEntry, Template, TemplateLibrary};
-pub use skeleton::{
-    instantiate_skeleton, min_cnots, synthesize_to_cnots, SkeletonResult, Slot,
-};
+pub use skeleton::{min_cnots, synthesize_to_cnots, SkeletonResult};

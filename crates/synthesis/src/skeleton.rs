@@ -1,40 +1,25 @@
-//! Skeleton instantiation: optimize the *local* layers of a circuit with a
-//! fixed entangling skeleton (e.g. `k` CNOTs) to match a 2Q target.
-//!
-//! This powers the CNOT-based baselines' block re-synthesis: a consolidated
-//! 2Q block with Weyl coordinates `(x, y, z)` needs 0–3 CNOTs
-//! (Shende–Bullock–Markov), and the interleaved 1Q layers are found by the
-//! same environment-sweep trick as [`crate::sweep`], with 2×2 polar
-//! updates.
+//! CNOT skeletons: [`synthesize_to_cnots`] writes a 2Q target as the
+//! minimal number of CNOTs for its Weyl class (Shende–Bullock–Markov,
+//! 0–3) plus exact 1Q layers. The CNOT-based baselines' block
+//! re-synthesis runs on it.
 
 // lint:allow-file(tolerance-literal, skeleton-fit residual thresholds local to synthesis)
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use reqisc_qcircuit::embed;
 use reqisc_qmath::gates::cnot;
 use reqisc_qmath::weyl::WeylCoord;
-use reqisc_qmath::{haar_unitary, polar_unitary, weyl_coords, CMat};
+use reqisc_qmath::{weyl_coords, CMat};
 
-/// One slot of a skeleton: either a fixed gate or a free 1Q block.
-#[derive(Debug, Clone)]
-pub enum Slot {
-    /// A fixed gate on the given qubits (matrix of matching dimension).
-    Fixed(Vec<usize>, CMat),
-    /// A free 1Q block on one qubit, optimized by the sweep.
-    Free1Q(usize),
-}
-
-/// Result of a skeleton instantiation.
+/// A synthesized 2Q circuit.
 #[derive(Debug, Clone)]
 pub struct SkeletonResult {
-    /// All slots with the free blocks filled in (in execution order).
+    /// The gates with their qubits, in execution order.
     pub slots: Vec<(Vec<usize>, CMat)>,
     /// Final process infidelity.
     pub infidelity: f64,
 }
 
 impl SkeletonResult {
-    /// Full unitary of the instantiated skeleton.
+    /// Full unitary of the circuit.
     pub fn unitary(&self, num_qubits: usize) -> CMat {
         let mut u = CMat::identity(1 << num_qubits);
         for (qs, g) in &self.slots {
@@ -42,113 +27,6 @@ impl SkeletonResult {
         }
         u
     }
-}
-
-/// Optimizes the free 1Q blocks of `slots` to approximate `target`.
-///
-/// # Panics
-///
-/// Panics if dimensions are inconsistent.
-pub fn instantiate_skeleton(
-    target: &CMat,
-    slots: &[Slot],
-    num_qubits: usize,
-    restarts: usize,
-    seed: u64,
-) -> SkeletonResult {
-    let dim = 1usize << num_qubits;
-    assert_eq!(target.rows(), dim, "target dimension mismatch");
-    let udag = target.adjoint();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<SkeletonResult> = None;
-    for restart in 0..=restarts {
-        // Materialize working blocks.
-        let mut blocks: Vec<(Vec<usize>, CMat, bool)> = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Fixed(qs, m) => (qs.clone(), m.clone(), false),
-                Slot::Free1Q(q) => {
-                    let init = if restart == 0 {
-                        CMat::identity(2)
-                    } else {
-                        haar_unitary(2, &mut rng)
-                    };
-                    (vec![*q], init, true)
-                }
-            })
-            .collect();
-        let m = blocks.len();
-        let mut inf = f64::INFINITY;
-        for _sweep in 0..400 {
-            // Prefix/suffix products.
-            let mut prefix = vec![CMat::identity(dim)];
-            for (qs, g, _) in blocks.iter() {
-                let e = embed(g, qs, num_qubits);
-                let last = prefix.last().unwrap().clone();
-                prefix.push(e.mul_mat(&last));
-            }
-            let mut suffix = vec![CMat::identity(dim); m + 1];
-            for k in (0..m).rev() {
-                let e = embed(&blocks[k].1, &blocks[k].0, num_qubits);
-                suffix[k] = suffix[k + 1].mul_mat(&e);
-            }
-            for k in 0..m {
-                if !blocks[k].2 {
-                    continue;
-                }
-                let q = blocks[k].0[0];
-                let mmat = prefix[k].mul_mat(&udag).mul_mat(&suffix[k + 1]);
-                let env = env_1q(&mmat, q, num_qubits);
-                blocks[k].1 = polar_unitary(&env.conj());
-                let e = embed(&blocks[k].1, &blocks[k].0, num_qubits);
-                prefix[k + 1] = e.mul_mat(&prefix[k]);
-            }
-            // Convergence check.
-            let mut u = CMat::identity(dim);
-            for (qs, g, _) in blocks.iter() {
-                u = embed(g, qs, num_qubits).mul_mat(&u);
-            }
-            let now = (1.0 - target.hs_inner(&u).abs() / dim as f64).max(0.0);
-            if (inf - now).abs() < 1e-16 || now < 1e-12 {
-                inf = now;
-                break;
-            }
-            inf = now;
-        }
-        let r = SkeletonResult {
-            slots: blocks.into_iter().map(|(qs, g, _)| (qs, g)).collect(),
-            infidelity: inf,
-        };
-        let better = best.as_ref().is_none_or(|b| r.infidelity < b.infidelity);
-        if better {
-            best = Some(r);
-        }
-        if best.as_ref().unwrap().infidelity < 1e-10 {
-            break;
-        }
-    }
-    best.expect("at least one restart")
-}
-
-fn env_1q(m: &CMat, q: usize, num_qubits: usize) -> CMat {
-    let n = num_qubits;
-    let sh = n - 1 - q;
-    let rest: Vec<usize> = (0..n).filter(|&qq| qq != q).map(|qq| n - 1 - qq).collect();
-    let mut env = CMat::zeros(2, 2);
-    for ctx in 0..(1usize << rest.len()) {
-        let mut base = 0usize;
-        for (bi, &s) in rest.iter().enumerate() {
-            if (ctx >> bi) & 1 == 1 {
-                base |= 1 << s;
-            }
-        }
-        for i in 0..2usize {
-            for j in 0..2usize {
-                env[(i, j)] += m[(base | (j << sh), base | (i << sh))];
-            }
-        }
-    }
-    env
 }
 
 /// Minimal CNOT count for a 2Q gate class (Shende–Bullock–Markov):
@@ -414,6 +292,7 @@ mod tests {
 
     #[test]
     fn haar_random_needs_three_and_reconstructs() {
+        use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..3 {

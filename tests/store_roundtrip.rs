@@ -1,13 +1,14 @@
 //! Round-trip and corruption-tolerance tests for the durable tier, the
 //! shared segment file: a bulk publish followed by a seed must be
 //! bit-faithful (a re-published copy holds identical records, and warm
-//! compiles are pure hits equal to the cold ones), every flavour of bad
+//! compiles, a two-worker batch included, are pure hits equal to the
+//! cold ones), every flavour of bad
 //! file must degrade to an accounted recovery that serves only intact
 //! entries, concurrent publishers must never tear an entry, and offline
 //! compaction must drop exactly the entries no process referenced.
 
 use proptest::prelude::*;
-use reqisc::benchsuite::generators;
+use reqisc::benchsuite::{generators, mini_suite};
 use reqisc::compiler::{
     probe_shared_program, publish_all, seed_from_segment, seed_subprogram_pools, Compiler,
     Pipeline, STORE_FORMAT_VERSION,
@@ -94,9 +95,19 @@ fn save_load_roundtrip_bit_identical_pools_and_warm_compiles() {
     let program = toffoli_chain();
     let out_full = cold.compile(&program, Pipeline::ReqiscFull);
     let out_eff = cold.compile(&program, Pipeline::ReqiscEff);
+    // A whole workload too: one program per category through both ReQISC
+    // pipelines, fanned over two workers.
+    let suite = mini_suite();
+    let jobs: Vec<(&Circuit, Pipeline)> = suite
+        .iter()
+        .flat_map(|b| [(&b.circuit, Pipeline::ReqiscEff), (&b.circuit, Pipeline::ReqiscFull)])
+        .collect();
+    let cold_batch = cold.compile_batch(&jobs, 2);
     let seg = attach(&path);
     assert_eq!(seg.entries(), 0, "no file yet: a fresh segment");
-    let n = publish_all(&seg, cold.cache()).published as usize;
+    let published = publish_all(&seg, cold.cache());
+    assert_eq!(published.full_rejects, 0, "the segment must hold the whole workload");
+    let n = published.published as usize;
     assert!(n >= 3, "programs + synthesis entries, got {n}");
     assert_eq!(seg.entries() as usize, n);
     drop(seg);
@@ -107,7 +118,7 @@ fn save_load_roundtrip_bit_identical_pools_and_warm_compiles() {
     assert!(r.ran && !r.reinitialized && r.live_entries as usize == n, "{r:?}");
     let warm = small_compiler();
     assert_eq!(seed_from_segment(&seg, warm.cache()), n);
-    assert_eq!(warm.cache().len(), n, "both compiled pipelines and the dense blocks");
+    assert_eq!(warm.cache().len(), n, "every compiled program and dense block");
 
     // Bit-identical pool keys and values: publishing the seeded cache
     // into a second segment reproduces every record byte for byte.
@@ -126,6 +137,14 @@ fn save_load_roundtrip_bit_identical_pools_and_warm_compiles() {
     assert_eq!((s.hits, s.misses), (2, 0), "disk-warm compiles must be pure hits: {s}");
     let inf = process_infidelity(&circuit_unitary(&warm_full), &circuit_unitary(&program.lowered_to_cx()));
     assert!(inf < 1e-6, "warm result not equivalent to source: {inf}");
+
+    // The re-attached file warms the whole two-worker batch: every job is
+    // a program-pool hit, none is compiled again, and every output equals
+    // the cold batch's.
+    let warm_batch = warm.compile_batch(&jobs, 2);
+    assert_eq!(warm_batch, cold_batch, "disk-warm batch diverged from the cold batch");
+    let s = warm.cache_stats().programs;
+    assert_eq!((s.hits - 2, s.misses), (34, 0), "disk-warm batch must be pure hits: {s}");
 
     drop((seg, seg2));
     let _ = std::fs::remove_file(&path);
