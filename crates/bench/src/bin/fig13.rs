@@ -7,7 +7,10 @@
 //!
 //! The whole suite is compiled in one [`Compiler::compile_batch`] fan-out
 //! sharing the compilation cache; repeated Toffoli/adder blocks across
-//! programs synthesize once. Final cache counters print as comments.
+//! programs synthesize once, even when two workers reach one at the same
+//! time. Final cache counters print as comments, and every cold run (no
+//! `REQISC_SHM_PATH`) prints the same ones: only the wall-clock line
+//! varies.
 
 use reqisc_bench::{env_publish, env_segment};
 use reqisc_benchsuite::{scale_from_env, suite, Benchmark};

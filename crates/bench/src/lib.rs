@@ -19,19 +19,18 @@ use reqisc_qcircuit::Circuit;
 use reqisc_shmem::Segment;
 use std::collections::BTreeMap;
 
-/// The `REQISC_*` environment knobs shared by every bench binary. Each
-/// knob is declared exactly once in the [`reqisc_env`] registry (with its
-/// doc line — enforced by the `reqisc-lint` `env-registry` rule); this
-/// module re-exports the ones the bench binaries read.
+/// The `REQISC_*` knobs the bench binaries read, re-exported from the
+/// [`reqisc_env`] registry, where each is declared exactly once with its
+/// doc line (enforced by the `reqisc-lint` `env-registry` rule).
 pub mod env {
     pub use reqisc_env::{HAAR_SAMPLES, SHM_CAPACITY_BYTES, SHM_PATH, TRIALS};
 }
 
 /// Attaches the shared segment named by `REQISC_SHM_PATH` (if set) and
-/// warm-starts `compiler` from it. Every figure binary calls this right
-/// after building its compiler: with the knob set, a rerun — or a
-/// different figure sharing the file — skips everything an earlier
-/// process already compiled. A new file gets the service's capacity
+/// warm-starts `compiler` from it. The compiling binaries (`fig12`,
+/// `fig13`, `fig14` and `table2`) call this right after building their
+/// compiler: with the knob set, a rerun — or another of them sharing the
+/// file — skips everything an earlier process already compiled. A new file gets the service's capacity
 /// default (`REQISC_SHM_CAPACITY_BYTES`, else 64 MiB); a file that is
 /// not a segment of this build is reinitialized. Returns the segment so
 /// the binary can [`env_publish`] its own results back at exit; `None`

@@ -151,13 +151,6 @@ pub struct CompileCacheStats {
     pub synthesis: CacheStats,
 }
 
-impl CompileCacheStats {
-    /// Sum over both pools.
-    pub fn total(&self) -> CacheStats {
-        self.programs.merged(&self.synthesis)
-    }
-}
-
 impl std::fmt::Display for CompileCacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "programs: {}\nsynthesis: {}", self.programs, self.synthesis)
@@ -166,11 +159,12 @@ impl std::fmt::Display for CompileCacheStats {
 
 /// The shared compilation cache. Every method takes `&self`; a single
 /// instance is safely shared by reference across `std::thread::scope`
-/// workers (reads are shard-read-lock only).
+/// workers (reads are shard-read-lock only). The crate fills, probes,
+/// seeds and exports the two pools directly.
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    programs: ShardedMap<ProgramKey, Arc<Program>>,
-    synthesis: ShardedMap<SynthKey, Arc<Option<BlockCircuit>>>,
+    pub(crate) programs: ShardedMap<ProgramKey, Arc<Program>>,
+    pub(crate) synthesis: ShardedMap<SynthKey, Arc<Option<BlockCircuit>>>,
 }
 
 impl CompileCache {
@@ -197,27 +191,10 @@ impl CompileCache {
         }
     }
 
-    /// Looks up a memoized whole-program compilation.
-    pub(crate) fn get_program(&self, key: &ProgramKey) -> Option<Arc<Program>> {
-        self.programs.get(key)
-    }
-
-    /// Hit-only-counted lookup of a memoized whole-program compilation
-    /// (see [`ShardedMap::probe`]): a present entry counts a hit and
-    /// returns; an absent one counts nothing, leaving the miss to the
-    /// eventual [`Compiler::compile`](crate::Compiler::compile) that does
-    /// the cold work. The service's submission probe is the caller.
-    pub(crate) fn probe_program(&self, key: &ProgramKey) -> Option<Arc<Program>> {
-        self.programs.probe(key)
-    }
-
-    /// Stores a finished whole-program compilation.
-    pub(crate) fn put_program(&self, key: ProgramKey, out: Arc<Program>) {
-        self.programs.insert(key, out);
-    }
-
     /// Memoized [`synthesize_if_shorter`]: blocks with the same target
-    /// unitary, width, and budget synthesize once per cache lifetime.
+    /// unitary, width, and budget synthesize once per cache lifetime —
+    /// workers that miss a block another worker is synthesizing wait for
+    /// its result.
     pub fn synthesize_if_shorter_cached(
         &self,
         target: &CMat,
@@ -245,41 +222,6 @@ impl CompileCache {
         })
     }
 
-    /// Exports the whole-program pool for a bulk publish pass; the
-    /// trailing flag is `true` for entries a live lookup or insert touched
-    /// (`false` = bulk-seeded and never served — GC-aging candidates).
-    pub(crate) fn export_programs(&self) -> Vec<(ProgramKey, Arc<Program>, bool)> {
-        let mut out = Vec::new();
-        self.programs.for_each_with_used(|k, v, used| out.push((*k, v.clone(), used)));
-        out
-    }
-
-    /// Exports the block-synthesis pool for a bulk publish pass (same
-    /// used-flag contract as [`CompileCache::export_programs`]).
-    pub(crate) fn export_synthesis(&self) -> Vec<(SynthKey, Arc<Option<BlockCircuit>>, bool)> {
-        let mut out = Vec::new();
-        self.synthesis.for_each_with_used(|k, v, used| out.push((*k, v.clone(), used)));
-        out
-    }
-
-    /// Seeds one whole-program entry (counter-free warm start — see
-    /// [`ShardedMap::seed`]).
-    pub(crate) fn seed_program(&self, key: ProgramKey, out: Arc<Program>) {
-        self.programs.seed(key, out);
-    }
-
-    /// Seeds one whole-program entry fetched from the shared segment to
-    /// answer a lookup: counter-free, but marked used, so a bulk pass
-    /// re-stamps it (see [`ShardedMap::seed_served`]).
-    pub(crate) fn seed_served_program(&self, key: ProgramKey, out: Arc<Program>) {
-        self.programs.seed_served(key, out);
-    }
-
-    /// Seeds one block-synthesis entry (counter-free warm start).
-    pub(crate) fn seed_synthesis(&self, key: SynthKey, v: Arc<Option<BlockCircuit>>) {
-        self.synthesis.seed(key, v);
-    }
-
     /// Counter snapshot across both pools.
     pub fn stats(&self) -> CompileCacheStats {
         CompileCacheStats { programs: self.programs.stats(), synthesis: self.synthesis.stats() }
@@ -293,12 +235,6 @@ impl CompileCache {
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops all memoized entries in both pools (counters survive).
-    pub fn clear(&self) {
-        self.programs.clear();
-        self.synthesis.clear();
     }
 }
 
@@ -349,7 +285,9 @@ mod tests {
 
     /// Every program-pool entry of `cache`, read without marking any used.
     fn entries(cache: &CompileCache) -> Vec<Arc<Program>> {
-        cache.export_programs().into_iter().map(|(_, v, _)| v).collect()
+        let mut out = Vec::new();
+        cache.programs.for_each_with_used(|_, v, _| out.push(v.clone()));
+        out
     }
 
     /// A record's fields, the duration as its bits.
@@ -499,13 +437,14 @@ mod tests {
     #[test]
     fn sharded_map_counts_hits_misses_inserts() {
         let m: ShardedMap<u64, u64> = ShardedMap::new();
-        assert_eq!(m.get(&1), None);
-        m.insert(1, 10);
-        assert_eq!(m.get(&1), Some(10));
-        assert_eq!(m.get(&2), None);
+        assert_eq!(m.probe(&1), None, "an absent key counts nothing");
+        assert_eq!(m.get_or_insert_with(&1, || 10), 10);
+        assert_eq!(m.get_or_insert_with(&1, || 11), 10);
+        assert_eq!(m.probe(&1), Some(10));
+        assert_eq!(m.get_or_insert_with(&2, || 20), 20);
         let s = m.stats();
-        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (1, 2, 1, 0));
-        assert_eq!(s.lookups(), 3);
+        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (2, 2, 2, 0));
+        assert_eq!(s.lookups(), 4);
         assert!(s.is_consistent());
     }
 
@@ -513,67 +452,69 @@ mod tests {
     fn sharded_map_evicts_at_capacity() {
         let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 4);
         for k in 0..10 {
-            // Memo discipline: a miss precedes every insert.
-            assert_eq!(m.get(&k), None);
-            m.insert(k, k);
+            assert_eq!(m.get_or_insert_with(&k, || k), k);
         }
-        assert!(m.len() <= 4);
+        assert_eq!(m.len(), 4);
         let s = m.stats();
-        assert_eq!(s.inserts, 10);
-        assert_eq!(s.evictions, 6);
+        assert_eq!((s.misses, s.inserts, s.evictions), (10, 10, 6));
         assert!(s.is_consistent());
     }
 
     #[test]
     fn sharded_map_evicts_least_recently_used() {
         let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 2);
-        // Memo discipline throughout: a missed get precedes every insert.
-        assert_eq!(m.get(&1), None);
-        m.insert(1, 10);
-        assert_eq!(m.get(&2), None);
-        m.insert(2, 20);
+        m.get_or_insert_with(&1, || 10);
+        m.get_or_insert_with(&2, || 20);
         // Touch 1 so 2 becomes the LRU victim.
-        assert_eq!(m.get(&1), Some(10));
-        assert_eq!(m.get(&3), None);
-        m.insert(3, 30);
-        assert_eq!(m.get(&2), None, "LRU entry must have been evicted");
-        assert_eq!(m.get(&1), Some(10));
-        assert_eq!(m.get(&3), Some(30));
+        assert_eq!(m.get_or_insert_with(&1, || 11), 10);
+        m.get_or_insert_with(&3, || 30);
+        assert_eq!(m.probe(&2), None, "LRU entry must have been evicted");
+        assert_eq!(m.probe(&1), Some(10));
+        assert_eq!(m.probe(&3), Some(30));
         // Accounting stays exact under eviction: the evicted key's lookup
-        // is an honest miss, everything else honest hits.
+        // is an honest miss that recomputes (and evicts 1, now the LRU),
+        // everything else honest hits.
+        assert_eq!(m.get_or_insert_with(&2, || 21), 21);
+        assert_eq!(m.probe(&1), None);
         let s = m.stats();
-        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (3, 4, 3, 1));
+        assert_eq!((s.hits, s.misses, s.inserts, s.evictions), (3, 4, 4, 2));
         assert!(s.is_consistent());
     }
 
     #[test]
     fn seeded_entries_are_coldest_victims_and_report_unused() {
         let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 3);
-        m.seed(1, 10);
-        m.seed(2, 20);
-        assert_eq!(m.get(&2), Some(20), "seeded entry serves as a hit");
-        m.insert(3, 30);
+        m.seed(1, 10, false);
+        m.seed(2, 20, false);
+        assert_eq!(m.probe(&2), Some(20), "seeded entry serves as a hit");
+        m.get_or_insert_with(&3, || 30);
         // At capacity: the never-used seed (key 1) is the victim, not the
-        // seed a lookup touched and not the live insert.
-        m.insert(4, 40);
-        assert_eq!(m.get(&1), None, "unused seed must be evicted first");
-        assert_eq!(m.get(&2), Some(20));
-        assert_eq!(m.get(&4), Some(40));
+        // seed a lookup touched and not the live fill.
+        m.get_or_insert_with(&4, || 40);
+        assert_eq!(m.probe(&1), None, "unused seed must be evicted first");
+        assert_eq!(m.probe(&2), Some(20));
+        assert_eq!(m.probe(&4), Some(40));
         let mut used = std::collections::BTreeMap::new();
         m.for_each_with_used(|k, _, u| {
             used.insert(*k, u);
         });
         assert_eq!(used.get(&2), Some(&true), "hit seed reports used");
-        assert_eq!(used.get(&3), Some(&true), "live insert reports used");
-        // A served seed counts nothing but reports used, and the LRU
+        assert_eq!(used.get(&3), Some(&true), "live fill reports used");
+        m.seed(5, 50, false);
+        assert_eq!(m.probe(&5), None, "a full shard skips a new seed");
+        // A used seed counts nothing but reports used, and the LRU
         // evicts a never-used seed before it.
         let m: ShardedMap<u64, u64> = ShardedMap::with_shape(1, 2);
-        m.seed(1, 10);
-        m.seed_served(2, 20);
-        m.insert(3, 30);
-        assert_eq!(m.stats(), CacheStats { hits: 0, misses: 0, inserts: 1, evictions: 1 });
-        assert_eq!(m.get(&2), Some(20), "the served seed outranks the unused one");
-        assert_eq!(m.get(&1), None);
+        m.seed(1, 10, false);
+        m.seed(2, 20, true);
+        let mut used = Vec::new();
+        m.for_each_with_used(|k, _, u| used.push((*k, u)));
+        used.sort();
+        assert_eq!(used, [(1, false), (2, true)]);
+        m.get_or_insert_with(&3, || 30);
+        assert_eq!(m.stats(), CacheStats { hits: 0, misses: 1, inserts: 1, evictions: 1 });
+        assert_eq!(m.probe(&2), Some(20), "the used seed outranks the unused one");
+        assert_eq!(m.probe(&1), None);
     }
 
     #[test]
@@ -591,6 +532,68 @@ mod tests {
         });
         assert_eq!(v2, 42, "second lookup must come from the cache");
         assert_eq!(calls, 1);
+    }
+
+    /// Eight threads released at once miss one key: one computes, seven
+    /// wait for its result, and the counters say so exactly.
+    #[test]
+    fn concurrent_misses_of_one_key_compute_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let m: ShardedMap<u64, u64> = ShardedMap::new();
+        let runs = AtomicUsize::new(0);
+        let start = Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    let v = m.get_or_insert_with(&7, || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        42
+                    });
+                    assert_eq!(v, 42);
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "eight concurrent misses, one compute");
+        assert_eq!(m.stats(), CacheStats { hits: 7, misses: 1, inserts: 1, evictions: 0 });
+    }
+
+    /// A slot being filled is absent to a probe and to the bulk walk,
+    /// neither of which waits for it; a compute that panics leaves its
+    /// slot empty, and the next caller computes.
+    #[test]
+    fn unfilled_slots_are_absent_and_a_panicked_compute_leaves_them_empty() {
+        use std::sync::Barrier;
+        let m: ShardedMap<u64, u64> = ShardedMap::new();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.get_or_insert_with(&1, || panic!("compute failed"))
+        }));
+        assert!(failed.is_err());
+        assert_eq!((m.probe(&1), m.len()), (None, 0), "the panicked fill left nothing");
+        assert_eq!(m.get_or_insert_with(&1, || 10), 10, "the next caller computes");
+        assert_eq!(m.stats(), CacheStats { hits: 0, misses: 1, inserts: 1, evictions: 0 });
+        let (entered, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let filler = scope.spawn(|| {
+                m.get_or_insert_with(&2, || {
+                    entered.wait();
+                    release.wait();
+                    20
+                })
+            });
+            entered.wait();
+            assert_eq!(m.probe(&2), None, "a probe never waits for a fill");
+            let mut keys = Vec::new();
+            m.for_each_with_used(|k, _, _| keys.push(*k));
+            assert_eq!(keys, [1], "the bulk walk skips the unfilled slot");
+            assert_eq!(m.len(), 1);
+            release.wait();
+            assert_eq!(filler.join().expect("filler"), 20);
+        });
+        assert_eq!(m.probe(&2), Some(20));
+        assert_eq!(m.stats(), CacheStats { hits: 1, misses: 2, inserts: 2, evictions: 0 });
     }
 
     /// `fig13` prints this line, and `reqisc-client stats

@@ -6,6 +6,7 @@ use crate::cache::CompileCache;
 use crate::compact::{compact, CompactOptions};
 use crate::fuse::fuse_2q;
 use crate::partition::{partition_3q, Block, PartitionOptions};
+use crate::pool::par_map;
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_synthesis::{synthesize_if_shorter, SearchOptions};
 
@@ -49,11 +50,12 @@ pub fn hierarchical_synthesis(c: &Circuit, opts: &HsOptions) -> Circuit {
 /// and block-level batching. With a cache, dense-block synthesis
 /// attempts are memoized by target content, so repeated subprograms
 /// (Toffoli/adder blocks across a benchsuite) synthesize once per cache
-/// lifetime instead of once per occurrence, and the *distinct* dense
-/// SU(4)/SU(8) blocks of one program are fanned out over up to
-/// `block_threads` scoped workers that fill the shared block-synthesis
-/// pool, before the (cheap, order-sensitive) serial reassembly emits
-/// from it. One large program thereby parallelizes as well as a suite of
+/// lifetime instead of once per occurrence (a worker that misses a
+/// block another worker is synthesizing waits for it), and the
+/// *distinct* dense SU(4)/SU(8) blocks of one program are fanned out
+/// over up to `block_threads` scoped workers that fill the shared
+/// block-synthesis pool, before the (cheap, order-sensitive) serial
+/// reassembly emits from it. One large program thereby parallelizes as well as a suite of
 /// small ones — the per-block synthesis sweeps are the whole cost of the
 /// pass, and they are independent.
 ///
@@ -118,16 +120,8 @@ fn prewarm_distinct_blocks(
     if work.len() < 2 {
         return; // nothing to overlap
     }
-    let threads = block_threads.min(work.len());
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((target, nq, count)) = work.get(i) else { break };
-                cache.synthesize_if_shorter_cached(target, *nq, *count, &opts.search);
-            });
-        }
+    par_map(&work, block_threads, |(target, nq, count)| {
+        cache.synthesize_if_shorter_cached(target, *nq, *count, &opts.search);
     });
 }
 

@@ -1,18 +1,18 @@
 //! End-to-end compilation pipelines (paper §5.4, §6.1.2): the two ReQISC
 //! schemes and the five baselines, with the common metrics of §6.1.1.
 
-use crate::cache::{hs_options_fingerprint, CompileCache, CompileCacheStats, Program};
+use crate::cache::{hs_options_fingerprint, CompileCache, CompileCacheStats, Program, ProgramKey};
 use crate::cnot_opt::{qiskit_like, tket_like};
 use crate::fuse::fuse_2q;
 use crate::hierarchical::{hierarchical_synthesis_batched, HsOptions};
+use crate::pool::{par_map, resolve_threads};
 use crate::template_pass::template_synthesis;
 use reqisc_microarch::{duration_in_g, Coupling};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_synthesis::{SearchOptions, TemplateLibrary};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The compilation pipelines compared in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,9 +187,8 @@ impl Compiler {
         pipeline: Pipeline,
         options_fp: u128,
     ) -> Option<Arc<Program>> {
-        let key =
-            crate::cache::ProgramKey { circuit: circuit_hash, pipeline, options: options_fp };
-        self.cache.probe_program(&key)
+        let key = ProgramKey { circuit: circuit_hash, pipeline, options: options_fp };
+        self.cache.programs.probe(&key)
     }
 
     /// Runs one pipeline on a program, memoizing through the shared
@@ -205,31 +204,19 @@ impl Compiler {
     /// itself: no copy of the output, and the entry's reply record is
     /// shared with every later hit on the same key.
     pub fn compile_program(&self, c: &Circuit, p: Pipeline) -> Arc<Program> {
-        self.compile_with_block_threads(c, p, self.effective_block_threads())
-    }
-
-    /// The configured [`Compiler::block_threads`] with `0` resolved to the
-    /// available hardware parallelism.
-    fn effective_block_threads(&self) -> usize {
-        if self.block_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.block_threads
-        }
+        self.compile_with_block_threads(c, p, resolve_threads(self.block_threads))
     }
 
     /// [`Compiler::compile`] with an explicit block-batching width —
     /// the internal entry point [`Compiler::compile_batch`] workers use so
     /// program-level and block-level parallelism compose instead of
-    /// oversubscribing.
+    /// oversubscribing. The program pool fills single-flight: a worker
+    /// that misses a program another worker is compiling waits for it.
     fn compile_with_block_threads(&self, c: &Circuit, p: Pipeline, bt: usize) -> Arc<Program> {
-        let key = crate::cache::ProgramKey::new(c, p, hs_options_fingerprint(&self.hs));
-        if let Some(hit) = self.cache.get_program(&key) {
-            return hit;
-        }
-        let out = Arc::new(Program::new(self.run_pipeline(c, p, Some(&self.cache), bt)));
-        self.cache.put_program(key, out.clone());
-        out
+        let key = ProgramKey::new(c, p, hs_options_fingerprint(&self.hs));
+        self.cache.programs.get_or_insert_with(&key, || {
+            Arc::new(Program::new(self.run_pipeline(c, p, Some(&self.cache), bt)))
+        })
     }
 
     /// Runs one pipeline without consulting the whole-program memo table
@@ -282,7 +269,8 @@ impl Compiler {
     /// claim jobs from a shared cursor, so a few slow programs do not
     /// starve the rest of a worker's stripe; results are bit-identical to
     /// the serial path because every pipeline is deterministic and cache
-    /// entries are immutable once written.
+    /// entries are immutable once written. Each distinct job compiles
+    /// once, so the cache counters equal the serial path's too.
     ///
     /// Leftover parallelism flows down a level: when there are fewer jobs
     /// than threads (one big program in the extreme), each worker batches
@@ -290,30 +278,12 @@ impl Compiler {
     /// a single large program saturates the machine the same way a suite
     /// of small ones does.
     pub fn compile_batch(&self, jobs: &[(&Circuit, Pipeline)], threads: usize) -> Vec<Circuit> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-        let workers = threads.min(jobs.len().max(1));
+        let threads = resolve_threads(threads);
         // Spare threads (if any) become per-job block-batching width.
         let block_threads = (threads / jobs.len().max(1)).max(1);
-        let slots: Vec<OnceLock<Circuit>> = jobs.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(c, p)) = jobs.get(i) else { break };
-                    let out = self.compile_with_block_threads(c, p, block_threads);
-                    slots[i].set(out.circuit().clone()).expect("job slot written twice");
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("worker panicked before finishing its job"))
-            .collect()
+        par_map(jobs, threads, |&(c, p)| {
+            self.compile_with_block_threads(c, p, block_threads).circuit().clone()
+        })
     }
 }
 
@@ -603,9 +573,14 @@ mod tests {
 
     #[test]
     fn compile_batch_matches_serial_in_job_order() {
-        let mut comp = Compiler::new();
-        comp.hs.search.sweep.restarts = 2;
-        comp.hs.search.sweep.max_sweeps = 150;
+        // One block thread, as each job of a 4-thread batch of 5 gets.
+        let fresh = || {
+            let mut comp = Compiler::new_with_library(compiler().library.clone());
+            comp.hs = compiler().hs.clone();
+            comp.block_threads = 1;
+            comp
+        };
+        let (comp, serial) = (fresh(), fresh());
         let a = toffoli_chain();
         let mut b = Circuit::new(3);
         b.push(Gate::Ccx(0, 1, 2));
@@ -620,11 +595,16 @@ mod tests {
         let batch = comp.compile_batch(&jobs, 4);
         assert_eq!(batch.len(), jobs.len());
         for (i, &(c, p)) in jobs.iter().enumerate() {
-            assert_eq!(batch[i], comp.compile(c, p), "job {i} diverged from serial");
+            assert_eq!(batch[i], serial.compile(c, p), "job {i} diverged from serial");
         }
         assert_eq!(batch[0], batch[4]);
-        let s = comp.cache_stats().programs;
-        assert!(s.hits >= 1, "duplicate batch job should hit: {s}");
+        // Every distinct job compiled once and every block synthesized
+        // once: both pools' counters equal the serial run's, exactly.
+        let s = comp.cache_stats();
+        assert_eq!(s, serial.cache_stats());
+        assert_eq!((s.programs.hits, s.programs.misses, s.programs.inserts), (1, 4, 4), "{s}");
+        assert_eq!(s.synthesis.misses, s.synthesis.inserts, "{s}");
+        assert!(s.synthesis.misses > 0, "the reqisc-full job synthesizes blocks: {s}");
         // threads = 0 (auto) and a single thread also work.
         assert_eq!(comp.compile_batch(&jobs[..2], 0), &batch[..2]);
         assert_eq!(comp.compile_batch(&jobs[..2], 1), &batch[..2]);

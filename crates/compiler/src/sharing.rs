@@ -182,7 +182,7 @@ pub fn probe_shared_program(
     let val = seg.probe(POOL_PROGRAM, &key_bytes)?;
     let decoded = Arc::new(decode_program_val(&val)?);
     let key = ProgramKey { circuit, pipeline, options };
-    cache.seed_served_program(key, decoded.clone());
+    cache.programs.seed(key, decoded.clone(), true);
     Some(decoded)
 }
 
@@ -233,14 +233,18 @@ pub fn publish_program_entry(
 /// of a program entry no reply or publish has priced yet.
 pub fn publish_all(seg: &Segment, cache: &CompileCache) -> ShareStats {
     seg.bump_generation();
+    // Snapshot each pool first: pricing and publishing hold no shard lock.
+    let (mut programs, mut synthesis) = (Vec::new(), Vec::new());
+    cache.programs.for_each_with_used(|k, v, used| programs.push((*k, v.clone(), used)));
+    cache.synthesis.for_each_with_used(|k, v, used| synthesis.push((*k, v.clone(), used)));
     let mut stats = ShareStats::default();
-    for (k, v, used) in cache.export_programs() {
+    for (k, v, used) in programs {
         let key = program_key_bytes(k.circuit, k.pipeline, k.options);
         stats.absorb(publish_or_touch(seg, POOL_PROGRAM, &key, used, || {
             program_val_bytes(&v, v.reply())
         }));
     }
-    for (k, v, used) in cache.export_synthesis() {
+    for (k, v, used) in synthesis {
         let key = synth_key_bytes(&k);
         stats.absorb(publish_or_touch(seg, POOL_SYNTHESIS, &key, used, || synth_val_bytes(&v)));
     }
@@ -289,7 +293,7 @@ fn seed_filtered(seg: &Segment, cache: &CompileCache, include_programs: bool) ->
             POOL_PROGRAM if include_programs => {
                 match (decode_program_key(key), decode_program_val(val)) {
                     (Some(k), Some(v)) => {
-                        cache.seed_program(k, Arc::new(v));
+                        cache.programs.seed(k, Arc::new(v), false);
                         true
                     }
                     _ => false,
@@ -297,7 +301,7 @@ fn seed_filtered(seg: &Segment, cache: &CompileCache, include_programs: bool) ->
             }
             POOL_SYNTHESIS => match (decode_synth_key(key), decode_synth_val(val)) {
                 (Some(k), Some(v)) => {
-                    cache.seed_synthesis(k, Arc::new(v));
+                    cache.synthesis.seed(k, Arc::new(v), false);
                     true
                 }
                 _ => false,
@@ -376,7 +380,7 @@ mod tests {
         assert_eq!(bits(carried), bits(&ReplyRecord::price(&value)));
         // The probe seeded the local pool: a counter-free warm entry.
         let key = ProgramKey { circuit: h, pipeline: Pipeline::ReqiscEff, options: opts };
-        assert!(cache.probe_program(&key).is_some());
+        assert!(cache.programs.probe(&key).is_some());
         // Different pipeline / options miss.
         assert!(probe_shared_program(&seg, &cache, h, Pipeline::ReqiscFull, opts).is_none());
         assert!(probe_shared_program(&seg, &cache, h, Pipeline::ReqiscEff, 43).is_none());
@@ -393,11 +397,11 @@ mod tests {
             pipeline: Pipeline::ReqiscEff,
             options: 1,
         };
-        cache.seed_program(pk, value.clone());
+        cache.programs.seed(pk, value.clone(), false);
         // A negative synthesis result ("no shorter realization") is
         // cacheable wire content too.
         let sk = SynthKey { target: 9, num_qubits: 3, budget: 4, options: 2 };
-        cache.seed_synthesis(sk, Arc::new(None));
+        cache.synthesis.seed(sk, Arc::new(None), false);
 
         let stats = publish_all(&seg, &cache);
         assert_eq!(stats.published, 2);
@@ -408,7 +412,7 @@ mod tests {
 
         let fresh = CompileCache::new();
         assert_eq!(seed_from_segment(&seg, &fresh), 2);
-        let seeded = fresh.probe_program(&pk).expect("seeded program");
+        let seeded = fresh.programs.probe(&pk).expect("seeded program");
         assert_eq!(seeded.priced(), value.priced(), "the publisher's record came along");
         assert_eq!(fresh.len(), 2);
         let _ = std::fs::remove_file(path);

@@ -55,10 +55,10 @@ impl EnvKnob {
 }
 
 /// Shared-memory cache segment path: the one durable tier, shared by
-/// the daemons, the bench binaries, and CI.
+/// the daemons, the compiling bench binaries, and CI.
 pub const SHM_PATH: EnvKnob = EnvKnob {
     name: "REQISC_SHM_PATH",
-    doc: "Shared cache segment file, the durable tier (reqiscd + every bench binary); unset/empty = in-memory only",
+    doc: "Shared cache segment file, the durable tier (read by reqiscd, fig12, fig13, fig14 and table2); unset/empty = in-memory only",
 };
 
 /// Capacity used when the shared segment is (re)created.

@@ -392,10 +392,19 @@ fn respond_loop<W: Write>(
 /// [`serve_lines`]. The socket file is (re)created on entry and removed
 /// on exit.
 ///
+/// The loop blocks in `accept` and checks [`Service::shutdown_requested`]
+/// after every accept. The first connection to end once shutdown is
+/// requested (the one that served `shutdown`) closes every connection,
+/// its own descriptors first, then connects once to the socket to wake
+/// the loop.
+///
 /// # Errors
 ///
-/// Socket bind/accept errors. Per-connection I/O errors only end that
-/// connection.
+/// Socket bind errors, and `accept` errors other than those that fail
+/// only the connection being accepted (descriptors, buffers or memory
+/// ran out, the peer aborted, a signal interrupted): those are logged,
+/// and the loop backs off for 10 ms and keeps accepting. Per-connection
+/// I/O errors only end that connection.
 #[cfg(unix)]
 pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::Result<()> {
     use std::collections::HashMap;
@@ -407,47 +416,71 @@ pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::
         }
     }
     let listener = UnixListener::bind(socket_path)?;
-    // Nonblocking accept + poll: std has no way to interrupt a blocking
-    // accept when a connection thread flips the shutdown flag.
-    listener.set_nonblocking(true)?;
     // Cloned handles of the open connections, keyed by accept order: on
-    // shutdown the accept loop force-closes them so a connection thread
-    // parked in a blocking read wakes with EOF — otherwise one idle
-    // client would keep the scope join (and the final bulk pass) waiting
-    // forever. Each connection removes its own handle when it ends, so a
-    // long-lived daemon holds one descriptor per open connection only.
+    // shutdown they are force-closed so a connection thread parked in a
+    // blocking read wakes with EOF — otherwise one idle client would keep
+    // the scope join (and the final bulk pass) waiting forever. Each
+    // connection removes its own handle when it ends, so a long-lived
+    // daemon holds one descriptor per open connection only.
     let conns: Mutex<HashMap<u64, UnixStream>> = Mutex::new(HashMap::new());
     let conns = &conns;
-    let mut accepted = 0u64;
+    let close_all = |open: &mut HashMap<u64, UnixStream>| {
+        for (_, s) in open.drain() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+    };
+    let mut next_id = 0u64;
     let result = std::thread::scope(|scope| loop {
+        // A connection whose handle cannot be cloned could not be closed
+        // at shutdown, so it fails like one whose accept failed.
+        let accepted = listener.accept().and_then(|(s, _)| s.try_clone().map(|h| (s, h)));
         if service.shutdown_requested() {
-            for s in conns.lock_recover().values() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
+            close_all(&mut conns.lock_recover());
             return Ok(());
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let id = accepted;
-                accepted += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    conns.lock_recover().insert(id, clone);
-                }
-                scope.spawn(move || {
-                    if stream.set_nonblocking(false).is_ok() {
-                        let reader = std::io::BufReader::new(&stream);
-                        let _ = serve_lines(service, reader, &stream);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    }
-                    conns.lock_recover().remove(&id);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+        let (stream, handle) = match accepted {
+            Ok(pair) => pair,
+            Err(e) if fails_one_connection(&e) => {
+                eprintln!("# reqiscd: accept failed ({e}); retrying in 10 ms");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
             }
             Err(e) => return Err(e),
-        }
+        };
+        let id = next_id;
+        next_id += 1;
+        conns.lock_recover().insert(id, handle);
+        scope.spawn(move || {
+            let _ = serve_lines(service, std::io::BufReader::new(&stream), &stream);
+            drop(stream);
+            // Once shutdown closed this connection it is gone from
+            // `conns`; otherwise the first connection to end after a
+            // shutdown request (its own handle leaves with the removal)
+            // closes the rest and wakes the accept.
+            let mut open = conns.lock_recover();
+            if open.remove(&id).is_some() && service.shutdown_requested() {
+                close_all(&mut open);
+                drop(open);
+                let _ = UnixStream::connect(socket_path);
+            }
+        });
     });
     let _ = std::fs::remove_file(socket_path);
     result
+}
+
+/// Whether a failed `accept` failed only the connection it was
+/// accepting: descriptors (EMFILE, ENFILE), buffers (ENOBUFS) or memory
+/// (ENOMEM) ran out, the peer aborted (ECONNABORTED), or a signal
+/// interrupted the call (EINTR).
+#[cfg(unix)]
+fn fails_one_connection(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, Interrupted, OutOfMemory};
+    // std names no kind for these three: EMFILE and ENFILE are 24 and 23
+    // on every Unix, ENOBUFS is 105 on Linux and 55 on the BSDs.
+    const EMFILE: i32 = 24;
+    const ENFILE: i32 = 23;
+    const ENOBUFS: i32 = if cfg!(target_os = "linux") { 105 } else { 55 };
+    matches!(e.kind(), ConnectionAborted | Interrupted | OutOfMemory)
+        || matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS))
 }

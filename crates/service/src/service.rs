@@ -805,13 +805,16 @@ impl Service {
         self.inner.snapshot()
     }
 
-    /// True once a protocol `shutdown` request has been accepted (the
-    /// transport accept loops poll this).
+    /// True once shutdown has been requested. The socket accept loop
+    /// checks this after every accept (see [`crate::serve_unix`]).
     pub fn shutdown_requested(&self) -> bool {
         self.inner.shutdown_requested.load(Ordering::Acquire)
     }
 
-    /// Marks shutdown as requested (called by the protocol layer).
+    /// Marks shutdown as requested. The protocol layer calls this when a
+    /// connection has served `shutdown`, and that connection then wakes
+    /// the socket accept loop, which is blocked in `accept`; any other
+    /// caller must wake it by connecting once to the socket.
     pub fn request_shutdown(&self) {
         self.inner.shutdown_requested.store(true, Ordering::Release);
     }

@@ -21,12 +21,11 @@
 //! pattern). Recovery is sound here because every structure guarded
 //! by these locks stays structurally valid at any panic point: the
 //! queue swaps its heap out with `mem::take` and reassigns a rebuilt
-//! vector, the inflight map and connection list are plain collections
-//! whose individual operations are atomic with respect to panics, and
-//! the store lock guards `()`. Worst case after a recovered poisoning
-//! is a *lost entry* (a job that never ran), which the protocol
-//! already surfaces as an error response — strictly better than a
-//! creeping thread die-off.
+//! vector, and the inflight map and connection list are plain
+//! collections whose individual operations are atomic with respect to
+//! panics. Worst case after a recovered poisoning is a *lost entry* (a
+//! job that never ran), which the protocol already surfaces as an error
+//! response — strictly better than a creeping thread die-off.
 
 pub use reqisc_sched::sync::{
     atomic, wait_recover, wait_timeout_recover, Condvar, LockRecover, Mutex, MutexGuard,

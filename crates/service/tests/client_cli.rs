@@ -12,17 +12,19 @@
 use reqisc_compiler::Compiler;
 use reqisc_service::{serve_unix, Service, ServiceConfig};
 use std::io::BufRead;
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-/// Requests shutdown when dropped, so a failing assertion inside the
-/// server's scope ends the accept loop instead of hanging the test.
-struct StopOnDrop<'a>(&'a Service);
+/// Requests shutdown and wakes the accept loop with one connect when
+/// dropped, so a failing assertion inside the server's scope ends the
+/// accept loop instead of hanging the test.
+struct StopOnDrop<'a>(&'a Service, &'a Path);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
         self.0.request_shutdown();
+        let _ = UnixStream::connect(self.1);
     }
 }
 
@@ -46,7 +48,7 @@ fn malformed_numeric_flags_are_usage_errors() {
     );
     std::thread::scope(|scope| {
         let service = &service;
-        let _stop = StopOnDrop(service);
+        let _stop = StopOnDrop(service, &sock);
         let server = scope.spawn(|| serve_unix(service, &sock));
         // Well-formed flags reach the daemon: against an empty daemon the
         // hit-rate assertion runs and fails, and a parsed priority is

@@ -1,7 +1,9 @@
 //! A long-lived daemon holds descriptors only for its open connections:
 //! under a 64-descriptor limit, `reqiscd` answers far more sequential
 //! connections than it could if each one left a descriptor behind, and
-//! then shuts down cleanly.
+//! then shuts down cleanly. Running out of descriptors fails only the
+//! connections it cannot accept: once held connections close, the daemon
+//! answers again.
 
 #![cfg(target_os = "linux")]
 
@@ -69,11 +71,22 @@ impl Daemon {
         }
         reply
     }
+
+    /// Sends `shutdown` and requires a clean exit: status 0, socket gone.
+    fn shut_down(mut self) {
+        let reply = self.request("{\"id\":0,\"op\":\"shutdown\"}");
+        assert!(reply.contains("\"ok\":true"), "shutdown: {reply:?}");
+        let (status, stderr) =
+            self.exited(Duration::from_secs(60)).expect("reqiscd exits after shutdown");
+        assert_eq!(status.code(), Some(0), "{stderr}");
+        assert!(!self.sock.exists(), "the daemon removes its socket on exit");
+    }
 }
 
-#[test]
-fn sequential_connections_do_not_exhaust_descriptors() {
-    let sock = std::env::temp_dir().join(format!("reqisc-fds-{}.sock", std::process::id()));
+/// Starts `reqiscd` on a fresh socket named after `tag`, limited to 64
+/// descriptors.
+fn daemon_under_64_fds(tag: &str) -> Daemon {
+    let sock = std::env::temp_dir().join(format!("reqisc-fds-{tag}-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     let child = Command::new("sh")
         .arg("-c")
@@ -86,15 +99,46 @@ fn sequential_connections_do_not_exhaust_descriptors() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn reqiscd");
-    let mut daemon = Daemon { child, sock: sock.clone() };
+    Daemon { child, sock }
+}
+
+#[test]
+fn sequential_connections_do_not_exhaust_descriptors() {
+    let mut daemon = daemon_under_64_fds("seq");
     for i in 0..200 {
         let reply = daemon.request(&format!("{{\"id\":{i},\"op\":\"stats\"}}"));
         assert!(reply.contains("\"op\":\"stats\""), "connection {i}: {reply:?}");
     }
-    let reply = daemon.request("{\"id\":200,\"op\":\"shutdown\"}");
-    assert!(reply.contains("\"ok\":true"), "shutdown: {reply:?}");
-    let (status, stderr) =
-        daemon.exited(Duration::from_secs(60)).expect("reqiscd exits after shutdown");
-    assert_eq!(status.code(), Some(0), "{stderr}");
-    assert!(!sock.exists(), "the daemon removes its socket on exit");
+    daemon.shut_down();
+}
+
+/// Forty open connections need more descriptors than the daemon has, so
+/// `accept` fails while they are held; that fails the connections it
+/// could not take, never the daemon.
+#[test]
+fn exhausted_descriptors_fail_connections_not_the_daemon() {
+    let mut daemon = daemon_under_64_fds("held");
+    daemon.request("{\"id\":0,\"op\":\"stats\"}");
+    let held: Vec<UnixStream> = (0..40)
+        .map(|i| {
+            let mut s = UnixStream::connect(&daemon.sock).expect("connect");
+            writeln!(s, "{{\"id\":{i},\"op\":\"stats\"}}").expect("send stats");
+            s
+        })
+        .collect();
+    // Accepted connections answer in accept order; the first that does
+    // not answer within 2 s is one the daemon could not accept.
+    let answered = held
+        .iter()
+        .take_while(|s| {
+            s.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+            let mut reply = String::new();
+            BufReader::new(*s).read_line(&mut reply).is_ok_and(|n| n > 0)
+        })
+        .count();
+    assert!(answered < held.len(), "40 connections must exhaust 64 descriptors");
+    drop(held);
+    let reply = daemon.request("{\"id\":40,\"op\":\"stats\"}");
+    assert!(reply.contains("\"op\":\"stats\""), "after {answered} answered: {reply:?}");
+    daemon.shut_down();
 }

@@ -335,14 +335,15 @@ fn a_deeply_nested_line_is_a_parse_error() {
     let (deep, other) = std::thread::scope(|scope| {
         let service = &service;
         // A failed read below must end the accept loop, not hang the
-        // scope's join.
-        struct StopOnDrop<'a>(&'a Service);
+        // scope's join: request shutdown, then wake the blocked accept.
+        struct StopOnDrop<'a>(&'a Service, &'a std::path::Path);
         impl Drop for StopOnDrop<'_> {
             fn drop(&mut self) {
                 self.0.request_shutdown();
+                let _ = UnixStream::connect(self.1);
             }
         }
-        let _stop = StopOnDrop(service);
+        let _stop = StopOnDrop(service, &sock);
         let sock_path = sock.clone();
         let server = scope.spawn(move || reqisc_service::serve_unix(service, &sock_path));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use reqisc::benchsuite::generators;
 use reqisc::compiler::{Compiler, Pipeline};
+use reqisc::qcircuit::Circuit;
 use reqisc::qsim::{circuit_unitary, process_infidelity};
 use std::sync::OnceLock;
 
@@ -63,17 +64,32 @@ proptest! {
     }
 }
 
-/// The counters the properties above exercised stay arithmetically
-/// consistent (not a proptest case: checked once after the whole run,
-/// ordering with the cases is irrelevant because counters only grow).
+/// The counters are exact, not merely consistent: a 2-thread batch that
+/// compiles each of three programs twice, on a compiler of its own,
+/// counts one miss and one insert per distinct program and per distinct
+/// block, and ends with the same counters as a serial run of the same
+/// jobs.
 #[test]
 fn cache_counters_stay_consistent() {
-    // Force at least one populated pool even if this test runs first.
-    let c = generators::reversible_network(3, 6, 42);
-    compiler().compile(&c, Pipeline::ReqiscFull);
-    compiler().compile(&c, Pipeline::ReqiscFull);
-    let s = compiler().cache_stats();
-    assert!(s.programs.is_consistent(), "programs: {}", s.programs);
-    assert!(s.synthesis.is_consistent(), "synthesis: {}", s.synthesis);
-    assert!(s.programs.hits >= 1);
+    let fresh = || {
+        let mut c = Compiler::new_with_library(compiler().library.clone());
+        c.hs = compiler().hs.clone();
+        // One block thread, as each job of a 2-thread batch of 6 gets.
+        c.block_threads = 1;
+        c
+    };
+    let programs: Vec<Circuit> =
+        (0..3).map(|seed| generators::reversible_network(3, 6, 42 + seed)).collect();
+    let jobs: Vec<(&Circuit, Pipeline)> =
+        programs.iter().flat_map(|c| [(c, Pipeline::ReqiscFull); 2]).collect();
+    let (batch, serial) = (fresh(), fresh());
+    let outs = batch.compile_batch(&jobs, 2);
+    for (&(c, p), out) in jobs.iter().zip(&outs) {
+        assert_eq!(&serial.compile(c, p), out);
+    }
+    let s = batch.cache_stats();
+    assert_eq!(s, serial.cache_stats(), "the batch's counters equal the serial run's");
+    assert_eq!((s.programs.hits, s.programs.misses, s.programs.inserts), (3, 3, 3), "{s}");
+    assert_eq!(s.synthesis.misses, s.synthesis.inserts, "{s}");
+    assert!(s.synthesis.misses > 0, "the programs synthesize blocks: {s}");
 }
