@@ -9,6 +9,7 @@ use crate::partition::{partition_3q, Block, PartitionOptions};
 use crate::pool::par_map;
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_synthesis::{synthesize_if_shorter, SearchOptions};
+use std::sync::Arc;
 
 /// Options for [`hierarchical_synthesis`].
 #[derive(Debug, Clone)]
@@ -47,22 +48,24 @@ pub fn hierarchical_synthesis(c: &Circuit, opts: &HsOptions) -> Circuit {
 }
 
 /// [`hierarchical_synthesis`] with an optional shared [`CompileCache`]
-/// and block-level batching. With a cache, dense-block synthesis
-/// attempts are memoized by target content, so repeated subprograms
-/// (Toffoli/adder blocks across a benchsuite) synthesize once per cache
-/// lifetime instead of once per occurrence (a worker that misses a
-/// block another worker is synthesizing waits for it), and the
-/// *distinct* dense SU(4)/SU(8) blocks of one program are fanned out
-/// over up to `block_threads` scoped workers that fill the shared
-/// block-synthesis pool, before the (cheap, order-sensitive) serial
-/// reassembly emits from it. One large program thereby parallelizes as well as a suite of
+/// and block-level batching. The dense blocks — 2–3 qubits holding more
+/// than `m_th` 2Q gates — are synthesized on up to `block_threads` scoped
+/// workers, each looked up in the cache exactly once, and the (cheap,
+/// order-sensitive) reassembly then emits every block in order from the
+/// results. One large program thereby parallelizes as well as a suite of
 /// small ones — the per-block synthesis sweeps are the whole cost of the
 /// pass, and they are independent.
 ///
-/// `block_threads ≤ 1` (or no cache) is exactly the serial path. Results
-/// are bit-identical either way: each block synthesis is deterministic in
-/// its (target, options) key, workers only *fill* the memo pool, and
-/// emission order never changes.
+/// With a cache, synthesis attempts are memoized by target content, so
+/// repeated subprograms (Toffoli/adder blocks across a benchsuite)
+/// synthesize once per cache lifetime instead of once per occurrence; a
+/// worker that misses a block another worker is synthesizing waits for
+/// it and counts a hit, so a compile's cache counters are the same at
+/// every width.
+///
+/// `block_threads ≤ 1` synthesizes on the calling thread. Results are
+/// bit-identical at any width: each block synthesis is deterministic in
+/// its (target, options) key, and emission order never changes.
 pub fn hierarchical_synthesis_batched(
     c: &Circuit,
     opts: &HsOptions,
@@ -79,83 +82,37 @@ pub fn hierarchical_synthesis_batched(
     }
     // Tier 1: 3Q partitioning + conditional approximate synthesis.
     let blocks = partition_3q(&fused, &opts.partition);
-    if let Some(cache) = cache {
-        if block_threads > 1 {
-            prewarm_distinct_blocks(&blocks, opts, cache, block_threads);
+    let is_dense = |b: &Block| b.count_2q() > opts.m_th && (2..=3).contains(&b.qubits.len());
+    let dense: Vec<&Block> = blocks.iter().filter(|b| is_dense(b)).collect();
+    let mut synthesized = par_map(&dense, block_threads, |b| {
+        let (target, nq, count) = (b.unitary(), b.qubits.len(), b.count_2q());
+        match cache {
+            Some(cache) => cache.synthesize_if_shorter_cached(&target, nq, count, &opts.search),
+            None => Arc::new(synthesize_if_shorter(&target, nq, count, &opts.search)),
         }
-    }
+    })
+    .into_iter();
     let mut out = Circuit::new(c.num_qubits());
     for b in &blocks {
-        emit_block(&mut out, b, opts, cache);
+        let syn = if is_dense(b) { synthesized.next() } else { None };
+        match syn.as_deref().and_then(Option::as_ref) {
+            // Map the synthesized blocks back to global qubits. Synthesis
+            // is exact up to a global phase only; the phase is physically
+            // irrelevant and ignored throughout.
+            Some(syn) => {
+                for ((la, lb), m) in &syn.blocks {
+                    out.push(Gate::Su4(b.qubits[*la], b.qubits[*lb], Box::new(m.clone())));
+                }
+            }
+            None => {
+                for g in &b.gates {
+                    out.push(g.clone());
+                }
+            }
+        }
     }
     // Boundary fusion: blocks may abut on the same pair.
     fuse_2q(&out)
-}
-
-/// Synthesizes the distinct dense blocks of `blocks` into `cache` in
-/// parallel. Deduplication mirrors the synthesis pool's key — (target
-/// fingerprint, width, clamped budget) — so two occurrences of the same
-/// subprogram cost one worker slot, and a later cache hit serves both.
-fn prewarm_distinct_blocks(
-    blocks: &[Block],
-    opts: &HsOptions,
-    cache: &CompileCache,
-    block_threads: usize,
-) {
-    let mut seen = std::collections::HashSet::new();
-    let mut work: Vec<(reqisc_qmath::CMat, usize, usize)> = Vec::new();
-    for b in blocks {
-        let count = b.count_2q();
-        if count > opts.m_th && b.qubits.len() >= 2 && b.qubits.len() <= 3 {
-            let budget = opts.search.max_blocks.min(count.saturating_sub(1));
-            if budget == 0 {
-                continue; // degenerate budgets bypass the cache entirely
-            }
-            let target = b.unitary();
-            if seen.insert((target.fingerprint(), b.qubits.len(), budget)) {
-                work.push((target, b.qubits.len(), count));
-            }
-        }
-    }
-    if work.len() < 2 {
-        return; // nothing to overlap
-    }
-    par_map(&work, block_threads, |(target, nq, count)| {
-        cache.synthesize_if_shorter_cached(target, *nq, *count, &opts.search);
-    });
-}
-
-fn emit_block(out: &mut Circuit, b: &Block, opts: &HsOptions, cache: Option<&CompileCache>) {
-    let count = b.count_2q();
-    if count > opts.m_th && b.qubits.len() >= 2 && b.qubits.len() <= 3 {
-        let target = b.unitary();
-        // Both arms yield a borrow so a cache hit clones each block
-        // matrix exactly once (into the emitted gate), not twice.
-        let cached;
-        let local;
-        let syn = match cache {
-            Some(cache) => {
-                cached = cache.synthesize_if_shorter_cached(&target, b.qubits.len(), count, &opts.search);
-                cached.as_ref()
-            }
-            None => {
-                local = synthesize_if_shorter(&target, b.qubits.len(), count, &opts.search);
-                &local
-            }
-        };
-        if let Some(syn) = syn {
-            // Map the synthesized blocks back to global qubits.
-            for ((la, lb), m) in &syn.blocks {
-                out.push(Gate::Su4(b.qubits[*la], b.qubits[*lb], Box::new(m.clone())));
-            }
-            // Note: synthesis is exact up to a global phase only; the
-            // phase is physically irrelevant and ignored throughout.
-            return;
-        }
-    }
-    for g in &b.gates {
-        out.push(g.clone());
-    }
 }
 
 #[cfg(test)]
@@ -244,9 +201,9 @@ mod tests {
     #[test]
     fn block_batching_is_bit_identical_to_serial() {
         // One large program with several distinct dense 3Q regions — the
-        // shape block-level batching exists for. Fanning its distinct
-        // blocks over workers must change wall-clock only, never a bit of
-        // the output.
+        // shape block-level batching exists for. Fanning its dense blocks
+        // over workers must change wall-clock only, never a bit of the
+        // output or a cache counter.
         let mut c = Circuit::new(6);
         for base in [0usize, 3] {
             for k in 0..4 {
@@ -263,13 +220,25 @@ mod tests {
         c.push(Gate::Ccx(2, 3, 4));
         let opts = quick_opts();
         let serial = hierarchical_synthesis(&c, &opts);
-        let cache = CompileCache::new();
-        let batched = hierarchical_synthesis_batched(&c, &opts, Some(&cache), 4);
+        let cached = |width| {
+            let cache = CompileCache::new();
+            let out = hierarchical_synthesis_batched(&c, &opts, Some(&cache), width);
+            (out, cache)
+        };
+        let (narrow, narrow_cache) = cached(1);
+        let (batched, cache) = cached(4);
+        assert_eq!(narrow, serial, "the cache changed the result");
         assert_eq!(batched, serial, "block batching changed the result");
-        assert!(cache.stats().synthesis.inserts >= 2, "distinct blocks should prewarm the pool");
-        // A rerun is pure hits (the prewarm populated the shared pool).
+        // Each dense block is looked up once at any width, so the
+        // counters match the serial compile's exactly.
+        let s = cache.stats();
+        assert_eq!(s, narrow_cache.stats());
+        assert!(s.synthesis.inserts >= 2, "several distinct dense blocks: {s}");
+        // A rerun is pure hits: one per lookup of the first run.
         let rerun = hierarchical_synthesis_batched(&c, &opts, Some(&cache), 4);
         assert_eq!(rerun, serial);
+        let (first, again) = (s.synthesis, cache.stats().synthesis);
+        assert_eq!((again.hits, again.misses), (first.hits + first.lookups(), first.misses));
         check_equiv(&c, &batched);
     }
 

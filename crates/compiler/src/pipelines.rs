@@ -111,10 +111,10 @@ pub struct Compiler {
     /// so adjustments never serve stale entries.
     pub hs: HsOptions,
     /// Block-level batching width for single-program compiles: the
-    /// distinct dense blocks of one program are synthesized on up to this
-    /// many scoped workers (`0` = available hardware parallelism, `1` =
-    /// serial). Results are bit-identical at any setting, so this is
-    /// deliberately *not* part of the cache key.
+    /// dense blocks of one program are synthesized on up to this many
+    /// scoped workers (`0` = available hardware parallelism, `1` = on the
+    /// calling thread). Results and cache counters are identical at any
+    /// setting, so this is deliberately *not* part of the cache key.
     pub block_threads: usize,
     cache: CompileCache,
 }
@@ -270,13 +270,15 @@ impl Compiler {
     /// starve the rest of a worker's stripe; results are bit-identical to
     /// the serial path because every pipeline is deterministic and cache
     /// entries are immutable once written. Each distinct job compiles
-    /// once, so the cache counters equal the serial path's too.
+    /// once, so the cache counters equal the serial path's too, at any
+    /// block width.
     ///
     /// Leftover parallelism flows down a level: when there are fewer jobs
     /// than threads (one big program in the extreme), each worker batches
-    /// that program's distinct dense blocks across the spare threads — so
-    /// a single large program saturates the machine the same way a suite
-    /// of small ones does.
+    /// that program's dense blocks across the spare threads — so a single
+    /// large program saturates the machine the same way a suite of small
+    /// ones does. Each dense block is still looked up once, and a block
+    /// another worker is synthesizing is waited for, not recomputed.
     pub fn compile_batch(&self, jobs: &[(&Circuit, Pipeline)], threads: usize) -> Vec<Circuit> {
         let threads = resolve_threads(threads);
         // Spare threads (if any) become per-job block-batching width.
@@ -573,11 +575,11 @@ mod tests {
 
     #[test]
     fn compile_batch_matches_serial_in_job_order() {
-        // One block thread, as each job of a 4-thread batch of 5 gets.
+        // The serial compiler runs at the default block width; each job
+        // of a 4-thread batch of 5 gets one block thread.
         let fresh = || {
             let mut comp = Compiler::new_with_library(compiler().library.clone());
             comp.hs = compiler().hs.clone();
-            comp.block_threads = 1;
             comp
         };
         let (comp, serial) = (fresh(), fresh());

@@ -317,12 +317,17 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 
 /// Maps `f` over `items` on up to `threads` scoped workers that claim
 /// items from a shared cursor, so a few slow items do not starve the
-/// rest of a worker's stripe. Returns the results in item order.
+/// rest of a worker's stripe. Returns the results in item order. When
+/// that would start at most one worker, `f` runs on the calling thread
+/// and no thread starts.
 pub(crate) fn par_map<T: Sync, R: Send + Sync>(
     items: &[T],
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
+    if threads.min(items.len()) <= 1 {
+        return items.iter().map(f).collect();
+    }
     let results: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {

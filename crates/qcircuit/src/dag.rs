@@ -65,35 +65,6 @@ impl Dag {
             .filter(|&i| !done[i] && self.preds[i].iter().all(|&p| done[p]))
             .collect()
     }
-
-    /// Gates with no *un-done* successor — the "last mapped layer" of
-    /// mirroring-SABRE (paper §5.3.2), restricted to done gates.
-    pub fn last_layer(&self, done: &[bool]) -> Vec<usize> {
-        (0..self.num_gates)
-            .filter(|&i| done[i] && self.succs[i].iter().all(|&s| !done[s]))
-            .collect()
-    }
-
-    /// Groups gate indices into topological layers (gates within a layer
-    /// are mutually independent).
-    pub fn topo_layers(&self) -> Vec<Vec<usize>> {
-        let mut depth = vec![0usize; self.num_gates];
-        let mut max_depth = 0;
-        for i in 0..self.num_gates {
-            // preds always have smaller index than i, so one pass suffices.
-            let d = self.preds[i].iter().map(|&p| depth[p] + 1).max().unwrap_or(0);
-            depth[i] = d;
-            max_depth = max_depth.max(d);
-        }
-        let mut layers = vec![Vec::new(); max_depth + 1];
-        for (i, &d) in depth.iter().enumerate() {
-            layers[d].push(i);
-        }
-        if self.num_gates == 0 {
-            layers.clear();
-        }
-        layers
-    }
 }
 
 #[cfg(test)]
@@ -132,35 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn last_layer_tracks_frontier() {
-        let d = Dag::build(&sample());
-        let mut done = vec![false; 4];
-        done[0] = true;
-        done[1] = true;
-        // Gate 1 has un-done successors (2, 3) so the last layer is {1}?
-        // No: last layer = done gates with *no done successor*.
-        assert_eq!(d.last_layer(&done), vec![1]);
-        done[2] = true;
-        let ll = d.last_layer(&done);
-        assert!(ll.contains(&2));
-        assert!(!ll.contains(&1));
-    }
-
-    #[test]
-    fn topo_layers_partition() {
-        let d = Dag::build(&sample());
-        let layers = d.topo_layers();
-        assert_eq!(layers.len(), 3);
-        assert_eq!(layers[0], vec![0]);
-        assert_eq!(layers[1], vec![1]);
-        assert_eq!(layers[2], vec![2, 3]);
-    }
-
-    #[test]
     fn empty_circuit() {
         let d = Dag::build(&Circuit::new(2));
         assert!(d.is_empty());
-        assert!(d.topo_layers().is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use protocol::{
     parse_request, CompileSource, Request, RequestBody, RingCounters as StageRingCounters,
     ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
 };
-pub use queue::{JobQueue, Priority, QueueFull, RingStats, DEFAULT_PRIORITY, MAX_PRIORITY};
+pub use queue::{JobQueue, Priority, QueueFull, DEFAULT_PRIORITY, MAX_PRIORITY};
 pub use server::{serve_lines, ServeOutcome};
 #[cfg(unix)]
 pub use server::serve_unix;

@@ -9,6 +9,7 @@
 //! completion order deterministic under a single worker — the property
 //! the queue-semantics tests pin.
 
+use crate::protocol::RingCounters;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use std::collections::BinaryHeap;
@@ -40,38 +41,17 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// Monotone transit counters of one ring, as reported under the `stages`
-/// member of the service's `stats` JSON. `dequeued` counts every entry
+/// Monotone transit counters of one ring. `dequeued` counts every entry
 /// that *left* the ring — popped by a stage worker or removed by ticket
 /// cancellation — so `enqueued == dequeued` exactly when the ring is
 /// empty. `wait_us` accumulates in-ring residence time (microseconds) of
 /// popped entries only; it is informational (wall-clock) and never
 /// CI-asserted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingStats {
-    /// Entries accepted into the ring.
-    pub enqueued: u64,
-    /// Entries that left the ring (popped or cancelled).
-    pub dequeued: u64,
-    /// Total in-ring residence of popped entries, microseconds.
-    pub wait_us: u64,
-}
-
 #[derive(Default)]
-struct RingCounters {
+struct TransitCounters {
     enqueued: AtomicU64,
     dequeued: AtomicU64,
     wait_us: AtomicU64,
-}
-
-impl RingCounters {
-    fn snapshot(&self) -> RingStats {
-        RingStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            dequeued: self.dequeued.load(Ordering::Relaxed),
-            wait_us: self.wait_us.load(Ordering::Relaxed),
-        }
-    }
 }
 
 struct Entry<T> {
@@ -113,7 +93,7 @@ pub struct JobQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     capacity: usize,
-    counters: RingCounters,
+    counters: TransitCounters,
 }
 
 impl<T> JobQueue<T> {
@@ -128,18 +108,20 @@ impl<T> JobQueue<T> {
             state: Mutex::new(State { heap: BinaryHeap::new(), closed: false, seq: 0 }),
             available: Condvar::new(),
             capacity,
-            counters: RingCounters::default(),
+            counters: TransitCounters::default(),
         }
     }
 
-    /// Snapshot of this ring's transit counters (see [`RingStats`]).
-    pub fn ring_stats(&self) -> RingStats {
-        self.counters.snapshot()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Snapshot of this ring's transit counters and current depth, as
+    /// reported under the `stages` member of the `stats` JSON.
+    pub fn ring_stats(&self) -> RingCounters {
+        let c = &self.counters;
+        RingCounters {
+            enqueued: c.enqueued.load(Ordering::Relaxed),
+            dequeued: c.dequeued.load(Ordering::Relaxed),
+            wait_us: c.wait_us.load(Ordering::Relaxed),
+            depth: self.len() as u64,
+        }
     }
 
     /// Non-blocking admission: enqueues `item` or rejects immediately.
@@ -295,6 +277,8 @@ mod tests {
         assert!(q.remove_first(|&v| v == 2), "queued entry must be removable");
         assert!(!q.remove_first(|&v| v == 7), "absent entries report false");
         assert_eq!(q.len(), 2);
+        let rs = q.ring_stats();
+        assert_eq!((rs.enqueued, rs.dequeued, rs.depth), (3, 1, 2), "a removal leaves the ring");
         q.close();
         // Exactly one of the two v=2 entries was removed; order intact.
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();

@@ -389,8 +389,9 @@ fn respond_loop<W: Write>(
 
 /// Runs the Unix-domain-socket accept loop until a `shutdown` request
 /// arrives on any connection. Each connection gets its own thread running
-/// [`serve_lines`]. The socket file is (re)created on entry and removed
-/// on exit.
+/// [`serve_lines`]. A socket file already at `socket_path` (a killed
+/// daemon's) is replaced on entry; any other file there fails the bind
+/// and is left as it is. The socket file is removed on exit.
 ///
 /// The loop blocks in `accept` and checks [`Service::shutdown_requested`]
 /// after every accept. The first connection to end once shutdown is
@@ -408,8 +409,11 @@ fn respond_loop<W: Write>(
 #[cfg(unix)]
 pub fn serve_unix(service: &Service, socket_path: &std::path::Path) -> std::io::Result<()> {
     use std::collections::HashMap;
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::{UnixListener, UnixStream};
-    let _ = std::fs::remove_file(socket_path);
+    if std::fs::symlink_metadata(socket_path).is_ok_and(|m| m.file_type().is_socket()) {
+        let _ = std::fs::remove_file(socket_path);
+    }
     if let Some(dir) = socket_path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;

@@ -76,10 +76,8 @@
 //! synthesis pool from the segment and answers whole programs through the
 //! submission probe. GC is offline: `reqiscd --compact-now`.
 
-use crate::protocol::{
-    CompileSource, RingCounters, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot,
-};
-use crate::queue::{JobQueue, Priority, QueueFull, RingStats};
+use crate::protocol::{CompileSource, ServiceCounters, SharedCounters, StageCounters, StatsSnapshot};
+use crate::queue::{JobQueue, Priority, QueueFull};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
 use reqisc_compiler::{
@@ -623,14 +621,14 @@ impl Service {
             reqisc_sched::thread::spawn(move || {
                 let (lock, cv) = &inner.timer_stop;
                 let mut stopped = lock.lock_recover();
-                loop {
+                // Checked before every wait: a shutdown that came before
+                // this thread first took the lock must not cost an
+                // interval.
+                while !*stopped {
                     let (guard, timeout) =
                         crate::sync::wait_timeout_recover(cv, stopped, interval);
                     stopped = guard;
-                    if *stopped {
-                        break;
-                    }
-                    if timeout.timed_out() {
+                    if !*stopped && timeout.timed_out() {
                         inner.snapshot();
                     }
                 }
@@ -769,7 +767,7 @@ impl Service {
                 queue_depth: self.inner.solve.len() as u64,
             },
             stages: StageCounters {
-                solve: ring_counters(self.inner.solve.ring_stats(), self.inner.solve.len()),
+                solve: self.inner.solve.ring_stats(),
                 lookup_hits: st.lookup_hits.load(Ordering::Relaxed),
                 lookup_misses: st.lookup_misses.load(Ordering::Relaxed),
                 solve_claimed: st.solve_claimed.load(Ordering::Relaxed),
@@ -841,15 +839,6 @@ impl Service {
             let _ = h.join();
         }
         self.inner.snapshot();
-    }
-}
-
-fn ring_counters(rs: RingStats, depth: usize) -> RingCounters {
-    RingCounters {
-        enqueued: rs.enqueued,
-        dequeued: rs.dequeued,
-        depth: depth as u64,
-        wait_us: rs.wait_us,
     }
 }
 

@@ -3,18 +3,21 @@
 //! value does not parse or is out of range is a usage error (exit 2)
 //! instead of a silently skipped assertion or a panic, and a connection
 //! the daemon drops is a failure (exit 1), not a panic. `reqiscd`: a zero
-//! queue or pool size is a usage error (exit 2), not a panic at startup,
-//! and `--compact-now` on a missing segment fails (exit 1) without
-//! creating one.
+//! queue or pool size is a usage error (exit 2), not a panic at startup;
+//! `--compact-now` on a missing segment fails (exit 1) without creating
+//! one; and a file at `--socket` that is not a socket fails the bind
+//! (exit 1) and is kept.
 
 #![cfg(unix)]
 
 use reqisc_compiler::Compiler;
 use reqisc_service::{serve_unix, Service, ServiceConfig};
 use std::io::BufRead;
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Requests shutdown and wakes the accept loop with one connect when
 /// dropped, so a failing assertion inside the server's scope ends the
@@ -167,4 +170,46 @@ fn compact_now_on_a_missing_segment_fails_without_creating_it() {
     let (code, _, stderr) = reqiscd(&["--stdio", "--gc-idle-gens", "2"]);
     assert_eq!(code, Some(2), "{stderr}");
     let _ = std::fs::remove_file(&seg);
+}
+
+#[test]
+fn a_file_at_the_socket_path_is_kept_and_fails_the_bind() {
+    let path = std::env::temp_dir().join(format!("reqiscd-not-a-socket-{}.txt", std::process::id()));
+    std::fs::write(&path, "notes\n").expect("write the file");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_reqiscd"))
+        .arg("--socket")
+        .arg(&path)
+        .args(["--workers", "1"])
+        .env_remove(reqisc_env::SHM_PATH.name)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start reqiscd");
+    // The daemon must exit on its own, well within its 30 s snapshot
+    // interval; one that serves in the file's place (the path turned into
+    // a socket) or outlives the deadline is stopped here, so the test
+    // fails instead of hanging.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let exited = loop {
+        if let Some(status) = daemon.try_wait().expect("poll reqiscd") {
+            break Some(status);
+        }
+        let is_socket = std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket());
+        if is_socket || Instant::now() > deadline {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    if exited.is_none() {
+        let _ = daemon.kill();
+    }
+    let out = daemon.wait_with_output().expect("reap reqiscd");
+    let content = std::fs::read_to_string(&path).ok();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(exited.is_some(), "reqiscd replaced the file and served: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("socket server failed"), "{stderr}");
+    assert_eq!(content.as_deref(), Some("notes\n"), "the file must be left as it was");
 }

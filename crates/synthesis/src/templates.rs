@@ -169,22 +169,6 @@ impl TemplateLibrary {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &IrEntry)> {
         self.entries.iter()
     }
-
-    /// Total distinct SU(4) blocks across the library — the calibration
-    /// cost of template-based compilation (paper §5.3.1).
-    pub fn distinct_block_count(&self, tol: f64) -> usize {
-        let mut distinct: Vec<CMat> = Vec::new();
-        for e in self.entries.values() {
-            for t in &e.variants {
-                for (_, b) in &t.circuit.blocks {
-                    if !distinct.iter().any(|d| d.approx_eq(b, tol)) {
-                        distinct.push(b.clone());
-                    }
-                }
-            }
-        }
-        distinct.len()
-    }
 }
 
 fn wire_permutations() -> [[usize; 3]; 6] {
@@ -305,14 +289,6 @@ mod tests {
         let e = lib.get("ccx").unwrap();
         let min_blocks = e.variants.iter().map(|t| t.circuit.len()).min().unwrap();
         assert!(min_blocks <= 5, "CCX template has {min_blocks} blocks; 6-CNOT baseline");
-    }
-
-    #[test]
-    fn library_has_bounded_distinct_blocks() {
-        let lib = TemplateLibrary::builtin(&quick_opts());
-        let n = lib.distinct_block_count(1e-9);
-        // Finite and small — the §5.3.1 calibration argument.
-        assert!(n > 0 && n < 100, "distinct blocks = {n}");
     }
 
     #[test]
