@@ -596,8 +596,8 @@ mod tests {
         assert_eq!(m.stats(), CacheStats { hits: 1, misses: 2, inserts: 2, evictions: 0 });
     }
 
-    /// `fig13` prints this line, and `reqisc-client stats
-    /// --require-program-hit-pct` gates on `hit_rate`; both are pinned here.
+    /// `fig13` prints this line, hit rate included; both the line and
+    /// `hit_rate` are pinned here.
     #[test]
     fn cache_stats_display_and_hit_rate() {
         let s = CacheStats { hits: 3, misses: 1, inserts: 1, evictions: 0 };

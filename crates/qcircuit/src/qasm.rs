@@ -97,10 +97,13 @@ pub struct ParseLimits {
 }
 
 impl Default for ParseLimits {
-    /// Generous interactive-service defaults: 16 qubits (the demo suite's
-    /// ceiling with headroom), 100k gates.
+    /// The compile service's bounds: 16 qubits (the demo suite's ceiling
+    /// with headroom) and 10 000 gates. The largest suite program has
+    /// 8 000 gates; at the ~12.7 ms per gate a 16-qubit `reqisc-full`
+    /// compile was measured to cost, 10 000 gates hold a solve worker for
+    /// about two minutes.
     fn default() -> Self {
-        Self { max_qubits: 16, max_gates: 100_000 }
+        Self { max_qubits: 16, max_gates: 10_000 }
     }
 }
 

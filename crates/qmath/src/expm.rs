@@ -28,14 +28,12 @@ use crate::mat::CMat;
 pub fn expm_i_hermitian(h: &CMat, t: f64) -> CMat {
     assert!(h.is_square(), "expm of non-square matrix");
     let e = eig_hermitian(h);
-    let n = h.rows();
     let d = CMat::diag(
         &e.values
             .iter()
             .map(|&lam| C64::cis(-lam * t))
             .collect::<Vec<_>>(),
     );
-    let _ = n;
     e.vectors.mul_mat(&d).mul_mat(&e.vectors.adjoint())
 }
 

@@ -1,86 +1,81 @@
 //! `reqisc-client` — a small line-protocol client for `reqiscd`.
 //!
 //! ```text
-//! reqisc-client [--socket PATH] [--connect-timeout-secs S] <command>
+//! reqisc-client [--socket PATH] <command>
 //!
 //! commands:
 //!   submit --pipeline P (--bench NAME | --qasm-file FILE) [--priority N]
-//!   suite [--take N] [--pipelines a,b,...]      submit demo-suite programs
-//!   stats [--require-program-hit-pct X] [--require-shared-hits N]
-//!         [--require-zero-solves]
+//!   suite [--pipelines a,b,...]      submit every demo-suite program
+//!   stats
 //!   snapshot
 //!   shutdown
 //! ```
 //!
 //! Prints every response line to stdout; exits 1 when any response is
-//! not ok or an assertion flag fails, and 2 on a usage error — including
-//! a numeric flag whose value does not parse or is out of range, so a
-//! typo can never turn an assertion off. The connect loop retries for
-//! `--connect-timeout-secs` (default 10) so a just-spawned daemon can
-//! finish binding its socket.
+//! not ok or missing, and 2 on a usage error — an unknown command or
+//! argument, a flag given twice or without its value, or a `--priority`
+//! that does not parse — so a typo is never silently ignored. The
+//! connect loop retries for `CONNECT_TIMEOUT` (10 s) so a just-spawned
+//! daemon can finish binding its socket.
 
 #[cfg(unix)]
 fn main() {
-    use reqisc_service::{Json, StatsSnapshot};
+    use reqisc_service::Json;
+    use std::collections::HashMap;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
+    use std::time::{Duration, Instant};
+
+    /// How long the connect loop retries while the daemon binds.
+    const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
     fn usage() -> ! {
         eprintln!(
-            "usage: reqisc-client [--socket PATH] [--connect-timeout-secs S] \
+            "usage: reqisc-client [--socket PATH] \
              (submit --pipeline P (--bench NAME | --qasm-file F) [--priority N] \
-             | suite [--take N] [--pipelines a,b] \
-             | stats [--require-program-hit-pct X] [--require-shared-hits N] \
-             [--require-zero-solves] | snapshot | shutdown)"
+             | suite [--pipelines a,b] | stats | snapshot | shutdown)"
         );
         std::process::exit(2);
     }
 
-    // A numeric flag's value; one that does not parse is a usage error.
-    fn number<T: std::str::FromStr>(name: &str, value: String) -> T {
-        value.parse().unwrap_or_else(|_| {
-            eprintln!("{name} needs a number, got '{value}'");
-            usage()
-        })
-    }
-
     let mut socket = PathBuf::from("/tmp/reqiscd.sock");
-    let mut connect_timeout = std::time::Duration::from_secs(10);
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = PathBuf::from(it.next().unwrap_or_else(|| usage())),
-            "--connect-timeout-secs" => {
-                let s = number(&a, it.next().unwrap_or_else(|| usage()));
-                connect_timeout = std::time::Duration::from_secs(s);
+    let mut args = std::env::args().skip(1);
+    let command = loop {
+        match args.next() {
+            Some(a) if a == "--socket" => {
+                socket = PathBuf::from(args.next().unwrap_or_else(|| usage()))
             }
-            _ => {
-                rest.push(a);
-                rest.extend(it.by_ref());
-            }
+            Some(a) => break a,
+            None => usage(),
+        }
+    };
+    let allowed: &[&str] = match command.as_str() {
+        "submit" => &["--pipeline", "--bench", "--qasm-file", "--priority"],
+        "suite" => &["--pipelines"],
+        "stats" | "snapshot" | "shutdown" => &[],
+        _ => usage(),
+    };
+    // Every argument after the command is one of its flags with a value,
+    // each given at most once.
+    let mut flags: HashMap<&str, String> = HashMap::new();
+    while let Some(arg) = args.next() {
+        let Some(&name) = allowed.iter().find(|f| **f == arg) else {
+            eprintln!("{command}: unknown argument '{arg}'");
+            usage()
+        };
+        let value = args.next().unwrap_or_else(|| {
+            eprintln!("{name} needs a value");
+            usage()
+        });
+        if flags.insert(name, value).is_some() {
+            eprintln!("{name} given twice");
+            usage()
         }
     }
-    if rest.is_empty() {
-        usage();
-    }
-    let command = rest.remove(0);
-    let flag = |name: &str| -> Option<String> {
-        rest.iter().position(|a| a == name).map(|i| {
-            rest.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        })
-    };
-    let has = |name: &str| rest.iter().any(|a| a == name);
-    let int_flag = |name: &str| flag(name).map(|v| number::<u64>(name, v));
+    let flag = |name: &str| flags.get(name).cloned();
 
     // Build the request lines.
-    let mut require_hit_pct: Option<f64> = None;
-    let mut require_shared_hits: Option<u64> = None;
-    let mut require_zero_solves = false;
     let mut lines: Vec<String> = Vec::new();
     let mut next_id = 1u64;
     let mut id = || {
@@ -91,8 +86,15 @@ fn main() {
     match command.as_str() {
         "submit" => {
             let pipeline = flag("--pipeline").unwrap_or_else(|| usage());
-            let priority =
-                int_flag("--priority").map(|p| format!(",\"priority\":{p}")).unwrap_or_default();
+            let priority = flag("--priority")
+                .map(|v| {
+                    let p: u64 = v.parse().unwrap_or_else(|_| {
+                        eprintln!("--priority needs a number, got '{v}'");
+                        usage()
+                    });
+                    format!(",\"priority\":{p}")
+                })
+                .unwrap_or_default();
             let source = match (flag("--bench"), flag("--qasm-file")) {
                 (Some(b), None) => format!("\"bench\":{}", Json::str(b).emit()),
                 (None, Some(f)) => {
@@ -113,12 +115,10 @@ fn main() {
             ));
         }
         "suite" => {
-            let take = flag("--take").map(|v| number::<usize>("--take", v)).unwrap_or(usize::MAX);
             let pipelines = flag("--pipelines").unwrap_or_else(|| "reqisc-eff".into());
             let names: Vec<String> = reqisc_benchsuite::suite(reqisc_benchsuite::Scale::Demo)
                 .into_iter()
                 .map(|b| b.name)
-                .take(take)
                 .collect();
             for p in pipelines.split(',') {
                 for n in &names {
@@ -131,39 +131,20 @@ fn main() {
                 }
             }
         }
-        "stats" => {
-            require_hit_pct = flag("--require-program-hit-pct").map(|v| {
-                let pct: f64 = number("--require-program-hit-pct", v);
-                if !pct.is_finite() {
-                    eprintln!("--require-program-hit-pct needs a finite percentage");
-                    usage();
-                }
-                pct
-            });
-            require_shared_hits = int_flag("--require-shared-hits");
-            require_zero_solves = has("--require-zero-solves");
-            lines.push(format!("{{\"id\":{},\"op\":\"stats\"}}", id()));
-        }
-        "snapshot" => lines.push(format!("{{\"id\":{},\"op\":\"snapshot\"}}", id())),
-        "shutdown" => lines.push(format!("{{\"id\":{},\"op\":\"shutdown\"}}", id())),
-        _ => usage(),
+        op => lines.push(format!("{{\"id\":{},\"op\":\"{op}\"}}", id())),
     }
 
-    // Connect (with retry — the daemon may still be binding). A timeout
-    // whose deadline the clock cannot represent is a usage error.
-    let deadline = std::time::Instant::now().checked_add(connect_timeout).unwrap_or_else(|| {
-        eprintln!("--connect-timeout-secs {} is out of range", connect_timeout.as_secs());
-        usage()
-    });
+    // Connect (with retry — the daemon may still be binding).
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     let stream = loop {
         match UnixStream::connect(&socket) {
             Ok(s) => break s,
             Err(e) => {
-                if std::time::Instant::now() >= deadline {
+                if Instant::now() >= deadline {
                     eprintln!("cannot connect to {}: {e}", socket.display());
                     std::process::exit(1);
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(100));
             }
         }
     };
@@ -221,65 +202,6 @@ fn main() {
         };
         if v.get("ok").and_then(Json::as_bool) != Some(true) {
             failures += 1;
-            continue;
-        }
-        if let Some(stats) = v.get("stats") {
-            match StatsSnapshot::from_json(stats) {
-                Ok(s) => {
-                    if let Some(pct) = require_hit_pct {
-                        let p = &s.cache.programs;
-                        let rate = 100.0 * p.hit_rate();
-                        if p.lookups() == 0 || rate < pct {
-                            eprintln!(
-                                "ASSERTION FAILED: program-pool hit rate {rate:.1}% < {pct}% \
-                                 ({} hits / {} lookups)",
-                                p.hits,
-                                p.lookups()
-                            );
-                            failures += 1;
-                        } else {
-                            eprintln!("# assertion passed: program-pool hit rate {rate:.1}% >= {pct}%");
-                        }
-                    }
-                    if let Some(min) = require_shared_hits {
-                        match s.shared {
-                            Some(sh) if sh.hits >= min => {
-                                eprintln!(
-                                    "# assertion passed: {} shared-segment hits >= {min}",
-                                    sh.hits
-                                );
-                            }
-                            Some(sh) => {
-                                eprintln!(
-                                    "ASSERTION FAILED: {} shared-segment hits < {min}",
-                                    sh.hits
-                                );
-                                failures += 1;
-                            }
-                            None => {
-                                eprintln!("ASSERTION FAILED: service has no shared segment");
-                                failures += 1;
-                            }
-                        }
-                    }
-                    if require_zero_solves {
-                        let claimed = s.stages.solve_claimed;
-                        if claimed == 0 {
-                            eprintln!("# assertion passed: zero solve claims (fully warm)");
-                        } else {
-                            eprintln!(
-                                "ASSERTION FAILED: {claimed} solve claim(s) — a warm \
-                                 workload duplicated a peer's solve"
-                            );
-                            failures += 1;
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("bad stats payload: {e}");
-                    failures += 1;
-                }
-            }
         }
     }
     if responses < lines.len() as u64 {

@@ -80,9 +80,7 @@ use crate::protocol::{CompileSource, ServiceCounters, SharedCounters, StageCount
 use crate::queue::{JobQueue, Priority, QueueFull};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Condvar, LockRecover, Mutex};
-use reqisc_compiler::{
-    sharing, CompileCache, Compiler, Pipeline, Program, ShareStats, STORE_FORMAT_VERSION,
-};
+use reqisc_compiler::{sharing, Compiler, Pipeline, Program, ShareStats, STORE_FORMAT_VERSION};
 use reqisc_shmem::Segment;
 use reqisc_qcircuit::{parse_bounded, Circuit, ParseLimits};
 use std::collections::HashMap;
@@ -92,7 +90,12 @@ use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Service construction options.
+/// Service construction options: the deployment settings `reqiscd`
+/// takes as flags, plus the deprecated `lookup_workers`. The rest is
+/// fixed: [`Service::start`] builds the pools in the default shape of
+/// [`reqisc_compiler::CompileCache::new`], QASM parses under
+/// [`ParseLimits::default`], and a test that needs a stalled solve
+/// worker parks it with the `sleep` debug op.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Solve-stage worker-pool size; `0` = the available hardware
@@ -107,24 +110,13 @@ pub struct ServiceConfig {
     /// shutdown and `snapshot` requests only). Each pass is one
     /// generation of the segment's GC clock.
     pub snapshot_interval: Option<Duration>,
-    /// Memo-pool shape override `(shards, per-shard capacity)` — the LRU
-    /// eviction knob. `None` = the default generous shape (effectively
-    /// unbounded; evictions stay 0).
-    pub pool_shape: Option<(usize, usize)>,
     /// Accept the debug `sleep`/`panic` ops (tests and drills only).
     pub debug_ops: bool,
-    /// Bounds on QASM accepted at the service boundary.
-    pub parse_limits: ParseLimits,
     /// Ignored. The warm tiers are probed on the submitting thread, so
     /// there is no lookup stage to size; the field stays only while the
     /// benchmark harness still sets it.
     #[deprecated(note = "ignored: the warm tiers are probed at submission, there is no lookup stage")]
     pub lookup_workers: usize,
-    /// Artificial delay (milliseconds) a solve worker sleeps before each
-    /// *cold compile* it claims — the deterministic stall the
-    /// stall-isolation tests inject; debug ops are unaffected. `None`
-    /// means no delay.
-    pub solve_delay_ms: Option<u64>,
     /// Shared-memory cache segment to attach (`None` = in-memory only).
     /// It is the durable tier: submission probes it between the local
     /// pool and a cold solve; solve workers publish every finished
@@ -147,11 +139,8 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 256,
             snapshot_interval: None,
-            pool_shape: None,
             debug_ops: false,
-            parse_limits: ParseLimits::default(),
             lookup_workers: 1,
-            solve_delay_ms: None,
             shm_path: None,
             shm_capacity_bytes: DEFAULT_SHM_CAPACITY_BYTES,
         }
@@ -382,8 +371,6 @@ struct Inner {
     done_seq: AtomicU64,
     waiter_seq: AtomicU64,
     debug_ops: bool,
-    solve_delay: Option<Duration>,
-    parse_limits: ParseLimits,
     benches: OnceLock<HashMap<String, Arc<Circuit>>>,
     /// Set by a protocol `shutdown` request; transport accept loops poll it.
     shutdown_requested: AtomicBool,
@@ -444,12 +431,6 @@ impl Inner {
             self.stage.solve_claimed.fetch_add(1, Ordering::Relaxed);
             match job {
                 Job::Compile { key, circuit, pipeline } => {
-                    if let Some(delay) = self.solve_delay {
-                        // The deterministic cold-solve stall the
-                        // stall-isolation tests inject (debug ops and
-                        // warm hits are unaffected by design).
-                        std::thread::sleep(delay);
-                    }
                     // The entry's reply record is priced here, inside the
                     // panic isolation, once per entry: the reply and the
                     // segment record below both read it.
@@ -543,14 +524,7 @@ impl Service {
     /// the template library — the one-time resident cost interactive
     /// callers no longer pay per request).
     pub fn start(config: ServiceConfig) -> Self {
-        let compiler = match config.pool_shape {
-            Some((shards, cap)) => Compiler::new_with_library_and_cache(
-                Compiler::builtin_library(),
-                CompileCache::with_shape(shards, cap),
-            ),
-            None => Compiler::new(),
-        };
-        Self::start_with_compiler(compiler, config)
+        Self::start_with_compiler(Compiler::new(), config)
     }
 
     /// Starts a service around an existing compiler — the constructor for
@@ -565,7 +539,6 @@ impl Service {
         } else {
             config.workers
         };
-        let solve_delay = config.solve_delay_ms.map(Duration::from_millis);
         // The shared segment attaches under the store format version, so
         // a codec bump retires stale segments. Attach failure degrades to
         // running in memory only — a cache must never stop the service.
@@ -604,8 +577,6 @@ impl Service {
             done_seq: AtomicU64::new(0),
             waiter_seq: AtomicU64::new(0),
             debug_ops: config.debug_ops,
-            solve_delay,
-            parse_limits: config.parse_limits,
             benches: OnceLock::new(),
             shutdown_requested: AtomicBool::new(false),
             timer_stop: (Mutex::new(false), Condvar::new()),
@@ -643,15 +614,15 @@ impl Service {
     }
 
     /// Resolves a protocol compile source into a circuit: QASM parses
-    /// under the configured [`ParseLimits`]; bench names resolve against
-    /// the demo-scale benchsuite.
+    /// under [`ParseLimits::default`]; bench names resolve against the
+    /// demo-scale benchsuite.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Invalid`] with a description.
     pub fn resolve_source(&self, source: &CompileSource) -> Result<Arc<Circuit>, SubmitError> {
         match source {
-            CompileSource::Qasm(text) => parse_bounded(text, &self.inner.parse_limits)
+            CompileSource::Qasm(text) => parse_bounded(text, &ParseLimits::default())
                 .map(Arc::new)
                 .map_err(|e| SubmitError::Invalid(format!("qasm: {e}"))),
             CompileSource::Bench(name) => {

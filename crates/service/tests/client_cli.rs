@@ -1,9 +1,9 @@
 //! The command-line tools' exit codes, driven through the built binaries.
-//! `reqisc-client` against an in-process daemon: a numeric flag whose
-//! value does not parse or is out of range is a usage error (exit 2)
-//! instead of a silently skipped assertion or a panic, and a connection
-//! the daemon drops is a failure (exit 1), not a panic. `reqiscd`: a zero
-//! queue or pool size is a usage error (exit 2), not a panic at startup;
+//! `reqisc-client` against an in-process daemon: an unknown argument or
+//! a `--priority` that does not parse is a usage error (exit 2) instead
+//! of a silently ignored typo, and a connection the daemon drops is a
+//! failure (exit 1), not a panic. `reqiscd`: a zero queue capacity or too
+//! many workers is a usage error (exit 2), not a panic at startup;
 //! `--compact-now` on a missing segment fails (exit 1) without creating
 //! one; and a file at `--socket` that is not a socket fails the bind
 //! (exit 1) and is kept.
@@ -11,7 +11,7 @@
 #![cfg(unix)]
 
 use reqisc_compiler::Compiler;
-use reqisc_service::{serve_unix, Service, ServiceConfig};
+use reqisc_service::{serve_unix, Service, ServiceConfig, ServiceCounters};
 use std::io::BufRead;
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -42,9 +42,12 @@ fn client(sock: &Path, args: &[&str]) -> i32 {
     out.status.code().expect("client exited normally")
 }
 
-#[test]
-fn malformed_numeric_flags_are_usage_errors() {
-    let sock = std::env::temp_dir().join(format!("reqisc-client-cli-{}.sock", std::process::id()));
+/// Serves an in-process daemon on a fresh socket while `drive` runs
+/// clients against it, shuts it down with a client `shutdown`, and
+/// returns its service counters.
+fn against_daemon(tag: &str, drive: impl FnOnce(&Path)) -> ServiceCounters {
+    let sock =
+        std::env::temp_dir().join(format!("reqisc-client-{tag}-{}.sock", std::process::id()));
     let service = Service::start_with_compiler(
         Compiler::new_with_library(Default::default()),
         ServiceConfig { workers: 1, ..ServiceConfig::default() },
@@ -53,33 +56,56 @@ fn malformed_numeric_flags_are_usage_errors() {
         let service = &service;
         let _stop = StopOnDrop(service, &sock);
         let server = scope.spawn(|| serve_unix(service, &sock));
-        // Well-formed flags reach the daemon: against an empty daemon the
-        // hit-rate assertion runs and fails, and a parsed priority is
-        // accepted.
-        assert_eq!(client(&sock, &["stats", "--require-program-hit-pct", "95"]), 1);
-        assert_eq!(client(&sock, &["stats", "--require-shared-hits", "0"]), 1, "no segment");
-        let submit = ["submit", "--pipeline", "qiskit", "--bench", "alu_v0"];
-        assert_eq!(client(&sock, &[&submit[..], &["--priority", "7"]].concat()), 0);
-        assert_eq!(client(&sock, &[&submit[..], &["--priority", "12"]].concat()), 1, "range");
-        // Malformed ones never do.
-        for args in [
-            &["stats", "--require-program-hit-pct", "abc"][..],
-            &["stats", "--require-program-hit-pct", "nan"],
-            &["stats", "--require-shared-hits", "lots"],
-            &["stats", "--require-shared-hits", "-1"],
-            &["suite", "--take", "ten"],
-            &["--connect-timeout-secs", "18446744073709551615", "stats"],
-            &[&submit[..], &["--priority", "high"]].concat(),
-            &[&submit[..], &["--priority", "1,\"x\":2"]].concat(),
-        ] {
-            assert_eq!(client(&sock, args), 2, "{args:?}");
-        }
+        drive(&sock);
         assert_eq!(client(&sock, &["shutdown"]), 0);
         server.join().expect("server thread").expect("serve_unix");
     });
     let stats = service.stats_snapshot().service;
     service.shutdown();
+    stats
+}
+
+#[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    let stats = against_daemon("cli", |sock| {
+        // A parsed priority reaches the daemon, which range-checks it.
+        let submit = ["submit", "--pipeline", "qiskit", "--bench", "alu_v0"];
+        assert_eq!(client(sock, &[&submit[..], &["--priority", "7"]].concat()), 0);
+        assert_eq!(client(sock, &[&submit[..], &["--priority", "12"]].concat()), 1, "range");
+        // A malformed one never does.
+        for args in [
+            &[&submit[..], &["--priority", "high"]].concat(),
+            &[&submit[..], &["--priority", "1,\"x\":2"]].concat(),
+        ] {
+            assert_eq!(client(sock, args), 2, "{args:?}");
+        }
+    });
     assert_eq!(stats.submitted, 1, "only the well-formed submit reached the queue");
+}
+
+#[test]
+fn unknown_arguments_are_usage_errors() {
+    let stats = against_daemon("unknown", |sock| {
+        let submit = ["submit", "--pipeline", "qiskit", "--bench", "alu_v0"];
+        for args in [
+            // Typos: neither may run its command without the argument.
+            &["stats", "--require-shared-hit", "1"][..],
+            &[&submit[..], &["--prio", "7"]].concat(),
+            // Flags the client does not have.
+            &["stats", "--require-program-hit-pct", "95"],
+            &["suite", "--take", "3"],
+            &["--connect-timeout-secs", "5", "stats"],
+            // A stray word, an unknown command, a repeated flag and a
+            // flag without its value.
+            &["stats", "now"],
+            &["frobnicate"],
+            &[&submit[..], &["--bench", "alu_v0"]].concat(),
+            &["submit", "--bench", "alu_v0", "--pipeline"],
+        ] {
+            assert_eq!(client(sock, args), 2, "{args:?}");
+        }
+    });
+    assert_eq!(stats.submitted, 0, "no request reached the daemon");
 }
 
 #[test]
@@ -111,7 +137,7 @@ fn a_dropped_connection_is_a_failure_not_a_panic() {
 }
 
 #[test]
-fn zero_queue_and_pool_sizes_are_usage_errors() {
+fn zero_queue_capacity_and_excess_workers_are_usage_errors() {
     let reqiscd = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_reqiscd"))
             .arg("--stdio")
@@ -124,20 +150,16 @@ fn zero_queue_and_pool_sizes_are_usage_errors() {
     };
     for (args, flag) in [
         (&["--queue-capacity", "0"][..], "--queue-capacity"),
-        (&["--pool-capacity", "0"], "--pool-capacity"),
-        (&["--pool-shards", "0", "--pool-capacity", "4"], "--pool-shards"),
-        // Over the ceilings: rejected before any thread or map exists.
+        // Over the ceiling: rejected before any thread exists.
         (&["--workers", "257"], "--workers"),
         (&["--workers", "18446744073709551615"], "--workers"),
-        (&["--pool-shards", "65537", "--pool-capacity", "4"], "--pool-shards"),
-        (&["--pool-shards", "65537"], "--pool-shards"),
     ] {
         let (code, stderr) = reqiscd(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?} names its flag: {stderr}");
     }
-    // The smallest accepted shape serves its (empty) session.
-    let (code, stderr) = reqiscd(&["--queue-capacity", "1", "--pool-shards", "1", "--pool-capacity", "1"]);
+    // The smallest accepted queue serves its (empty) session.
+    let (code, stderr) = reqiscd(&["--queue-capacity", "1"]);
     assert_eq!(code, Some(0), "{stderr}");
 }
 
@@ -163,12 +185,9 @@ fn compact_now_on_a_missing_segment_fails_without_creating_it() {
 
     // An existing segment compacts offline.
     drop(reqisc_shmem::Segment::attach(&seg, 1 << 20, reqisc_compiler::STORE_FORMAT_VERSION));
-    let (code, stdout, stderr) = reqiscd(&["--compact-now", "--shm-path", path, "--gc-idle-gens", "0"]);
+    let (code, stdout, stderr) = reqiscd(&["--compact-now", "--shm-path", path]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("kept 0, dropped 0"), "{stdout}");
-    // GC is offline only: its threshold means nothing to a serving daemon.
-    let (code, _, stderr) = reqiscd(&["--stdio", "--gc-idle-gens", "2"]);
-    assert_eq!(code, Some(2), "{stderr}");
     let _ = std::fs::remove_file(&seg);
 }
 

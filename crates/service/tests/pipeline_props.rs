@@ -294,8 +294,8 @@ const WARM_KEYS: u64 = 3;
 /// A generated stream: `ops` picks each line's kind, and a miss followed
 /// by a warm hit is inserted at `at`, so every stream has a warm hit
 /// queued right behind an unanswered miss. Misses take fresh keys (one
-/// solve each, stalled by the solve delay); a duplicate repeats the last
-/// miss, so it coalesces while that miss is still in flight.
+/// solve each, queued behind the parked worker); a duplicate repeats the
+/// last miss, so it coalesces while that miss is still in flight.
 fn stream(ops: &[(u8, u64)], at: usize) -> Vec<Line> {
     const MISS_THEN_WARM: u8 = u8::MAX;
     let mut kinds = ops.to_vec();
@@ -339,7 +339,7 @@ proptest! {
     ) {
         let service = Service::start_with_compiler(
             small_compiler(),
-            ServiceConfig { workers: 1, solve_delay_ms: Some(20), ..ServiceConfig::default() },
+            ServiceConfig { workers: 1, debug_ops: true, ..ServiceConfig::default() },
         );
         let circuit = |key: u64| {
             Arc::new(
@@ -367,9 +367,13 @@ proptest! {
             }
             input.push_str(&request_line(expected.len() as u64, *line));
         }
+        // The parked worker keeps every miss of the stream unanswered
+        // while the reader goes on to the lines behind it.
+        let park = park_worker(&service, 20);
         let mut out = Vec::new();
         let served =
             reqisc_service::serve_lines(&service, input.as_bytes(), &mut out).expect("serve");
+        park.wait().expect("park ran");
         prop_assert_eq!(served.requests, expected.len() as u64);
         let replies: Vec<reqisc_service::Json> = String::from_utf8(out)
             .expect("utf-8")

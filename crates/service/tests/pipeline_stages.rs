@@ -1,13 +1,13 @@
 //! Stage-isolation and drain tests of the service core:
 //!
-//! * **stall isolation, end to end** — a real `reqiscd` child process
-//!   with `--solve-delay-ms` slowing every cold solve: warm requests
-//!   must be answered at submission and complete while cold jobs occupy
-//!   the (single) solve worker, proven by `done_seq` response ordering
-//!   and the stage counters — never by wall time;
-//! * **stall isolation, in process** — the same property through
-//!   `ServiceConfig::solve_delay_ms`, with before/after stage-counter
-//!   deltas;
+//! * **stall isolation, end to end** — a real `reqiscd --debug-ops`
+//!   child process whose single solve worker a `sleep` line parks:
+//!   warm requests must be answered at submission and complete while
+//!   cold jobs wait behind the parked worker, proven by `done_seq`
+//!   response ordering and the stage counters — never by wall time;
+//! * **stall isolation, in process** — the same property with the worker
+//!   parked through [`Service::submit_debug`], with before/after
+//!   stage-counter deltas;
 //! * **shutdown drain** — shutdown while jobs sit in every stage (a
 //!   parked worker, the solve ring, a warm-served completion, a
 //!   cancelled orphan): everything is responded or cleanly cancelled,
@@ -94,16 +94,16 @@ fn done_seq(resp: &Json) -> u64 {
     resp.get("done_seq").and_then(Json::as_u64).expect("done_seq member")
 }
 
-/// End to end through a real daemon: with every cold solve slowed by
-/// `--solve-delay-ms` and a single solve worker, warm requests submitted
-/// *behind* two cold requests must still complete first — `done_seq` (assigned at delivery) proves the order,
-/// and the stage counters prove the warm request never crossed into the
-/// solve stage.
+/// End to end through a real daemon: with its single solve worker parked
+/// by a `sleep` line, a warm request submitted *behind* two cold requests
+/// must still complete first — `done_seq` (assigned at delivery) proves
+/// the order, and the stage counters prove the warm request never
+/// crossed into the solve stage.
 #[test]
 fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let mut child = ChildGuard(
         std::process::Command::new(env!("CARGO_BIN_EXE_reqiscd"))
-            .args(["--stdio", "--workers", "1", "--solve-delay-ms", "300"])
+            .args(["--stdio", "--workers", "1", "--debug-ops"])
             .env_remove(reqisc_env::SHM_PATH.name)
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
@@ -123,23 +123,27 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     let prime = read_response(&mut reader);
     let seq_prime = done_seq(&prime);
 
-    // Phase 2: two never-seen cold programs, then the warm re-request —
-    // all in one write, so the warm request is submitted behind the
-    // colds.
+    // Phase 2: a `sleep` that parks the single solve worker, two
+    // never-seen cold programs, then the warm re-request — all in one
+    // write, so the colds wait behind the parked worker and the warm
+    // request is submitted behind the colds.
     let mut batch = String::new();
-    batch.push_str("{\"id\":2,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 3.0e-1\\n\"}\n");
-    batch.push_str("{\"id\":3,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 4.0e-1\\n\"}\n");
+    batch.push_str("{\"id\":2,\"op\":\"sleep\",\"ms\":300}\n");
+    batch.push_str("{\"id\":3,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 3.0e-1\\n\"}\n");
+    batch.push_str("{\"id\":4,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"qubits 2\\ncx 0 1\\nrz 1 4.0e-1\\n\"}\n");
     batch.push_str(&format!(
-        "{{\"id\":4,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"{WARM}\"}}\n"
+        "{{\"id\":5,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":\"{WARM}\"}}\n"
     ));
     stdin.write_all(batch.as_bytes()).expect("write batch");
     stdin.flush().expect("flush");
+    let park = read_response(&mut reader);
+    assert_eq!(park.get("op").and_then(Json::as_str), Some("sleep"), "{}", park.emit());
     let (cold1, cold2, warm) =
         (read_response(&mut reader), read_response(&mut reader), read_response(&mut reader));
     let (seq_c1, seq_c2, seq_warm) = (done_seq(&cold1), done_seq(&cold2), done_seq(&warm));
 
-    // Delivery order: prime, then the warm hit (while cold1 stalls in
-    // the solve worker), then the colds in submission order.
+    // Delivery order: prime, then the warm hit (while the worker is
+    // parked), then the colds in submission order.
     assert!(seq_prime < seq_warm, "prime must complete before its warm re-request");
     assert!(
         seq_warm < seq_c1 && seq_warm < seq_c2,
@@ -154,16 +158,16 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
 
     // Phase 3: stats, requested only after every compile response was
     // read, so the snapshot is quiescent and the counters are exact.
-    writeln!(stdin, "{{\"id\":5,\"op\":\"stats\"}}").expect("write stats");
+    writeln!(stdin, "{{\"id\":6,\"op\":\"stats\"}}").expect("write stats");
     stdin.flush().expect("flush");
     let stats_resp = read_response(&mut reader);
     let stats = StatsSnapshot::from_json(stats_resp.get("stats").expect("stats member"))
         .expect("stats parse");
     assert_eq!(stats.stages.lookup_hits, 1, "exactly the one warm hit");
     assert_eq!(stats.stages.lookup_misses, 3, "prime + two colds crossed to the solve ring");
-    assert_eq!(stats.stages.solve_claimed, 3, "zero warm jobs entered the solve stage");
-    assert_eq!(stats.stages.delivered, 4);
-    assert_eq!(stats.service.completed, 4);
+    assert_eq!(stats.stages.solve_claimed, 4, "the park + prime + two colds: zero warm jobs");
+    assert_eq!(stats.stages.delivered, 5);
+    assert_eq!(stats.service.completed, 5);
     assert_eq!(stats.service.failed, 0);
 
     drop(stdin); // EOF ends the stdio session; the daemon exits cleanly.
@@ -171,16 +175,16 @@ fn stalled_solve_stage_does_not_block_warm_responses_e2e() {
     assert!(status.success(), "reqiscd must exit cleanly: {status:?}");
 }
 
-/// The same stall-isolation property in process, through the
-/// `ServiceConfig::solve_delay_ms` field, asserted purely by
-/// before/after stage-counter deltas and `done_seq` ordering.
+/// The same stall-isolation property in process, with the single worker
+/// parked by a `sleep` debug job, asserted purely by before/after
+/// stage-counter deltas and `done_seq` ordering.
 #[test]
-fn solve_delay_config_isolates_warm_traffic_in_process() {
+fn parked_worker_isolates_warm_traffic_in_process() {
     let service = Service::start_with_compiler(
         small_compiler(),
-        ServiceConfig { workers: 1, solve_delay_ms: Some(250), ..ServiceConfig::default() },
+        ServiceConfig { workers: 1, debug_ops: true, ..ServiceConfig::default() },
     );
-    // Prime two warm programs (each pays the configured stall once).
+    // Prime two warm programs.
     for seed in 0..2 {
         service
             .submit_compile(tiny(seed), Pipeline::Qiskit, DEFAULT_PRIORITY)
@@ -190,8 +194,9 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
     }
     let s0 = service.stats_snapshot();
 
-    // Two cold jobs occupy the solve stage (250 ms stall each, one
-    // worker); four warm requests then ride through serially.
+    // The parked worker (250 ms) holds two cold jobs in the solve ring;
+    // four warm requests then ride through serially.
+    let park = park_worker(&service, 250);
     let colds: Vec<Ticket> = (10..12)
         .map(|seed| {
             service.submit_compile(tiny(seed), Pipeline::Qiskit, DEFAULT_PRIORITY).expect("cold")
@@ -209,10 +214,12 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
     let mid = service.stats_snapshot();
     assert_eq!(mid.stages.lookup_hits - s0.stages.lookup_hits, 4, "all four warm hits");
     assert!(
-        mid.stages.solve_claimed - s0.stages.solve_claimed <= 2,
-        "nothing beyond the two colds may ever be claimed"
+        mid.stages.solve_claimed - s0.stages.solve_claimed <= 3,
+        "nothing beyond the park and the two colds may ever be claimed"
     );
 
+    let park_seq = park.wait().expect("park ran").done_seq;
+    assert!(warm_seqs.iter().all(|w| *w < park_seq), "warm {warm_seqs:?} park {park_seq}");
     let cold_seqs: Vec<u64> =
         colds.into_iter().map(|t| t.wait().expect("cold compile").done_seq).collect();
     assert!(
@@ -223,7 +230,7 @@ fn solve_delay_config_isolates_warm_traffic_in_process() {
 
     let s1 = service.stats_snapshot();
     assert_eq!(s1.stages.lookup_misses - s0.stages.lookup_misses, 2, "only the colds miss");
-    assert_eq!(s1.stages.solve_claimed - s0.stages.solve_claimed, 2, "zero warm solve claims");
+    assert_eq!(s1.stages.solve_claimed - s0.stages.solve_claimed, 3, "zero warm solve claims");
     assert_eq!(s1.cache.programs.misses - s0.cache.programs.misses, 2);
     service.shutdown();
 }

@@ -7,7 +7,8 @@
 
 use reqisc_compiler::{Compiler, STORE_FORMAT_VERSION};
 use reqisc_service::{
-    serve_lines, Json, Service, ServiceConfig, StatsSnapshot, DEFAULT_SHM_CAPACITY_BYTES,
+    serve_lines, CompileSource, Json, Service, ServiceConfig, StatsSnapshot,
+    DEFAULT_SHM_CAPACITY_BYTES,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -442,6 +443,59 @@ fn protocol_errors_are_responses_not_failures() {
     let ids: Vec<Option<u64>> = lines.iter().map(|l| l.get("id").and_then(Json::as_u64)).collect();
     let want: Vec<Option<u64>> = [0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0].map(Some).to_vec();
     assert_eq!(ids, want);
+}
+
+/// `qubits 2` followed by `gates` lines of `h 0`.
+fn gates_body(gates: usize) -> String {
+    format!("qubits 2\n{}", "h 0\n".repeat(gates))
+}
+
+/// The service's gate bound (`ParseLimits::default().max_gates`, 10 000):
+/// a line one gate over it is a `bad_request` that names the limit, and
+/// nothing is admitted.
+#[test]
+fn a_line_over_the_gate_bound_is_a_bad_request_and_admits_nothing() {
+    let service = Service::start_with_compiler(
+        Compiler::new_with_library(Default::default()),
+        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+    );
+    let qasm = Json::str(gates_body(10_001)).emit();
+    let script = format!(
+        "{{\"id\":1,\"op\":\"compile\",\"pipeline\":\"qiskit\",\"qasm\":{qasm}}}\n\
+         {{\"id\":2,\"op\":\"stats\"}}\n"
+    );
+    let mut out: Vec<u8> = Vec::new();
+    serve_lines(&service, script.as_bytes(), &mut out).expect("serve");
+    service.shutdown();
+    let replies: Vec<Json> = String::from_utf8(out)
+        .expect("utf8")
+        .lines()
+        .map(|l| Json::parse(l).expect("reply parses"))
+        .collect();
+    assert_eq!(replies.len(), 2);
+    let reply = &replies[0];
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{}", reply.emit());
+    let detail = reply.get("detail").and_then(Json::as_str).expect("detail");
+    assert!(detail.contains("gate 10001 exceeds the limit of 10000 gates"), "{detail}");
+    let stats =
+        StatsSnapshot::from_json(replies[1].get("stats").expect("stats member")).expect("stats");
+    assert_eq!(stats.service.submitted, 0, "nothing was admitted");
+    assert_eq!(stats.stages.lookup_hits + stats.stages.lookup_misses, 0, "nothing was probed");
+    assert_eq!(stats.stages.solve.enqueued, 0, "nothing reached the solve ring");
+}
+
+/// A body exactly at the gate bound parses.
+#[test]
+fn a_body_at_the_gate_bound_parses() {
+    let service = Service::start_with_compiler(
+        Compiler::new_with_library(Default::default()),
+        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+    );
+    let circuit = service
+        .resolve_source(&CompileSource::Qasm(gates_body(10_000)))
+        .expect("10 000 gates are within the bound");
+    assert_eq!(circuit.len(), 10_000);
+    service.shutdown();
 }
 
 /// The cross-daemon shared-cache acceptance: instance A (no peers)

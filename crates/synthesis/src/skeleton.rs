@@ -66,16 +66,20 @@ pub fn synthesize_to_cnots(target: &CMat) -> Result<(SkeletonResult, usize), f64
         0 => Vec::new(),
         1 => vec![(vec![0, 1], cnot())],
         2 => {
-            let mid = reqisc_qmath::gates::rx(2.0 * w.x).kron(&reqisc_qmath::gates::rz(2.0 * w.y));
-            vec![
+            let core = vec![
                 (vec![0, 1], cnot()),
                 (vec![0], reqisc_qmath::gates::rx(2.0 * w.x)),
                 (vec![1], reqisc_qmath::gates::rz(2.0 * w.y)),
                 (vec![0, 1], cnot()),
-            ]
-            .into_iter()
-            .collect::<Vec<_>>()
-            .tap_check(&mid)
+            ];
+            // The two single-qubit slots flatten to the middle layer.
+            debug_assert!(embed(&core[1].1, &core[1].0, 2)
+                .mul_mat(&embed(&core[2].1, &core[2].0, 2))
+                .approx_eq(
+                    &reqisc_qmath::gates::rx(2.0 * w.x).kron(&reqisc_qmath::gates::rz(2.0 * w.y)),
+                    1e-12
+                ));
+            core
         }
         _ => three_cnot_core(&w).ok_or(1.0f64)?,
     };
@@ -105,22 +109,6 @@ pub fn synthesize_to_cnots(target: &CMat) -> Result<(SkeletonResult, usize), f64
         return Err(inf);
     }
     Ok((SkeletonResult { slots: r.slots, infidelity: inf }, k))
-}
-
-/// Helper trait used to keep the 2-CNOT construction readable while
-/// asserting (in debug builds) that the flattened middle layer matches.
-trait TapCheck {
-    fn tap_check(self, mid: &CMat) -> Self;
-}
-
-impl TapCheck for Vec<(Vec<usize>, CMat)> {
-    fn tap_check(self, mid: &CMat) -> Self {
-        debug_assert!({
-            let m = embed(&self[1].1, &self[1].0, 2).mul_mat(&embed(&self[2].1, &self[2].0, 2));
-            m.approx_eq(mid, 1e-12)
-        });
-        self
-    }
 }
 
 /// Builds a three-CNOT core with the given Weyl coordinates:
