@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reqisc_benchsuite::{suite, Scale};
-use reqisc_compiler::{metrics, route, Compiler, Pipeline, RouteOptions, Router, Topology};
+use reqisc_compiler::{metrics, route, Compiler, Pipeline, Router, Topology};
 use reqisc_microarch::{optimal_duration, solve_ea, solve_pulse, Coupling, EaSign};
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_qmath::{
@@ -161,9 +161,7 @@ fn bench_routing(c: &mut Criterion) {
             Router::MirroringSabre => "mirroring_sabre",
         };
         g.bench_function(name, |b| {
-            let mut o = RouteOptions::default();
-            o.router = router;
-            b.iter(|| black_box(route(&circ, &topo, &o).circuit.count_2q()))
+            b.iter(|| black_box(route(&circ, &topo, router).circuit.count_2q()))
         });
     }
     g.finish();

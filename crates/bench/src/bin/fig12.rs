@@ -9,9 +9,7 @@
 
 use reqisc_bench::{env_publish, env_segment, geo_mean};
 use reqisc_benchsuite::{mini_suite, Benchmark};
-use reqisc_compiler::{
-    expand_swaps_to_cx, route, Compiler, Pipeline, RouteOptions, Router, Topology,
-};
+use reqisc_compiler::{expand_swaps_to_cx, route, Compiler, Pipeline, Router, Topology};
 
 fn topo_for(kind: &str, n: usize) -> Topology {
     match kind {
@@ -44,17 +42,13 @@ fn main() {
             let topo = topo_for(kind, n);
             // CNOT baseline: TKet-like logical then SABRE (SWAP = 3 CX).
             let cnot_logical = compiler.compile(&b.circuit, Pipeline::Tket);
-            let mut so = RouteOptions::default();
-            so.router = Router::Sabre;
-            let routed_cnot = route(&cnot_logical, &topo, &so);
+            let routed_cnot = route(&cnot_logical, &topo, Router::Sabre);
             let cnot_routed = expand_swaps_to_cx(&routed_cnot.circuit).count_2q();
             // ReQISC flow.
             let su4_logical = compiler.compile(&b.circuit, Pipeline::ReqiscFull);
-            let routed_sabre = route(&su4_logical, &topo, &so);
+            let routed_sabre = route(&su4_logical, &topo, Router::Sabre);
             let su4_sabre = routed_sabre.circuit.count_2q();
-            let mut mo = RouteOptions::default();
-            mo.router = Router::MirroringSabre;
-            let routed_mirror = route(&su4_logical, &topo, &mo);
+            let routed_mirror = route(&su4_logical, &topo, Router::MirroringSabre);
             let su4_mirror = routed_mirror.circuit.count_2q();
             let lc = cnot_logical.count_2q().max(1) as f64;
             let ls = su4_logical.count_2q().max(1) as f64;

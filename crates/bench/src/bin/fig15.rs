@@ -11,8 +11,7 @@
 
 use reqisc_benchsuite::{mini_suite, Benchmark};
 use reqisc_compiler::{
-    expand_swaps_to_cx, gate_duration, metrics, route, Compiler, Pipeline, RouteOptions, Router,
-    Topology,
+    expand_swaps_to_cx, gate_duration, metrics, route, Compiler, Pipeline, Router, Topology,
 };
 use reqisc_microarch::Coupling;
 use reqisc_qcircuit::Circuit;
@@ -48,12 +47,8 @@ fn main() {
                     } else {
                         Topology::grid_for(n)
                     };
-                    let mut so = RouteOptions::default();
-                    so.router = Router::Sabre;
-                    let rb = route(&base_logical, &topo, &so);
-                    let mut mo = RouteOptions::default();
-                    mo.router = Router::MirroringSabre;
-                    let rr = route(&req_logical, &topo, &mo);
+                    let rb = route(&base_logical, &topo, Router::Sabre);
+                    let rr = route(&req_logical, &topo, Router::MirroringSabre);
                     (expand_swaps_to_cx(&rb.circuit), rr.circuit)
                 }
             };

@@ -28,14 +28,12 @@ pub mod compact;
 pub mod fuse;
 pub mod hierarchical;
 pub mod partition;
-pub mod pauli_frontend;
 pub mod pipelines;
 mod pool;
 pub mod sabre;
 pub mod sharing;
 pub mod template_pass;
 pub mod topology;
-pub mod variational;
 
 pub use cache::{reply_coupling, CompileCache, CompileCacheStats, Program, ReplyRecord};
 pub use pool::CacheStats;
@@ -43,7 +41,6 @@ pub use cnot_opt::{merge_pauli_rotations, qiskit_like, resynthesize_to_cx, tket_
 pub use compact::{compact, gates_commute, CompactOptions};
 pub use fuse::fuse_2q;
 pub use hierarchical::{hierarchical_synthesis, hierarchical_synthesis_batched, HsOptions};
-pub use pauli_frontend::{compile_pauli_program, emit_pauli_rotation, Axis, PauliRotation};
 pub use partition::{compactness, partition_3q, reassemble, Block, PartitionOptions};
 pub use pipelines::{
     distinct_su4_count, distinct_su4_count_with_tol, gate_duration, metrics, Compiler, Metrics,
@@ -53,9 +50,6 @@ pub use sharing::{
     probe_shared_program, publish_all, publish_program, publish_program_entry, seed_from_segment,
     seed_subprogram_pools, ShareStats, POOL_PROGRAM, POOL_SYNTHESIS, STORE_FORMAT_VERSION,
 };
-pub use sabre::{
-    expand_swaps_to_cx, route, routing_preserves_semantics, RouteOptions, Routed, Router,
-};
+pub use sabre::{expand_swaps_to_cx, route, routing_preserves_semantics, Routed, Router};
 pub use template_pass::template_synthesis;
 pub use topology::Topology;
-pub use variational::{to_fixed_basis, FixedBasis};

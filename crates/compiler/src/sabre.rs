@@ -37,29 +37,12 @@ pub struct Routed {
     pub swaps_absorbed: usize,
 }
 
-/// Options for [`route`].
-#[derive(Debug, Clone, Copy)]
-pub struct RouteOptions {
-    /// Which router to use.
-    pub router: Router,
-    /// Lookahead weight `W` for the extended set.
-    pub lookahead_weight: f64,
-    /// Extended-set size (gates beyond the front layer).
-    pub extended_size: usize,
-    /// Decay factor discouraging ping-pong swaps.
-    pub decay: f64,
-}
-
-impl Default for RouteOptions {
-    fn default() -> Self {
-        Self {
-            router: Router::MirroringSabre,
-            lookahead_weight: 0.5,
-            extended_size: 20,
-            decay: 0.001,
-        }
-    }
-}
+/// Lookahead weight `W` of the extended set in the SABRE heuristic.
+const LOOKAHEAD_WEIGHT: f64 = 0.5;
+/// Extended-set size (2Q gates beyond the front layer).
+const EXTENDED_SIZE: usize = 20;
+/// Decay increment that discourages ping-pong swaps.
+const DECAY: f64 = 0.001;
 
 /// Routes `c` onto `topo` with SABRE's bidirectional initial-mapping
 /// refinement: forward, reverse and forward traversals, each seeding the
@@ -69,14 +52,14 @@ impl Default for RouteOptions {
 ///
 /// Panics if the circuit has more logical qubits than the topology has
 /// physical ones, or contains gates of arity ≥ 3.
-pub fn route(c: &Circuit, topo: &Topology, opts: &RouteOptions) -> Routed {
-    let fwd = route_from(c, topo, opts, None);
+pub fn route(c: &Circuit, topo: &Topology, router: Router) -> Routed {
+    let fwd = route_from(c, topo, router, None);
     // Reverse traversal: routing the reversed gate list from the forward
     // run's final mapping yields an initial mapping adapted to the front
     // of the circuit.
     let reversed = Circuit::from_gates(c.num_qubits(), c.gates().iter().rev().cloned().collect());
-    let back = route_from(&reversed, topo, opts, Some(fwd.final_mapping.clone()));
-    let refined = route_from(c, topo, opts, Some(back.final_mapping.clone()));
+    let back = route_from(&reversed, topo, router, Some(fwd.final_mapping.clone()));
+    let refined = route_from(c, topo, router, Some(back.final_mapping.clone()));
     if refined.circuit.count_2q() <= fwd.circuit.count_2q() {
         refined
     } else {
@@ -84,18 +67,9 @@ pub fn route(c: &Circuit, topo: &Topology, opts: &RouteOptions) -> Routed {
     }
 }
 
-/// Routes with an explicit initial logical→physical mapping (identity when
-/// `None`).
-///
-/// # Panics
-///
-/// Same conditions as [`route`].
-pub fn route_from(
-    c: &Circuit,
-    topo: &Topology,
-    opts: &RouteOptions,
-    initial: Option<Vec<usize>>,
-) -> Routed {
+/// One traversal of [`route`] from an explicit initial logical→physical
+/// mapping (identity when `None`).
+fn route_from(c: &Circuit, topo: &Topology, router: Router, initial: Option<Vec<usize>>) -> Routed {
     assert!(c.num_qubits() <= topo.len(), "circuit wider than device");
     for g in c.gates() {
         assert!(g.arity() <= 2, "route expects a 2Q-lowered circuit");
@@ -170,7 +144,7 @@ pub fn route_from(
             .copied()
             .filter(|&gi| gates[gi].is_2q())
             .collect();
-        let extended: Vec<usize> = extended_set(&dag, &done, &front, opts.extended_size)
+        let extended: Vec<usize> = extended_set(&dag, &done, &front, EXTENDED_SIZE)
             .into_iter()
             .filter(|&gi| gates[gi].is_2q())
             .collect();
@@ -186,14 +160,14 @@ pub fn route_from(
                 }
             }
         }
-        let h0 = heuristic(&front_2q, &extended, gates, &mapping, topo, opts, None);
+        let h0 = heuristic(&front_2q, &extended, gates, &mapping, topo, None);
         // Score each candidate; mirroring-SABRE checks absorbability.
         let mut best: Option<(f64, (usize, usize), bool)> = None;
         for &e in &candidates {
-            let h = heuristic(&front_2q, &extended, gates, &mapping, topo, opts, Some(e))
+            let h = heuristic(&front_2q, &extended, gates, &mapping, topo, Some(e))
                 * decay[e.0].max(decay[e.1]);
-            let absorbable = opts.router == Router::MirroringSabre
-                && is_absorbable(e, &last_touch, &out);
+            let absorbable =
+                router == Router::MirroringSabre && is_absorbable(e, &last_touch, &out);
             // Absorbable candidates that improve on H0 take priority
             // (paper: "prioritizes SWAP candidates that L can absorb while
             // reducing the heuristic cost").
@@ -219,8 +193,8 @@ pub fn route_from(
             mapping[lb] = pa;
         }
         inverse.swap(pa, pb);
-        decay[pa] += opts.decay;
-        decay[pb] += opts.decay;
+        decay[pa] += DECAY;
+        decay[pb] += DECAY;
         if absorb {
             // Fuse SWAP into the last gate on this edge: G ← SWAP·G.
             let idx = last_touch[pa].expect("absorbable implies a last gate");
@@ -248,14 +222,12 @@ pub fn route_from(
 
 /// The SABRE heuristic: mean front-layer distance plus weighted mean
 /// extended-set distance, optionally under a hypothetical SWAP.
-#[allow(clippy::too_many_arguments)]
 fn heuristic(
     front: &[usize],
     extended: &[usize],
     gates: &[Gate],
     mapping: &[usize],
     topo: &Topology,
-    opts: &RouteOptions,
     swap: Option<(usize, usize)>,
 ) -> f64 {
     let map = |l: usize| -> usize {
@@ -275,7 +247,7 @@ fn heuristic(
         h += front.iter().map(|&g| dist_of(g)).sum::<f64>() / front.len() as f64;
     }
     if !extended.is_empty() {
-        h += opts.lookahead_weight * extended.iter().map(|&g| dist_of(g)).sum::<f64>()
+        h += LOOKAHEAD_WEIGHT * extended.iter().map(|&g| dist_of(g)).sum::<f64>()
             / extended.len() as f64;
     }
     h
@@ -414,7 +386,7 @@ mod tests {
     fn all_to_all_needs_no_swaps() {
         let c = line_circuit();
         let topo = Topology::all_to_all(4);
-        let r = route(&c, &topo, &RouteOptions::default());
+        let r = route(&c, &topo, Router::MirroringSabre);
         assert_eq!(r.swaps_inserted + r.swaps_absorbed, 0);
         assert_eq!(r.circuit.count_2q(), c.count_2q());
     }
@@ -423,9 +395,7 @@ mod tests {
     fn chain_routing_preserves_semantics_sabre() {
         let c = line_circuit();
         let topo = Topology::chain(4);
-        let mut o = RouteOptions::default();
-        o.router = Router::Sabre;
-        let r = route(&c, &topo, &o);
+        let r = route(&c, &topo, Router::Sabre);
         // The bidirectional initial-mapping refinement may route this tiny
         // circuit swap-free; correctness is what matters.
         assert!(routing_preserves_semantics(&c, &r, &topo));
@@ -435,7 +405,7 @@ mod tests {
     fn chain_routing_preserves_semantics_mirroring() {
         let c = line_circuit();
         let topo = Topology::chain(4);
-        let r = route(&c, &topo, &RouteOptions::default());
+        let r = route(&c, &topo, Router::MirroringSabre);
         assert!(routing_preserves_semantics(&c, &r, &topo));
     }
 
@@ -444,10 +414,8 @@ mod tests {
         for seed in 0..6u64 {
             let c = random_circuit(6, 24, seed);
             let topo = Topology::chain(6);
-            let mut so = RouteOptions::default();
-            so.router = Router::Sabre;
-            let rs = route(&c, &topo, &so);
-            let rm = route(&c, &topo, &RouteOptions::default());
+            let rs = route(&c, &topo, Router::Sabre);
+            let rm = route(&c, &topo, Router::MirroringSabre);
             let sabre_2q = rs.circuit.count_2q();
             let mirror_2q = rm.circuit.count_2q();
             assert!(
@@ -465,7 +433,7 @@ mod tests {
         c.push(Gate::Cx(0, 1));
         c.push(Gate::Cx(0, 2));
         let topo = Topology::chain(3);
-        let r = route(&c, &topo, &RouteOptions::default());
+        let r = route(&c, &topo, Router::MirroringSabre);
         assert!(routing_preserves_semantics(&c, &r, &topo));
         if r.swaps_absorbed > 0 {
             assert_eq!(r.circuit.count_2q(), 2);
@@ -476,7 +444,7 @@ mod tests {
     fn grid_routing_works() {
         let c = random_circuit(8, 30, 3);
         let topo = Topology::grid(3, 3);
-        let r = route(&c, &topo, &RouteOptions::default());
+        let r = route(&c, &topo, Router::MirroringSabre);
         assert!(routing_preserves_semantics(&c, &r, &topo));
     }
 

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reqisc_compiler::{
     compact, fuse_2q, hierarchical_synthesis, qiskit_like, route, routing_preserves_semantics,
-    tket_like, CompactOptions, HsOptions, RouteOptions, Router, Topology,
+    tket_like, CompactOptions, HsOptions, Router, Topology,
 };
 use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_qsim::{circuit_unitary, process_infidelity};
@@ -107,9 +107,7 @@ proptest! {
         let c = random_circuit(n, len, seed).lowered_to_cx();
         let topo = Topology::chain(n);
         for router in [Router::Sabre, Router::MirroringSabre] {
-            let mut o = RouteOptions::default();
-            o.router = router;
-            let r = route(&c, &topo, &o);
+            let r = route(&c, &topo, router);
             prop_assert!(
                 routing_preserves_semantics(&c, &r, &topo),
                 "router {router:?} broke seed {seed}"

@@ -207,11 +207,6 @@ fn svd3_rotations(j: &[[f64; 3]; 3]) -> (CMatR3, [f64; 3], CMatR3) {
             }
         } else {
             // Cross product of earlier columns (col is 1 or 2 here).
-            let (p, q) = match col {
-                1 => (0, 2),
-                _ => (0, 1),
-            };
-            let _ = q;
             let a0 = [u[0][0], u[1][0], u[2][0]];
             let base = if col == 1 {
                 // Any unit vector orthogonal to a0.
@@ -220,7 +215,6 @@ fn svd3_rotations(j: &[[f64; 3]; 3]) -> (CMatR3, [f64; 3], CMatR3) {
                 let a1 = [u[0][1], u[1][1], u[2][1]];
                 cross(&a0, &a1)
             };
-            let _ = p;
             for row in 0..3 {
                 u[row][col] = base[row];
             }
@@ -246,7 +240,7 @@ fn svd3_rotations(j: &[[f64; 3]; 3]) -> (CMatR3, [f64; 3], CMatR3) {
 
 /// Thin wrapper for a real 3×3 rotation used only inside this module.
 #[derive(Debug, Clone, Copy)]
-pub struct CMatR3(pub [[f64; 3]; 3]);
+struct CMatR3([[f64; 3]; 3]);
 
 fn det3(m: &[[f64; 3]; 3]) -> f64 {
     m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

@@ -3,7 +3,6 @@
 //! small registers.
 
 use crate::gate::Gate;
-use reqisc_qmath::c64::ONE;
 use reqisc_qmath::CMat;
 use std::fmt;
 
@@ -362,6 +361,17 @@ fn lower_ccx(a: usize, b: usize, c: usize, out: &mut Circuit) {
     out.push(Cx(a, b));
 }
 
+/// The number of gates `lower_mcx_to_ccx` emits for an MCX with
+/// `controls` controls: `4·controls − 8` CCXs from 3 controls up, one gate
+/// below (X, CX or CCX).
+pub(crate) fn mcx_ccx_size(controls: usize) -> usize {
+    if controls >= 3 {
+        4 * controls - 8
+    } else {
+        1
+    }
+}
+
 /// Recursive MCX lowering (paper §5.2.1 cites Barenco et al. [5]).
 ///
 /// Uses the V-chain with dirty ancillas drawn from idle register qubits; the
@@ -412,8 +422,6 @@ impl fmt::Display for Circuit {
         Ok(())
     }
 }
-
-const _: reqisc_qmath::C64 = ONE;
 
 #[cfg(test)]
 mod tests {
@@ -470,6 +478,15 @@ mod tests {
         hi.push(Gate::Peres(0, 1, 2));
         let lo = hi.lowered_to_cx();
         assert!(lo.unitary().approx_eq(&hi.unitary(), 1e-12));
+    }
+
+    #[test]
+    fn mcx_ccx_size_counts_what_the_lowering_emits() {
+        for k in 0..=9 {
+            let mut hi = Circuit::new(2 * k + 1);
+            hi.push(Gate::Mcx((0..k).collect(), k));
+            assert_eq!(hi.lowered_to_ccx().len(), mcx_ccx_size(k), "{k} controls");
+        }
     }
 
     #[test]

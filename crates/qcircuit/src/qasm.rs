@@ -7,7 +7,7 @@
 //! Format: first line `qubits N`, then one gate per line,
 //! `name q0 q1 … [params…]`, `#`-prefixed comments allowed.
 
-use crate::circuit::Circuit;
+use crate::circuit::{mcx_ccx_size, Circuit};
 use crate::gate::Gate;
 use reqisc_qmath::weyl::WeylCoord;
 use reqisc_qmath::KAK_UNITARY_TOL;
@@ -92,16 +92,18 @@ impl std::error::Error for ParseQasmError {}
 pub struct ParseLimits {
     /// Maximum accepted `qubits N` header value.
     pub max_qubits: usize,
-    /// Maximum accepted gate count.
+    /// Maximum accepted gate count at the CCX level, the IR the ReQISC
+    /// pipelines consume: an `mcx` with k ≥ 3 controls counts 4k − 8 (the
+    /// CCXs it lowers to), every other gate 1.
     pub max_gates: usize,
 }
 
 impl Default for ParseLimits {
     /// The compile service's bounds: 16 qubits (the demo suite's ceiling
-    /// with headroom) and 10 000 gates. The largest suite program has
-    /// 8 000 gates; at the ~12.7 ms per gate a 16-qubit `reqisc-full`
-    /// compile was measured to cost, 10 000 gates hold a solve worker for
-    /// about two minutes.
+    /// with headroom) and 10 000 gates at the CCX level. The largest suite
+    /// program within 16 qubits has 8 000; at the ~12.7 ms per gate a
+    /// 16-qubit `reqisc-full` compile was measured to cost, 10 000 gates
+    /// hold a solve worker for about two minutes.
     fn default() -> Self {
         Self { max_qubits: 16, max_gates: 10_000 }
     }
@@ -109,8 +111,8 @@ impl Default for ParseLimits {
 
 /// [`parse`] with explicit input bounds: rejects an over-wide `qubits N`
 /// header (on its line) before reading any gate, and stops at the first
-/// gate over the limit (on that gate's line), instead of building an
-/// oversized circuit.
+/// gate that takes the circuit over [`ParseLimits::max_gates`] at the CCX
+/// level (on that gate's line), instead of building an oversized circuit.
 ///
 /// # Errors
 ///
@@ -124,8 +126,10 @@ pub fn parse_bounded(text: &str, limits: &ParseLimits) -> Result<Circuit, ParseQ
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] on malformed headers, unknown mnemonics, bad
-/// operands (out-of-range or repeated qubits, non-finite floats), or a
-/// `su4` matrix that is not unitary within [`KAK_UNITARY_TOL`].
+/// operands (out-of-range or repeated qubits, non-finite floats), a `su4`
+/// matrix that is not unitary within [`KAK_UNITARY_TOL`], or an `mcx` with
+/// k ≥ 3 controls whose register lacks the k − 2 other qubits its lowering
+/// borrows as ancillas.
 pub fn parse(text: &str) -> Result<Circuit, ParseQasmError> {
     parse_within(text, &ParseLimits { max_qubits: usize::MAX, max_gates: usize::MAX })
 }
@@ -151,17 +155,13 @@ fn parse_within(text: &str, limits: &ParseLimits) -> Result<Circuit, ParseQasmEr
         return Err(err(ln, &format!("{n} qubits exceeds the limit of {}", limits.max_qubits)));
     }
     let mut c = Circuit::new(n);
+    // The circuit's size at the CCX level, the unit of `max_gates`.
+    let mut size = 0usize;
     for (i, raw) in lines {
         let line = i + 1;
         let l = raw.trim();
         if l.is_empty() || l.starts_with('#') {
             continue;
-        }
-        if c.len() == limits.max_gates {
-            return Err(err(
-                line,
-                &format!("gate {} exceeds the limit of {} gates", c.len() + 1, limits.max_gates),
-            ));
         }
         let mut tok = l.split_whitespace();
         let name = tok.next().unwrap();
@@ -242,6 +242,23 @@ fn parse_within(text: &str, limits: &ParseLimits) -> Result<Circuit, ParseQasmEr
                 return Err(err(line, &format!("gate {} repeats qubit {qq}", g.name())));
             }
         }
+        let cost = match &g {
+            Gate::Mcx(cs, _) => {
+                let (k, idle) = (cs.len(), n - qs.len());
+                if k >= 3 && idle < k - 2 {
+                    let needs = format!("mcx with {k} controls needs {} ancillas", k - 2);
+                    return Err(err(line, &format!("{needs}, register has {idle}")));
+                }
+                mcx_ccx_size(k)
+            }
+            _ => 1,
+        };
+        size += cost;
+        if size > limits.max_gates {
+            let over = format!("gate {size} exceeds the limit of {} gates", limits.max_gates);
+            let msg = if cost > 1 { format!("mcx lowers to {cost} gates; {over}") } else { over };
+            return Err(err(line, &msg));
+        }
         c.push(g);
     }
     Ok(c)
@@ -253,7 +270,8 @@ mod tests {
     use reqisc_qmath::gates::b_gate;
 
     fn sample() -> Circuit {
-        let mut c = Circuit::new(4);
+        // Five qubits: the 3-control `mcx` borrows qubit 4 as its ancilla.
+        let mut c = Circuit::new(5);
         c.push(Gate::H(0));
         c.push(Gate::U3(1, 0.1, -0.2, 0.3));
         c.push(Gate::Cx(0, 1));
@@ -270,7 +288,7 @@ mod tests {
         let c = sample();
         let text = emit(&c);
         let back = parse(&text).expect("parse");
-        assert_eq!(back.num_qubits(), 4);
+        assert_eq!(back.num_qubits(), 5);
         assert_eq!(back.len(), c.len());
         // Structural equality gate by gate.
         for (a, b) in c.gates().iter().zip(back.gates()) {
@@ -389,5 +407,30 @@ mod tests {
         let e = parse_bounded(text, &limits).unwrap_err();
         assert_eq!((e.line, e.message.as_str()), (6, "gate 3 exceeds the limit of 2 gates"));
         assert_eq!(parse_bounded("qubits 2\nh 0\ncx 0 1\n# end\n", &limits).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn bounded_parse_charges_an_mcx_the_ccxs_it_lowers_to() {
+        // 8 controls lower to 24 CCXs: 416 lines fit in 10 000 gates, and
+        // the 417th (on line 418) takes the body to 10 008.
+        let body = |lines: usize| format!("qubits 16\n{}", "mcx 0 1 2 3 4 5 6 7 8\n".repeat(lines));
+        let limits = ParseLimits::default();
+        let e = parse_bounded(&body(10_000), &limits).unwrap_err();
+        let over = "mcx lowers to 24 gates; gate 10008 exceeds the limit of 10000 gates";
+        assert_eq!((e.line, e.message.as_str()), (418, over));
+        assert_eq!(parse_bounded(&body(416), &limits).unwrap().len(), 416);
+        // Up to two controls an mcx is one gate.
+        let small = format!("qubits 3\n{}", "mcx 0 1 2\n".repeat(10_000));
+        assert_eq!(parse_bounded(&small, &limits).unwrap().len(), 10_000);
+    }
+
+    #[test]
+    fn rejects_an_mcx_without_room_for_its_ancillas() {
+        let want = (2, "mcx with 3 controls needs 1 ancillas, register has 0");
+        let e = parse("qubits 4\nmcx 0 1 2 3\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), want);
+        let e = parse_bounded("qubits 4\nmcx 0 1 2 3\n", &ParseLimits::default()).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), want);
+        assert_eq!(parse("qubits 5\nmcx 0 1 2 3\n").unwrap().len(), 1);
     }
 }

@@ -498,6 +498,58 @@ fn a_body_at_the_gate_bound_parses() {
     service.shutdown();
 }
 
+/// Serves one compile of `qasm` through `pipeline`, then a `stats`, on a
+/// one-worker service; returns the compile's reply and the stats.
+fn compile_then_stats(pipeline: &str, qasm: &str) -> (Json, StatsSnapshot) {
+    let service = Service::start_with_compiler(
+        Compiler::new_with_library(Default::default()),
+        ServiceConfig { workers: 1, ..ServiceConfig::default() },
+    );
+    let qasm = Json::str(qasm.to_string()).emit();
+    let script = format!(
+        "{{\"id\":1,\"op\":\"compile\",\"pipeline\":\"{pipeline}\",\"qasm\":{qasm}}}\n\
+         {{\"id\":2,\"op\":\"stats\"}}\n"
+    );
+    let mut out: Vec<u8> = Vec::new();
+    serve_lines(&service, script.as_bytes(), &mut out).expect("serve");
+    service.shutdown();
+    let mut replies: Vec<Json> = String::from_utf8(out)
+        .expect("utf8")
+        .lines()
+        .map(|l| Json::parse(l).expect("reply parses"))
+        .collect();
+    assert_eq!(replies.len(), 2);
+    let stats =
+        StatsSnapshot::from_json(replies[1].get("stats").expect("stats member")).expect("stats");
+    (replies.swap_remove(0), stats)
+}
+
+/// The gate bound counts what a line lowers to: an 8-control `mcx` is 24
+/// CCXs, so 417 such lines (10 008 CCXs) are over it and admit nothing.
+#[test]
+fn an_mcx_body_over_the_bound_at_the_ccx_level_is_a_bad_request() {
+    let qasm = format!("qubits 16\n{}", "mcx 0 1 2 3 4 5 6 7 8\n".repeat(417));
+    let (reply, stats) = compile_then_stats("reqisc-eff", &qasm);
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{}", reply.emit());
+    let detail = reply.get("detail").and_then(Json::as_str).expect("detail");
+    let want = "line 418: mcx lowers to 24 gates; gate 10008 exceeds the limit of 10000 gates";
+    assert!(detail.contains(want), "{detail}");
+    assert_eq!(stats.service.submitted, 0, "nothing was admitted");
+}
+
+/// An `mcx` on a register without room for the ancillas its lowering
+/// borrows is a `bad_request`, not a panic in the solve worker.
+#[test]
+fn an_mcx_on_a_short_register_is_a_bad_request() {
+    let (reply, stats) = compile_then_stats("qiskit", "qubits 4\nmcx 0 1 2 3\n");
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_request"), "{}", reply.emit());
+    let detail = reply.get("detail").and_then(Json::as_str).expect("detail");
+    let want = "line 2: mcx with 3 controls needs 1 ancillas, register has 0";
+    assert!(detail.contains(want), "{detail}");
+    assert_eq!(stats.service.submitted, 0, "nothing was admitted");
+    assert_eq!(stats.service.failed, 0, "no solve worker failed");
+}
+
 /// The cross-daemon shared-cache acceptance: instance A (no peers)
 /// solves a workload and publishes into the shared segment; instance B —
 /// a *different* service on the same segment, with cold local pools —

@@ -25,13 +25,11 @@
 //! assert!(blocks.len() <= 5); // vs 6 CNOTs conventionally
 //! ```
 
-pub mod basis;
 pub mod search;
 pub mod skeleton;
 pub mod sweep;
 pub mod templates;
 
-pub use basis::{synthesize_with_basis, BasisDecomposition};
 pub use search::{
     all_pairs, cnot_lower_bound, structures, su4_lower_bound, synthesize, synthesize_if_shorter,
     SearchOptions,

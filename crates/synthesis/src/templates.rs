@@ -11,7 +11,7 @@
 // lint:allow-file(tolerance-literal, template canonicalization guards local to synthesis)
 use crate::search::{synthesize, SearchOptions};
 use crate::sweep::BlockCircuit;
-use reqisc_qcircuit::{embed, Circuit, Gate};
+use reqisc_qcircuit::{Circuit, Gate};
 use reqisc_qmath::CMat;
 use std::collections::HashMap;
 
@@ -32,11 +32,6 @@ impl Template {
     /// The qubit pair of the first block (for fusion with a predecessor).
     pub fn first_pair(&self) -> Option<(usize, usize)> {
         self.circuit.blocks.first().map(|(p, _)| *p)
-    }
-
-    /// The qubit pair of the last block (for fusion with a successor).
-    pub fn last_pair(&self) -> Option<(usize, usize)> {
-        self.circuit.blocks.last().map(|(p, _)| *p)
     }
 }
 
@@ -228,8 +223,6 @@ pub fn template_matches(t: &Template, ir_unitary: &CMat) -> bool {
     let dim = u.rows() as f64;
     (1.0 - ir_unitary.hs_inner(&u).abs() / dim) < 1e-8
 }
-
-const _: fn(&CMat, &[usize], usize) -> CMat = embed;
 
 #[cfg(test)]
 mod tests {

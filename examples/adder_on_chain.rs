@@ -8,8 +8,7 @@
 
 use reqisc::benchsuite::generators::ripple_add;
 use reqisc::compiler::{
-    expand_swaps_to_cx, gate_duration, metrics, route, Compiler, Pipeline, RouteOptions, Router,
-    Topology,
+    expand_swaps_to_cx, gate_duration, metrics, route, Compiler, Pipeline, Router, Topology,
 };
 use reqisc::microarch::Coupling;
 use reqisc::qsim::{hellinger_fidelity, ideal_distribution, noisy_distribution, NoiseModel};
@@ -22,13 +21,11 @@ fn main() {
 
     // Conventional flow: TKet-like + SABRE, SWAP = 3 CNOTs.
     let base = compiler.compile(&adder, Pipeline::Tket);
-    let mut so = RouteOptions::default();
-    so.router = Router::Sabre;
-    let base_routed = expand_swaps_to_cx(&route(&base, &topo, &so).circuit);
+    let base_routed = expand_swaps_to_cx(&route(&base, &topo, Router::Sabre).circuit);
 
     // ReQISC flow: template synthesis + mirroring-SABRE.
     let req = compiler.compile(&adder, Pipeline::ReqiscEff);
-    let req_routed = route(&req, &topo, &RouteOptions::default());
+    let req_routed = route(&req, &topo, Router::MirroringSabre);
     println!(
         "routing: {} swaps inserted, {} absorbed into SU(4)s",
         req_routed.swaps_inserted, req_routed.swaps_absorbed

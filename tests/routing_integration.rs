@@ -4,8 +4,7 @@
 
 use reqisc::benchsuite::mini_suite;
 use reqisc::compiler::{
-    expand_swaps_to_cx, route, routing_preserves_semantics, Compiler, Pipeline, RouteOptions,
-    Router, Topology,
+    expand_swaps_to_cx, route, routing_preserves_semantics, Compiler, Pipeline, Router, Topology,
 };
 use std::sync::OnceLock;
 
@@ -24,9 +23,7 @@ fn routed_programs_stay_correct_on_chain_and_grid() {
         let logical = compiler().compile(&b.circuit, Pipeline::ReqiscEff);
         for topo in [Topology::chain(n), Topology::grid_for(n)] {
             for router in [Router::Sabre, Router::MirroringSabre] {
-                let mut o = RouteOptions::default();
-                o.router = router;
-                let r = route(&logical, &topo, &o);
+                let r = route(&logical, &topo, router);
                 assert!(
                     routing_preserves_semantics(&logical, &r, &topo),
                     "{} broke on {:?} ({} phys qubits)",
@@ -50,12 +47,8 @@ fn mirroring_reduces_su4_routing_overhead_on_average() {
         }
         let logical = compiler().compile(&b.circuit, Pipeline::ReqiscEff);
         let topo = Topology::chain(n);
-        let mut so = RouteOptions::default();
-        so.router = Router::Sabre;
-        sabre_total += route(&logical, &topo, &so).circuit.count_2q();
-        let mut mo = RouteOptions::default();
-        mo.router = Router::MirroringSabre;
-        mirror_total += route(&logical, &topo, &mo).circuit.count_2q();
+        sabre_total += route(&logical, &topo, Router::Sabre).circuit.count_2q();
+        mirror_total += route(&logical, &topo, Router::MirroringSabre).circuit.count_2q();
     }
     assert!(
         mirror_total <= sabre_total,
@@ -81,10 +74,8 @@ fn cnot_flow_pays_more_routing_overhead_than_su4_flow() {
         if cnot_logical.count_2q() == 0 || su4_logical.count_2q() == 0 {
             continue;
         }
-        let mut so = RouteOptions::default();
-        so.router = Router::Sabre;
-        let cnot_routed = expand_swaps_to_cx(&route(&cnot_logical, &topo, &so).circuit);
-        let su4_routed = route(&su4_logical, &topo, &RouteOptions::default()).circuit;
+        let cnot_routed = expand_swaps_to_cx(&route(&cnot_logical, &topo, Router::Sabre).circuit);
+        let su4_routed = route(&su4_logical, &topo, Router::MirroringSabre).circuit;
         cnot_overhead += cnot_routed.count_2q() as f64 / cnot_logical.count_2q() as f64;
         su4_overhead += su4_routed.count_2q() as f64 / su4_logical.count_2q() as f64;
         count += 1;
