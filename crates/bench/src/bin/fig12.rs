@@ -53,9 +53,9 @@ fn main() {
             let lc = cnot_logical.count_2q().max(1) as f64;
             let ls = su4_logical.count_2q().max(1) as f64;
             let co = cnot_routed as f64 / lc;
-            let so_ = su4_mirror as f64 / ls;
+            let so = su4_mirror as f64 / ls;
             cnot_over.push(co);
-            su4_over.push(so_);
+            su4_over.push(so);
             let gain = if su4_sabre > 0 {
                 100.0 * (su4_sabre as f64 - su4_mirror as f64) / su4_sabre as f64
             } else {
@@ -70,7 +70,7 @@ fn main() {
                 su4_sabre,
                 su4_mirror,
                 co,
-                so_,
+                so,
                 gain
             );
         }
